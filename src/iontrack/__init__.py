@@ -16,160 +16,15 @@ config      declarative run configuration files
 cli         command-line front end (`iontrack`)
 """
 
-from .atomphys import (
-    BREIT_RABI_VARIANTS,
-    CODATA,
-    EquilibriumConvergenceError,
-    GradientCalibration,
-    IonSpecies,
-    PhysicalConstants,
-    TrapEnvironment,
-    axial_stiffness,
-    calibrate_gradient,
-    equilibrium_positions,
-    field_from_frequency,
-    frequency_shift_to_position,
-    frequency_to_position_slope,
-    length_scale,
-    transition_frequency,
-    transition_frequency_derivative,
-)
-from .lineshape import (
-    LINEWIDTH_CALIBRATED_ETA,
-    MotionalModel,
-    PulseSpec,
-    compute_eta,
-    effective_rabi,
-    excitation_profile,
-    fwhm,
-    rabi_excitation,
-    thermal_excitation,
-    thermal_weights,
-)
-from .estimator import (
-    EstimateResult,
-    NoSignalError,
-    TwoPointConfig,
-    analytic_sigma,
-    binomial_variance,
-    estimate_from_counts,
-    g_forward,
-    g_invert,
-    g_slope,
-    predicted_sigma,
-    probe_probabilities,
-)
-from .simulator import (
-    DisplacementPoint,
-    DriftCorrectionError,
-    DriftModel,
-    ExperimentTimeline,
-    SimulationState,
-    TrackingRecord,
-    TrackingSample,
-    VoltageSchedule,
-    VoltageStep,
-    drift_correct,
-    run_measurement,
-    run_tracking,
-    run_voltage_scan,
-    sample_shot,
-    voltage_displacement,
-    voltage_frequency_shift,
-)
-from .analysis import (
-    AllanResult,
-    ForceReport,
-    FrequencySeries,
-    PositionStatistics,
-    SpectrumFitError,
-    SpectrumFitResult,
-    allan_deviation,
-    charge_detection_distance,
-    fit_spectrum,
-    force_report,
-    position_statistics,
-)
-from .config import ConfigError, RunConfig, default_config, emit, load_config, loads
+from . import analysis, atomphys, config, estimator, lineshape, simulator
+from .atomphys import *
+from .lineshape import *
+from .estimator import *
+from .simulator import *
+from .analysis import *
+from .config import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # atomphys
-    "BREIT_RABI_VARIANTS",
-    "CODATA",
-    "EquilibriumConvergenceError",
-    "GradientCalibration",
-    "IonSpecies",
-    "PhysicalConstants",
-    "TrapEnvironment",
-    "axial_stiffness",
-    "calibrate_gradient",
-    "equilibrium_positions",
-    "field_from_frequency",
-    "frequency_shift_to_position",
-    "frequency_to_position_slope",
-    "length_scale",
-    "transition_frequency",
-    "transition_frequency_derivative",
-    # lineshape
-    "LINEWIDTH_CALIBRATED_ETA",
-    "MotionalModel",
-    "PulseSpec",
-    "compute_eta",
-    "effective_rabi",
-    "excitation_profile",
-    "fwhm",
-    "rabi_excitation",
-    "thermal_excitation",
-    "thermal_weights",
-    # estimator
-    "EstimateResult",
-    "NoSignalError",
-    "TwoPointConfig",
-    "analytic_sigma",
-    "binomial_variance",
-    "estimate_from_counts",
-    "g_forward",
-    "g_invert",
-    "g_slope",
-    "predicted_sigma",
-    "probe_probabilities",
-    # simulator
-    "DisplacementPoint",
-    "DriftCorrectionError",
-    "DriftModel",
-    "ExperimentTimeline",
-    "SimulationState",
-    "TrackingRecord",
-    "TrackingSample",
-    "VoltageSchedule",
-    "VoltageStep",
-    "drift_correct",
-    "run_measurement",
-    "run_tracking",
-    "run_voltage_scan",
-    "sample_shot",
-    "voltage_displacement",
-    "voltage_frequency_shift",
-    # analysis
-    "AllanResult",
-    "ForceReport",
-    "FrequencySeries",
-    "PositionStatistics",
-    "SpectrumFitError",
-    "SpectrumFitResult",
-    "allan_deviation",
-    "charge_detection_distance",
-    "fit_spectrum",
-    "force_report",
-    "position_statistics",
-    # config
-    "ConfigError",
-    "RunConfig",
-    "default_config",
-    "emit",
-    "load_config",
-    "loads",
-]
+__all__ = ["__version__", *atomphys.__all__, *lineshape.__all__, *estimator.__all__,
+           *simulator.__all__, *analysis.__all__, *config.__all__]

@@ -42,7 +42,7 @@ from .estimator import (
     probe_probabilities,
 )
 from .lineshape import MotionalModel, excitation_profile, fwhm
-from .simulator import drift_correct, run_tracking, run_voltage_scan
+from .simulator import CSV_HEADER, drift_correct, run_tracking, run_voltage_scan
 
 __all__ = ["main"]
 
@@ -109,9 +109,13 @@ def _summary_base(cfg: RunConfig) -> dict:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """Strict JSON: a non-finite value is a numerical failure, not a file."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{os.path.basename(path)}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _cell(value):
@@ -233,15 +237,6 @@ def cmd_fit_spectrum(cfg: RunConfig, input_path: str, out_dir: str, fmt: str) ->
     _write_json(os.path.join(out_dir, "fit_spectrum_summary.json"), summary)
 
 
-def _record_rows(record) -> list[list]:
-    rows = []
-    for s in record.samples:
-        rows.append([s.timestamp, s.nu0 / TWO_PI, s.delta / TWO_PI,
-                     s.nu_estimated / TWO_PI, s.sigma_nu / TWO_PI,
-                     s.true_nu / TWO_PI, int(s.in_window), s.applied_voltage])
-    return rows
-
-
 def cmd_track(cfg: RunConfig, out_dir: str, fmt: str) -> None:
     species = cfg.species()
     env = cfg.trap()
@@ -259,14 +254,7 @@ def cmd_track(cfg: RunConfig, out_dir: str, fmt: str) -> None:
     except ValueError as exc:
         raise NumericalError(f"tracking: {exc}") from exc
 
-    header = ["time_s", "nu0_hz", "delta_hz", "nu_estimated_hz",
-              "sigma_nu_hz", "true_nu_hz", "in_window", "voltage_v"]
-    if fmt == "csv":
-        table = os.path.join(out_dir, "track_record.csv")
-        record.write_csv(table)
-    else:
-        table = _write_table(out_dir, "track_record", fmt, header,
-                             _record_rows(record))
+    table = _write_table(out_dir, "track_record", fmt, CSV_HEADER, record.rows())
 
     summary = _summary_base(cfg)
     summary["table"] = os.path.basename(table)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .atomphys import (
     BREIT_RABI_VARIANTS,
@@ -34,63 +34,61 @@ class ConfigError(ValueError):
     """Malformed, unknown or inconsistent configuration input."""
 
 
+def _key(section: str, default, key: str | None = None):
+    """A RunConfig field read from `key` (default: the field name) in [section]."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved description of one run.
 
-    Field names mirror the file keys; frequencies are ordinary Hz here
-    and only become angular inside the builder methods.
+    Each field is one file key, declared with `_key`: its section, and
+    its key when that differs from the field name.  The annotation picks
+    the parser.  Frequencies are ordinary Hz here and only become
+    angular inside the builder methods.
     """
 
-    # [species]
-    species_label: str = "171Yb+"
-    mass_u: float = 170.936323
-    hyperfine_hz: float = 12642812118.471
-    g_electron: float = 2.0025
-    g_nucleus: float = 0.9837
-    # [trap]
-    omega_z_hz: float = 108104.0
-    omega_r_hz: float = 534400.0
-    offset_field_t: float = 442.09e-6
-    gradient_t_per_m: float = 19.07
-    voltage_to_field: float = 8.2e-4
-    # [pulse]
-    rabi_hz: float = 640.0
-    duration_s: float | str = "auto"          # auto -> pi pulse
-    # [motion]
-    nbar: float = 80.0
-    eta: float | str = 0.026
-    # [two_point]
-    kappa: float = 0.8
-    shots_per_side: int = 50
-    # [timeline]
-    rep_period_s: float = 0.02
-    detection_error_bright: float = 0.0
-    detection_error_dark: float = 0.0
-    shot_order: str = "interleaved"
-    # [drift]
-    linear_rate_hz_per_s: float = 8.2
-    random_walk_hz_per_rt_s: float = 0.0
-    line_amplitude_hz: float = 0.0
-    seed: int = 12345
-    # [tracking]
-    n_cycles: int = 128
-    initial_nu0_hz: float | str = "auto"      # auto -> Breit-Rabi at offset field
-    allan_taus_s: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0, 32.0)
-    variant: str = "standard"
-    # [voltage_scan]
-    scan_enabled: bool = False
-    scan_voltages_v: tuple[float, ...] = (1.0, -1.0, 2.0, -2.0, 3.0, -3.0)
-    scan_interleave_zero: bool = True
-    # [lineshape]
-    lineshape_nbar_values: tuple[float, ...] = (0.0, 20.0, 100.0)
-    lineshape_detuning_min_rabi: float = -2.0
-    lineshape_detuning_max_rabi: float = 2.0
-    lineshape_n_points: int = 401
-    # [sensitivity]
-    durations_s: tuple[float, ...] = (2.0, 8.0, 32.0)
-    offsets_rabi: tuple[float, ...] = (0.0, 0.3, 0.7)
-    n_seeds: int = 200
+    species_label: str = _key("species", "171Yb+", "label")
+    mass_u: float = _key("species", 170.936323)
+    hyperfine_hz: float = _key("species", 12642812118.471)
+    g_electron: float = _key("species", 2.0025)
+    g_nucleus: float = _key("species", 0.9837)
+    omega_z_hz: float = _key("trap", 108104.0)
+    omega_r_hz: float = _key("trap", 534400.0)
+    offset_field_t: float = _key("trap", 442.09e-6)
+    gradient_t_per_m: float = _key("trap", 19.07)
+    voltage_to_field: float = _key("trap", 8.2e-4)
+    rabi_hz: float = _key("pulse", 640.0)
+    duration_s: float | str = _key("pulse", "auto")          # auto -> pi pulse
+    nbar: float = _key("motion", 80.0)
+    eta: float | str = _key("motion", 0.026)
+    kappa: float = _key("two_point", 0.8)
+    shots_per_side: int = _key("two_point", 50)
+    rep_period_s: float = _key("timeline", 0.02)
+    detection_error_bright: float = _key("timeline", 0.0)
+    detection_error_dark: float = _key("timeline", 0.0)
+    shot_order: str = _key("timeline", "interleaved")
+    linear_rate_hz_per_s: float = _key("drift", 8.2)
+    random_walk_hz_per_rt_s: float = _key("drift", 0.0)
+    line_amplitude_hz: float = _key("drift", 0.0)
+    seed: int = _key("drift", 12345)
+    n_cycles: int = _key("tracking", 128)
+    initial_nu0_hz: float | str = _key("tracking", "auto")   # auto -> Breit-Rabi at offset field
+    allan_taus_s: tuple[float, ...] = _key("tracking", (2.0, 4.0, 8.0, 16.0, 32.0))
+    variant: str = _key("tracking", "standard")
+    scan_enabled: bool = _key("voltage_scan", False, "enabled")
+    scan_voltages_v: tuple[float, ...] = _key(
+        "voltage_scan", (1.0, -1.0, 2.0, -2.0, 3.0, -3.0), "voltages_v")
+    scan_interleave_zero: bool = _key("voltage_scan", True, "interleave_zero")
+    lineshape_nbar_values: tuple[float, ...] = _key(
+        "lineshape", (0.0, 20.0, 100.0), "nbar_values")
+    lineshape_detuning_min_rabi: float = _key("lineshape", -2.0, "detuning_min_rabi")
+    lineshape_detuning_max_rabi: float = _key("lineshape", 2.0, "detuning_max_rabi")
+    lineshape_n_points: int = _key("lineshape", 401, "n_points")
+    durations_s: tuple[float, ...] = _key("sensitivity", (2.0, 8.0, 32.0))
+    offsets_rabi: tuple[float, ...] = _key("sensitivity", (0.0, 0.3, 0.7))
+    n_seeds: int = _key("sensitivity", 200)
 
     # ---- builders for the typed module objects -------------------------
     def species(self) -> IonSpecies:
@@ -216,9 +214,12 @@ class RunConfig:
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_int(text: str) -> int:
@@ -248,69 +249,27 @@ def _parse_auto_or_float(text: str) -> float | str:
     return "auto" if text.strip().lower() == "auto" else _parse_float(text)
 
 
-# section -> key -> (RunConfig field, parser)
-_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "species": {
-        "label": ("species_label", str.strip),
-        "mass_u": ("mass_u", _parse_float),
-        "hyperfine_hz": ("hyperfine_hz", _parse_float),
-        "g_electron": ("g_electron", _parse_float),
-        "g_nucleus": ("g_nucleus", _parse_float),
-    },
-    "trap": {
-        "omega_z_hz": ("omega_z_hz", _parse_float),
-        "omega_r_hz": ("omega_r_hz", _parse_float),
-        "offset_field_t": ("offset_field_t", _parse_float),
-        "gradient_t_per_m": ("gradient_t_per_m", _parse_float),
-        "voltage_to_field": ("voltage_to_field", _parse_float),
-    },
-    "pulse": {
-        "rabi_hz": ("rabi_hz", _parse_float),
-        "duration_s": ("duration_s", _parse_auto_or_float),
-    },
-    "motion": {
-        "nbar": ("nbar", _parse_float),
-        "eta": ("eta", _parse_auto_or_float),
-    },
-    "two_point": {
-        "kappa": ("kappa", _parse_float),
-        "shots_per_side": ("shots_per_side", _parse_int),
-    },
-    "timeline": {
-        "rep_period_s": ("rep_period_s", _parse_float),
-        "detection_error_bright": ("detection_error_bright", _parse_float),
-        "detection_error_dark": ("detection_error_dark", _parse_float),
-        "shot_order": ("shot_order", str.strip),
-    },
-    "drift": {
-        "linear_rate_hz_per_s": ("linear_rate_hz_per_s", _parse_float),
-        "random_walk_hz_per_rt_s": ("random_walk_hz_per_rt_s", _parse_float),
-        "line_amplitude_hz": ("line_amplitude_hz", _parse_float),
-        "seed": ("seed", _parse_int),
-    },
-    "tracking": {
-        "n_cycles": ("n_cycles", _parse_int),
-        "initial_nu0_hz": ("initial_nu0_hz", _parse_auto_or_float),
-        "allan_taus_s": ("allan_taus_s", _parse_float_list),
-        "variant": ("variant", str.strip),
-    },
-    "voltage_scan": {
-        "enabled": ("scan_enabled", _parse_bool),
-        "voltages_v": ("scan_voltages_v", _parse_float_list),
-        "interleave_zero": ("scan_interleave_zero", _parse_bool),
-    },
-    "lineshape": {
-        "nbar_values": ("lineshape_nbar_values", _parse_float_list),
-        "detuning_min_rabi": ("lineshape_detuning_min_rabi", _parse_float),
-        "detuning_max_rabi": ("lineshape_detuning_max_rabi", _parse_float),
-        "n_points": ("lineshape_n_points", _parse_int),
-    },
-    "sensitivity": {
-        "durations_s": ("durations_s", _parse_float_list),
-        "offsets_rabi": ("offsets_rabi", _parse_float_list),
-        "n_seeds": ("n_seeds", _parse_int),
-    },
+# RunConfig annotation -> parser of the file text
+_PARSERS = {
+    "str": str.strip,
+    "float": _parse_float,
+    "int": _parse_int,
+    "bool": _parse_bool,
+    "tuple[float, ...]": _parse_float_list,
+    "float | str": _parse_auto_or_float,
 }
+
+
+def _schema() -> dict[str, dict[str, tuple[str, object]]]:
+    """section -> key -> (RunConfig field, parser), in field order."""
+    schema: dict[str, dict[str, tuple[str, object]]] = {}
+    for f in fields(RunConfig):
+        key = f.metadata["key"] or f.name
+        schema.setdefault(f.metadata["section"], {})[key] = (f.name, _PARSERS[f.type])
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 def default_config() -> RunConfig:
@@ -372,12 +331,10 @@ def _format_value(value) -> str:
 
 def emit(cfg: RunConfig) -> str:
     """Serialise a resolved config; loads(emit(cfg)) round-trips."""
-    known_fields = {f.name for f in fields(RunConfig)}
     out = io.StringIO()
     for section, keys in _SCHEMA.items():
         out.write(f"[{section}]\n")
         for key, (field_name, _parse) in keys.items():
-            assert field_name in known_fields
             out.write(f"{key} = {_format_value(getattr(cfg, field_name))}\n")
         out.write("\n")
     return out.getvalue()

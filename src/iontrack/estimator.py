@@ -28,7 +28,6 @@ __all__ = [
     "binomial_variance",
     "estimate_from_counts",
     "analytic_sigma",
-    "predicted_sigma",
 ]
 
 INVERSION_TOLERANCE = 1e-6   # of Omega_0
@@ -196,18 +195,3 @@ def analytic_sigma(cfg: TwoPointConfig, delta: float, shots_per_side: int) -> fl
     )
     return sigma_g / abs(g_slope(float(delta), cfg))
 
-
-def predicted_sigma(total_time: float, rep_period: float,
-                    cfg: TwoPointConfig, delta: float = 0.0) -> float:
-    """Predicted sigma for a measurement of given total duration.
-
-    The shot budget is floor(total_time / rep_period), split evenly
-    between the two probe sides.
-    """
-    if rep_period <= 0.0:
-        raise ValueError("rep_period must be positive")
-    shots_total = int(total_time / rep_period)
-    per_side = shots_total // 2
-    if per_side < 1:
-        raise ValueError("total_time too short for one shot per side")
-    return analytic_sigma(cfg, delta, per_side)

@@ -23,8 +23,6 @@ from .atomphys import frequency_to_position_slope
 __all__ = [
     "PulseSpec",
     "MotionalModel",
-    "effective_rabi",
-    "rabi_excitation",
     "thermal_excitation",
     "excitation_profile",
     "thermal_weights",
@@ -122,19 +120,6 @@ def thermal_weights(motion: MotionalModel) -> np.ndarray:
     return _motional_arrays(motion)[0]
 
 
-def effective_rabi(n: int, pulse: PulseSpec, motion: MotionalModel) -> float:
-    """Carrier Rabi frequency in Fock state n, rad/s.
-
-    Omega_n = Omega_0 * |L_n(eta^2)| / L_0(eta^2); the Debye-Waller
-    exponential cancels in the ratio, and the residual sign of the
-    polynomial is a coupling phase with no effect on populations.
-    """
-    if n < 0:
-        raise ValueError("Fock index must be non-negative")
-    ln = _laguerre_sequence(n, motion.eta ** 2)[n]
-    return pulse.rabi * abs(ln)
-
-
 def _excitation(omega2, delta, duration):
     """sin^2 Rabi flop written as om^2/(om^2+d^2) * sin^2(sqrt(om^2+d^2) t/2).
 
@@ -146,12 +131,6 @@ def _excitation(omega2, delta, duration):
         p = np.where(total2 > 0.0, omega2 * np.sin(phase) ** 2, 0.0)
         p = np.where(total2 > 0.0, p / np.where(total2 > 0.0, total2, 1.0), 0.0)
     return p
-
-
-def rabi_excitation(n: int, pulse: PulseSpec, motion: MotionalModel) -> float:
-    """Excitation probability after the pulse, ion in Fock state n."""
-    omega = effective_rabi(n, pulse, motion)
-    return float(_excitation(omega ** 2, pulse.detuning, pulse.duration))
 
 
 def thermal_excitation(pulse: PulseSpec, motion: MotionalModel) -> float:

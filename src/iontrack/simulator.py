@@ -26,7 +26,7 @@ from .atomphys import CODATA, IonSpecies, PhysicalConstants, TrapEnvironment
 from .atomphys import frequency_to_position_slope, transition_frequency
 from .estimator import (EstimateResult, NoSignalError, TwoPointConfig,
                         estimate_from_counts)
-from .lineshape import MotionalModel, PulseSpec, thermal_excitation
+from .lineshape import thermal_excitation
 
 __all__ = [
     "LINE_FREQUENCY_HZ",
@@ -39,7 +39,6 @@ __all__ = [
     "VoltageSchedule",
     "DisplacementPoint",
     "DriftCorrectionError",
-    "sample_shot",
     "run_measurement",
     "run_tracking",
     "voltage_displacement",
@@ -139,18 +138,6 @@ def _advance(state: SimulationState, drift: DriftModel, dt: float) -> None:
     state.time += dt
 
 
-def sample_shot(true_nu: float, probe_nu: float, pulse: PulseSpec,
-                motion: MotionalModel, timeline: ExperimentTimeline,
-                rng: np.random.Generator) -> bool:
-    """One detection: Bernoulli flop, then the detection-error channel."""
-    p = thermal_excitation(replace(pulse, detuning=true_nu - probe_nu), motion)
-    bright = rng.random() < p
-    flip = rng.random()
-    if bright:
-        return flip >= timeline.detection_error_bright
-    return flip < timeline.detection_error_dark
-
-
 def _shot_sides(timeline: ExperimentTimeline) -> list[int]:
     n = timeline.shots_per_side
     if timeline.shot_order == "blocked":
@@ -176,8 +163,13 @@ def run_measurement(nu0: float, state: SimulationState, cfg: TwoPointConfig,
     true_sum = 0.0
     for side in _shot_sides(timeline):
         tn = true_resonance(state, drift, resonance_offset)
-        if sample_shot(tn, nu0 + side * probe_offset, cfg.pulse, cfg.motion,
-                       timeline, state.rng):
+        # Bernoulli flop, then the detection-error channel
+        p = thermal_excitation(
+            replace(cfg.pulse, detuning=tn - (nu0 + side * probe_offset)), cfg.motion)
+        bright = state.rng.random() < p
+        flip = state.rng.random()
+        if (flip >= timeline.detection_error_bright if bright
+                else flip < timeline.detection_error_dark):
             counts[side] += 1
         _advance(state, drift, timeline.rep_period)
         true_sum += tn
@@ -251,27 +243,28 @@ class TrackingRecord:
     def applied_voltage(self) -> np.ndarray:
         return self._column("applied_voltage")
 
-    def write_csv(self, path) -> None:
-        """One row per cycle; frequencies in ordinary Hz, full precision."""
+    def rows(self) -> list[list]:
+        """One row per cycle under CSV_HEADER; frequencies in ordinary Hz."""
         tp = 2.0 * math.pi
+        return [[s.timestamp, s.nu0 / tp, s.delta / tp, s.nu_estimated / tp,
+                 s.sigma_nu / tp, s.true_nu / tp, int(s.in_window), s.applied_voltage]
+                for s in self.samples]
+
+    def write_csv(self, path) -> None:
+        """CSV_HEADER, then rows() at full precision."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
-            for s in self.samples:
-                writer.writerow([
-                    repr(s.timestamp),
-                    repr(s.nu0 / tp),
-                    repr(s.delta / tp),
-                    repr(s.nu_estimated / tp),
-                    repr(s.sigma_nu / tp),
-                    repr(s.true_nu / tp),
-                    int(s.in_window),
-                    repr(s.applied_voltage),
-                ])
+            writer.writerows(self.rows())
 
     @classmethod
     def read_csv(cls, path) -> "TrackingRecord":
-        """Inverse of write_csv (the loss-of-lock flag is not stored)."""
+        """Inverse of write_csv.
+
+        The file holds per-cycle rows; lost_lock is a property of the
+        whole run, so it is not stored here (the CLI records it in
+        track_summary.json) and the record read back has lost_lock=False.
+        """
         tp = 2.0 * math.pi
         samples = []
         with open(path, newline="") as fh:

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from iontrack.cli import main
+from iontrack.cli import NumericalError, _write_json, main
 from iontrack.lineshape import MotionalModel, PulseSpec, excitation_profile, fwhm
 from iontrack.simulator import TrackingRecord
 
@@ -270,6 +270,14 @@ class TestSensitivity:
             ss_tot = float(np.sum((sig - sig.mean()) ** 2))
             assert 1.0 - ss_res / ss_tot > 0.99, f"offset {offset}"
 
+    def test_duration_below_one_shot_pair_is_numerical_failure(self, tmp_path,
+                                                               capsys):
+        cfg = tmp_path / "short.ini"
+        cfg.write_text("[sensitivity]\ndurations_s = 0.01\n")
+        assert main(["sensitivity", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        assert "no complete shot pair" in capsys.readouterr().err
+
     def test_same_seed_identical_bytes(self, sensitivity_dir, tmp_path):
         assert main(["sensitivity", "--out", str(tmp_path)]) == 0
         assert tree_bytes(tmp_path) == tree_bytes(sensitivity_dir)
@@ -363,3 +371,23 @@ class TestTopLevel:
         summary = read_json(track_dir / "track_summary.json")
         assert summary["version"] == __version__
         assert summary["seed"] == 12345
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("pulse", "rabi_hz", "nan"),
+        ("trap", "gradient_t_per_m", "nan"),
+        ("drift", "linear_rate_hz_per_s", "inf"),
+        ("motion", "nbar", "inf"),
+    ])
+    def test_non_finite_config_is_usage_error(self, tmp_path, capsys,
+                                              section, key, value):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        assert main(["track", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "track_summary.json").exists()
+
+    def test_non_finite_summary_is_numerical_failure(self, tmp_path):
+        path = tmp_path / "summary.json"
+        with pytest.raises(NumericalError):
+            _write_json(str(path), {"value": float("nan")})
+        assert not path.exists()

@@ -1,9 +1,11 @@
 """INI configuration: parsing, resolution, validation, round-trips."""
 import math
+from dataclasses import fields
 
 import pytest
 
-from iontrack.config import ConfigError, default_config, emit, load_config, loads
+from iontrack.config import (ConfigError, RunConfig, default_config, emit,
+                             load_config, loads)
 from iontrack.simulator import DriftModel, VoltageSchedule
 
 TWO_PI = 2.0 * math.pi
@@ -79,6 +81,19 @@ class TestLoads:
         with pytest.raises(ConfigError):
             loads("[two_point]\nkappa = 1.5\n")
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("pulse", "rabi_hz", "nan"),
+        ("trap", "gradient_t_per_m", "nan"),
+        ("drift", "linear_rate_hz_per_s", "inf"),
+        ("motion", "nbar", "inf"),
+        ("motion", "eta", "-inf"),
+        ("sensitivity", "durations_s", "2 nan 8"),
+    ])
+    def test_non_finite_rejected(self, section, key, value):
+        with pytest.raises(ConfigError,
+                           match=rf"\[{section}\] {key}: not a finite number"):
+            loads(f"[{section}]\n{key} = {value}\n")
+
     def test_seed_override(self):
         assert loads("", seed=777).seed == 777
         assert loads("[drift]\nseed = 3\n", seed=777).seed == 777
@@ -111,6 +126,76 @@ class TestEmitRoundTrip:
         back = loads(emit(cfg))
         assert back.offset_field_t == 6e-4
         assert back.durations_s == (1.0, 3.0, 9.0)
+
+    def test_every_key_survives(self):
+        text = """
+[species]
+label = Yb-test
+mass_u = 171.5
+hyperfine_hz = 12642812000.0
+g_electron = 2.002
+g_nucleus = 0.98
+
+[trap]
+omega_z_hz = 110000
+omega_r_hz = 540000
+offset_field_t = 5e-4
+gradient_t_per_m = 20.5
+voltage_to_field = 9e-4
+
+[pulse]
+rabi_hz = 700
+duration_s = 0.0007
+
+[motion]
+nbar = 60
+eta = auto
+
+[two_point]
+kappa = 0.75
+shots_per_side = 40
+
+[timeline]
+rep_period_s = 0.025
+detection_error_bright = 0.01
+detection_error_dark = 0.02
+shot_order = blocked
+
+[drift]
+linear_rate_hz_per_s = 4.5
+random_walk_hz_per_rt_s = 1.5
+line_amplitude_hz = 2.5
+seed = 7
+
+[tracking]
+n_cycles = 64
+initial_nu0_hz = 12649000000.5
+allan_taus_s = 1, 2, 4
+variant = single-cross
+
+[voltage_scan]
+enabled = yes
+voltages_v = 0.5 -0.5
+interleave_zero = off
+
+[lineshape]
+nbar_values = 0 50
+detuning_min_rabi = -3
+detuning_max_rabi = 3
+n_points = 201
+
+[sensitivity]
+durations_s = 1 4
+offsets_rabi = 0 0.5
+n_seeds = 50
+"""
+        cfg = loads(text)
+        default = default_config()
+        back = loads(emit(cfg))
+        for f in fields(RunConfig):
+            value, base = getattr(cfg, f.name), getattr(default, f.name)
+            assert value != base and type(value) is type(base), f.name
+            assert getattr(back, f.name) == value, f.name
 
     def test_load_config_from_file(self, tmp_path):
         path = tmp_path / "run.ini"

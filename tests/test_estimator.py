@@ -15,7 +15,6 @@ from iontrack.estimator import (
     g_forward,
     g_invert,
     g_slope,
-    predicted_sigma,
     probe_probabilities,
 )
 from iontrack.lineshape import MotionalModel, PulseSpec
@@ -147,13 +146,3 @@ class TestAnalyticSigma:
                   for a, b in zip(c_plus, c_minus)]
         mc = float(np.std(deltas, ddof=1))
         assert mc == pytest.approx(analytic_sigma(HOT, 0.0, 50), rel=0.10)
-
-
-class TestPredictedSigma:
-    def test_matches_analytic_with_shot_budget(self):
-        assert predicted_sigma(2.0, 0.02, HOT) == \
-            pytest.approx(analytic_sigma(HOT, 0.0, 50), rel=1e-12)
-
-    def test_too_short_duration_rejected(self):
-        with pytest.raises(ValueError):
-            predicted_sigma(0.03, 0.02, HOT)

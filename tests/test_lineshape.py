@@ -13,10 +13,8 @@ from iontrack.lineshape import (
     MotionalModel,
     PulseSpec,
     compute_eta,
-    effective_rabi,
     excitation_profile,
     fwhm,
-    rabi_excitation,
     thermal_excitation,
     thermal_weights,
 )
@@ -84,17 +82,6 @@ class TestExcitation:
         pulse = PulseSpec(RABI, PI_PULSE.duration, detuning=0.8 * RABI)
         assert thermal_excitation(pulse, motion(0.0)) == \
             pytest.approx(0.4987531196801067, rel=1e-12)
-
-    def test_effective_rabi_decreases_with_n(self):
-        m = motion(100.0)
-        values = [effective_rabi(n, PI_PULSE, m) for n in (0, 50, 200, 600)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-        assert values[0] <= PI_PULSE.rabi
-
-    def test_rabi_excitation_matches_thermal_ground_state(self):
-        pulse = PulseSpec(RABI, PI_PULSE.duration, detuning=0.3 * RABI)
-        assert rabi_excitation(0, pulse, motion(0.0)) == \
-            pytest.approx(thermal_excitation(pulse, motion(0.0)), rel=1e-12)
 
     def test_profile_matches_scalar(self):
         m = motion(20.0)
