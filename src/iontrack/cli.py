@@ -278,12 +278,21 @@ def cmd_track(cfg: RunConfig, out_dir: str, fmt: str) -> None:
             allan = {"error": str(exc)}
     summary["allan"] = allan
 
+    points = None
     if cfg.scan_enabled:
         try:
             points = drift_correct(record)
         except ValueError as exc:
             raise NumericalError(f"drift correction: {exc}") from exc
-        stats = position_statistics(points, env, species, variant=cfg.variant)
+    try:
+        stats = position_statistics(record if points is None else points,
+                                    env, species, variant=cfg.variant)
+        force = force_report(stats.mean_sigma, env, species,
+                             timeline.measurement_duration)
+        distance = charge_detection_distance(force.sigma_force)
+    except ValueError as exc:
+        raise NumericalError(f"position and force: {exc}") from exc
+    if points is not None:
         rows = [[p.timestamp, p.voltage, p.delta_nu / TWO_PI, p.sigma_nu / TWO_PI,
                  float(z), float(sz)]
                 for p, z, sz in zip(points, stats.displacements, stats.sigmas)]
@@ -291,18 +300,14 @@ def cmd_track(cfg: RunConfig, out_dir: str, fmt: str) -> None:
                      ["time_s", "voltage_v", "delta_nu_hz", "sigma_nu_hz",
                       "delta_z_m", "sigma_z_m"], rows)
         summary["n_displacement_points"] = len(points)
-    else:
-        stats = position_statistics(record, env, species, variant=cfg.variant)
 
-    force = force_report(stats.mean_sigma, env, species,
-                         timeline.measurement_duration)
     summary["position"] = {"mean_sigma_z_m": stats.mean_sigma}
     summary["force"] = {
         "stiffness_n_per_m": force.stiffness,
         "sigma_force_n": force.sigma_force,
         "measurement_time_s": force.measurement_time,
         "sensitivity_n_per_rt_hz": force.sensitivity,
-        "single_charge_distance_m": charge_detection_distance(force.sigma_force),
+        "single_charge_distance_m": distance,
     }
     _write_json(os.path.join(out_dir, "track_summary.json"), summary)
 

@@ -13,7 +13,8 @@ counting noise is propagated through g and the local slope dg/ddelta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .lineshape import MotionalModel, PulseSpec, thermal_excitation
 
@@ -57,10 +58,10 @@ class TwoPointConfig:
 
 def probe_probabilities(delta: float, cfg: TwoPointConfig) -> tuple[float, float]:
     """Noise-free excitation (P+, P-) at the two probe points, truth at delta."""
-    off = cfg.kappa * cfg.pulse.rabi
-    p_plus = thermal_excitation(replace(cfg.pulse, detuning=delta - off), cfg.motion)
-    p_minus = thermal_excitation(replace(cfg.pulse, detuning=delta + off), cfg.motion)
-    return p_plus, p_minus
+    rabi, duration = cfg.pulse.rabi, cfg.pulse.duration
+    off = cfg.kappa * rabi
+    return (thermal_excitation(PulseSpec(rabi, duration, delta - off), cfg.motion),
+            thermal_excitation(PulseSpec(rabi, duration, delta + off), cfg.motion))
 
 
 def g_forward(delta: float, cfg: TwoPointConfig) -> float:
@@ -78,6 +79,15 @@ def g_slope(delta: float, cfg: TwoPointConfig) -> float:
     return (g_forward(delta + h, cfg) - g_forward(delta - h, cfg)) / (2.0 * h)
 
 
+@lru_cache(maxsize=64)
+def _window_edges(pulse: PulseSpec, motion: MotionalModel,
+                  kappa: float) -> tuple[float, float, float]:
+    """(w, g(-w), g(w)) at the capture-window edges w = (1 - kappa) Omega_0."""
+    cfg = TwoPointConfig(pulse=pulse, motion=motion, kappa=kappa)
+    w = cfg.window_halfwidth
+    return w, g_forward(-w, cfg), g_forward(w, cfg)
+
+
 def g_invert(g_value: float, cfg: TwoPointConfig) -> tuple[float, bool]:
     """Invert g on the capture window by bisection.
 
@@ -86,9 +96,7 @@ def g_invert(g_value: float, cfg: TwoPointConfig) -> tuple[float, bool]:
     a flagged result, not an error.  Resolution is 1e-6 * Omega_0.
     """
     g_value = float(g_value)
-    w = cfg.window_halfwidth
-    g_hi = g_forward(w, cfg)
-    g_lo = g_forward(-w, cfg)
+    w, g_lo, g_hi = _window_edges(cfg.pulse, cfg.motion, cfg.kappa)
     if g_value >= g_hi:
         return w, g_value <= g_hi
     if g_value <= g_lo:

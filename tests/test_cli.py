@@ -217,6 +217,15 @@ class TestTrack:
         summary = read_json(tmp_path / "track_summary.json")
         assert summary["lost_lock"] is True
 
+    def test_underflowing_position_sigma_is_numerical_failure(self, tmp_path, capsys):
+        # a finite, positive Rabi frequency so small that the position
+        # sigma, and with it the force sigma, underflows to zero
+        cfg = tmp_path / "tiny.ini"
+        cfg.write_text("[pulse]\nrabi_hz = 1e-300\n\n[tracking]\nn_cycles = 3\n")
+        assert main(["track", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "track_summary.json").exists()
+
     def test_short_run_reports_no_allan(self, tmp_path):
         cfg = tmp_path / "short.ini"
         cfg.write_text("[tracking]\nn_cycles = 2\n")
@@ -384,6 +393,13 @@ class TestTopLevel:
         cfg.write_text(f"[{section}]\n{key} = {value}\n")
         assert main(["track", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "track_summary.json").exists()
+
+    def test_overflowing_thermal_cutoff_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "hot.ini"
+        cfg.write_text("[motion]\nnbar = 1e308\n")
+        assert main(["track", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "overflows" in capsys.readouterr().err
         assert not (tmp_path / "track_summary.json").exists()
 
     def test_non_finite_summary_is_numerical_failure(self, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iontrack import estimator
 from iontrack.estimator import (
     EstimateResult,
     TwoPointConfig,
@@ -17,7 +18,7 @@ from iontrack.estimator import (
     g_slope,
     probe_probabilities,
 )
-from iontrack.lineshape import MotionalModel, PulseSpec
+from iontrack.lineshape import MotionalModel, PulseSpec, thermal_excitation
 
 TWO_PI = 2.0 * math.pi
 RABI = TWO_PI * 640.0
@@ -54,6 +55,22 @@ class TestGMap:
         deltas = np.linspace(-0.2, 0.2, 41) * RABI
         values = [g_forward(d, GROUND) for d in deltas]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("cfg", [GROUND, HOT])
+    def test_probe_probabilities_equal_two_scalar_calls(self, cfg):
+        off = cfg.kappa * RABI
+        for delta in (0.0, 0.0731 * RABI, -0.2 * RABI, 0.8 * RABI, 3.1 * RABI):
+            assert probe_probabilities(delta, cfg) == (
+                thermal_excitation(PulseSpec(RABI, PULSE.duration, delta - off),
+                                   cfg.motion),
+                thermal_excitation(PulseSpec(RABI, PULSE.duration, delta + off),
+                                   cfg.motion))
+
+    @pytest.mark.parametrize("cfg", [GROUND, HOT])
+    def test_cached_window_edges_equal_g_forward(self, cfg):
+        w = cfg.window_halfwidth
+        assert estimator._window_edges(cfg.pulse, cfg.motion, cfg.kappa) == \
+            (w, g_forward(-w, cfg), g_forward(w, cfg))
 
     def test_slope_positive_at_center(self):
         assert g_slope(0.0, GROUND) > 0.0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iontrack import lineshape
 from iontrack.atomphys import IonSpecies, TrapEnvironment
 from iontrack.lineshape import (
     LINEWIDTH_CALIBRATED_ETA,
@@ -54,6 +55,14 @@ class TestMotionalModel:
         with pytest.raises(ValueError):
             MotionalModel(nbar=10.0, eta=1.0)
 
+    @pytest.mark.parametrize("nbar,eta", [(math.nan, 0.02), (math.inf, 0.02),
+                                          (10.0, math.nan), (10.0, math.inf),
+                                          (1e308, 0.02)])
+    def test_non_finite_and_overflowing_rejected(self, nbar, eta):
+        # 10 * 1e308 overflows the cutoff computation
+        with pytest.raises(ValueError):
+            MotionalModel(nbar=nbar, eta=eta)
+
 
 class TestThermalWeights:
     @pytest.mark.parametrize("nbar,min_mass", [(0.0, 1.0), (20.0, 0.999),
@@ -77,6 +86,12 @@ class TestExcitation:
     def test_resonant_pi_pulse_inverts(self):
         assert thermal_excitation(PI_PULSE, motion(0.0, eta=0.0)) == \
             pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_where_coupling_and_detuning_vanish(self):
+        with np.errstate(all="raise"):
+            p = lineshape._excitation(np.array([0.0, RABI ** 2]), 0.0, PI_PULSE.duration)
+        assert p[0] == 0.0
+        assert p[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_probe_point_value(self):
         pulse = PulseSpec(RABI, PI_PULSE.duration, detuning=0.8 * RABI)
@@ -106,6 +121,54 @@ class TestExcitation:
     def test_thermal_averaging_lowers_peak(self):
         assert thermal_excitation(PI_PULSE, motion(100.0)) < \
             thermal_excitation(PI_PULSE, motion(0.0))
+
+
+def _table_case(area, nbar):
+    pulse = PulseSpec(RABI, area / RABI)
+    return pulse, motion(nbar)
+
+
+class TestShotTable:
+    @pytest.mark.parametrize("area", [math.pi / 2, math.pi, 3 * math.pi])
+    @pytest.mark.parametrize("nbar", [0.0, 20.0, 80.0])
+    def test_matches_exact_sum_on_dense_grid(self, area, nbar):
+        pulse, m = _table_case(area, nbar)
+        grid, _, bound = lineshape._shot_table(pulse.rabi, pulse.duration, m)
+        # every interval midpoint of the table (where linear interpolation
+        # errs most), alternating in sign, then points past the span
+        mid = 0.5 * (grid[:-1] + grid[1:])
+        mid[1::2] *= -1.0
+        beyond = np.linspace(1.01, 1.5, 9) * grid[-1]
+        deltas = np.concatenate([mid, beyond, -beyond])
+        table, bounds = lineshape._tabulated_excitation(deltas, pulse, m)
+        exact = np.array([thermal_excitation(PulseSpec(RABI, pulse.duration, d), m)
+                          for d in mid])
+        err = np.abs(table[:mid.size] - exact)
+        assert err.max() <= 5e-7
+        assert err.max() <= bound
+        assert np.all(bounds[:mid.size] == bound)
+        # past the span the bound sends every shot to the exact sum
+        assert np.all(bounds[mid.size:] == np.inf)
+
+    def test_pitch_scales_with_inverse_duration(self):
+        for area in (math.pi / 2, math.pi, 3 * math.pi):
+            pulse, m = _table_case(area, 20.0)
+            grid, _, _ = lineshape._shot_table(pulse.rabi, pulse.duration, m)
+            assert grid[-1] == pytest.approx(2.0 * RABI, rel=1e-12)
+            assert (grid[1] - grid[0]) * pulse.duration == \
+                pytest.approx(2.0 * math.pi / lineshape.TABLE_INTERVALS_PER_PI, rel=1e-12)
+        pulse, m = _table_case(math.pi, 80.0)
+        assert lineshape._shot_table(pulse.rabi, pulse.duration, m)[0].size == 2049
+
+    def test_no_table_beyond_four_pi(self):
+        pulse, m = _table_case(4 * math.pi, 20.0)
+        assert lineshape._shot_table(pulse.rabi, pulse.duration, m)[0].size == \
+            lineshape.TABLE_MAX_INTERVALS + 1
+        pulse, m = _table_case(4.01 * math.pi, 20.0)
+        assert lineshape._shot_table(pulse.rabi, pulse.duration, m) is None
+        _, bounds = lineshape._tabulated_excitation(np.array([0.1, -0.7]) * RABI,
+                                                    pulse, m)
+        assert np.all(bounds == np.inf)
 
 
 class TestFwhm:

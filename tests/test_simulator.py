@@ -1,13 +1,16 @@
 """Shot-level stochastic simulation of the tracking experiment."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from iontrack import lineshape, simulator
 from iontrack.atomphys import IonSpecies, TrapEnvironment, transition_frequency
-from iontrack.estimator import TwoPointConfig
-from iontrack.lineshape import MotionalModel, PulseSpec
+from iontrack.estimator import TwoPointConfig, estimate_from_counts
+from iontrack.lineshape import MotionalModel, PulseSpec, thermal_excitation
 from iontrack.simulator import (
+    LINE_FREQUENCY_HZ,
     DriftCorrectionError,
     DriftModel,
     ExperimentTimeline,
@@ -106,6 +109,85 @@ class TestDeterminism:
         mains = run_tracking(10, NU0, DriftModel(line_amplitude=TWO_PI * 50.0,
                                                  seed=6), CFG, TIMELINE)
         np.testing.assert_allclose(mains.delta, quiet.delta, atol=1e-9)
+
+
+def _per_shot_counts(nu0, state, cfg, timeline, drift):
+    """Reference loop: one thermal_excitation call per shot, draws in
+    tick order (flop uniform, detection uniform, drift Gaussian)."""
+    n = timeline.shots_per_side
+    sides = [+1] * n + [-1] * n if timeline.shot_order == "blocked" else [+1, -1] * n
+    counts = {+1: 0, -1: 0}
+    true_sum = 0.0
+    dt = timeline.rep_period
+    probe_offset = cfg.kappa * cfg.pulse.rabi
+    for side in sides:
+        tn = state.base_nu + drift.line_amplitude * math.sin(
+            2.0 * math.pi * LINE_FREQUENCY_HZ * state.time)
+        p = thermal_excitation(
+            replace(cfg.pulse, detuning=tn - (nu0 + side * probe_offset)), cfg.motion)
+        bright = state.rng.random() < p
+        flip = state.rng.random()
+        if (flip >= timeline.detection_error_bright if bright
+                else flip < timeline.detection_error_dark):
+            counts[side] += 1
+        gauss = state.rng.standard_normal()
+        state.base_nu += drift.linear_rate * dt + drift.random_walk * math.sqrt(dt) * gauss
+        state.time += dt
+        true_sum += tn
+    return counts[+1], counts[-1], true_sum / (2.0 * n)
+
+
+class TestBrightShots:
+    @pytest.mark.parametrize("area", [math.pi, 3 * math.pi, 5 * math.pi])
+    def test_decisions_equal_exact_comparison(self, area):
+        # uniforms drawn at random and uniforms placed within rounding of
+        # the exact p, on both sides of it, at detunings out to past the
+        # table's span (5 pi has no table): every decision must be the
+        # exact one, including those the table alone cannot make
+        pulse = PulseSpec(RABI, area / RABI)
+        motion = MotionalModel(nbar=80.0, eta=0.026)
+        rng = np.random.default_rng(7)
+        deltas = rng.uniform(-2.5, 2.5, 400) * RABI
+        exact = np.array([thermal_excitation(PulseSpec(RABI, pulse.duration, d), motion)
+                          for d in deltas])
+        for uniforms in (rng.random(400), exact,
+                         np.nextafter(exact, 0.0), np.nextafter(exact, 1.0),
+                         exact + rng.uniform(-1e-6, 1e-6, 400)):
+            bright = simulator._bright_shots(deltas, uniforms, pulse, motion)
+            assert np.array_equal(bright, uniforms < exact)
+
+
+class TestBatchedShots:
+    NOISY = DriftModel(linear_rate=TWO_PI * 8.2, random_walk=TWO_PI * 4.0,
+                       line_amplitude=TWO_PI * 3.0)
+
+    @pytest.mark.parametrize("timeline", [
+        TIMELINE,
+        ExperimentTimeline(detection_error_bright=0.05, detection_error_dark=0.03,
+                           shot_order="blocked"),
+    ])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_per_shot_reference(self, timeline, seed):
+        drift = replace(self.NOISY, seed=seed)
+        ours = SimulationState.start(NU0, drift)
+        ref = SimulationState.start(NU0, drift)
+        for offset in (0.0, 0.05 * RABI, -0.15 * RABI):
+            result, true_mean = run_measurement(NU0 + offset, ours, CFG, timeline, drift)
+            c_plus, c_minus, ref_mean = _per_shot_counts(NU0 + offset, ref, CFG,
+                                                         timeline, drift)
+            assert result == estimate_from_counts(c_plus, c_minus, CFG)
+            assert true_mean == ref_mean
+            assert (ours.base_nu, ours.time) == (ref.base_nu, ref.time)
+        assert ours.rng.random() == ref.rng.random()
+
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_tracking_same_with_table_and_exact_sum(self, seed, monkeypatch):
+        drift = replace(self.NOISY, seed=seed)
+        tabulated = run_tracking(12, NU0, drift, CFG, TIMELINE)
+        monkeypatch.setattr(lineshape, "_shot_table", lambda *args: None)
+        exact = run_tracking(12, NU0, drift, CFG, TIMELINE)
+        assert tabulated.samples == exact.samples
+        assert tabulated.lost_lock == exact.lost_lock
 
 
 class TestTracking:
