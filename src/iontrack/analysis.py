@@ -24,7 +24,7 @@ from .atomphys import (
 )
 from .estimator import binomial_variance
 from .lineshape import MotionalModel, PulseSpec, excitation_profile
-from .simulator import DisplacementPoint, TrackingRecord
+from .simulator import Displacements, TrackingRecord
 
 __all__ = [
     "FrequencySeries",
@@ -256,26 +256,24 @@ class PositionStatistics:
     mean_sigma: float           # arithmetic mean of per-point sigmas, m
 
 
-def position_statistics(points, env: TrapEnvironment, species: IonSpecies, *,
+def position_statistics(points: Displacements | TrackingRecord,
+                        env: TrapEnvironment, species: IonSpecies, *,
                         variant: str = "standard",
                         constants: PhysicalConstants = CODATA) -> PositionStatistics:
     """Convert frequency offsets and errors to positions via the gradient.
 
-    Accepts either the drift-corrected displacement points of a voltage
-    scan, or a plain TrackingRecord (whose estimates are then referenced
-    to their mean).  Both values and standard errors divide by the
+    Accepts either the drift-corrected displacements of a voltage scan,
+    or a plain TrackingRecord (whose estimates are then referenced to
+    their mean).  Both values and standard errors divide by the
     frequency/position slope, so the map is linear.
     """
+    if not len(points):
+        raise ValueError("no points to convert")
     if isinstance(points, TrackingRecord):
-        nu = points.nu_estimated
-        delta_nu = nu - nu.mean()
-        sigma_nu = points.sigma_nu
+        delta_nu = points.nu_estimated - points.nu_estimated.mean()
     else:
-        pts: list[DisplacementPoint] = list(points)
-        if not pts:
-            raise ValueError("no points to convert")
-        delta_nu = np.array([p.delta_nu for p in pts])
-        sigma_nu = np.array([p.sigma_nu for p in pts])
+        delta_nu = points.delta_nu
+    sigma_nu = points.sigma_nu
     slope = frequency_to_position_slope(env, species, variant=variant,
                                         constants=constants)
     z = delta_nu / slope

@@ -71,6 +71,9 @@ class IonSpecies:
     g_nucleus: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.mass, self.hyperfine_constant,
+                                       self.g_electron, self.g_nucleus))):
+            raise ValueError("species parameters must be finite")
         if self.mass <= 0.0:
             raise ValueError("ion mass must be positive")
         if self.hyperfine_constant <= 0.0:
@@ -104,6 +107,9 @@ class TrapEnvironment:
     voltage_to_field: float = 8.2e-4   # (V/m)/V
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.omega_z, self.omega_r, self.offset_field,
+                                       self.gradient, self.voltage_to_field))):
+            raise ValueError("trap parameters must be finite")
         if self.omega_z <= 0.0 or self.omega_r <= 0.0:
             raise ValueError("secular frequencies must be positive")
         if self.offset_field < 0.0:

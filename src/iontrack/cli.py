@@ -118,23 +118,14 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _cell(value):
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 def _write_table(out_dir: str, name: str, fmt: str, header: list[str],
-                 rows: list[list]) -> str:
+                 rows: list[tuple | list]) -> str:
     path = os.path.join(out_dir, f"{name}.{fmt}")
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_cell(v) for v in row])
+            writer.writerows(rows)
     else:
         payload = [dict(zip(header, row)) for row in rows]
         with open(path, "w", encoding="utf-8") as fh:
@@ -243,6 +234,9 @@ def cmd_track(cfg: RunConfig, out_dir: str, fmt: str) -> None:
     two_point = cfg.two_point()
     timeline = cfg.timeline()
     drift = cfg.drift()
+    if cfg.scan_enabled and not cfg.scan_interleave_zero:
+        raise UsageError("[voltage_scan] enabled needs interleave_zero: drift "
+                         "correction needs zero-voltage anchors")
     try:
         if cfg.scan_enabled:
             record = run_voltage_scan(cfg.voltage_schedule(), env, species,
@@ -293,9 +287,9 @@ def cmd_track(cfg: RunConfig, out_dir: str, fmt: str) -> None:
     except ValueError as exc:
         raise NumericalError(f"position and force: {exc}") from exc
     if points is not None:
-        rows = [[p.timestamp, p.voltage, p.delta_nu / TWO_PI, p.sigma_nu / TWO_PI,
-                 float(z), float(sz)]
-                for p, z, sz in zip(points, stats.displacements, stats.sigmas)]
+        rows = np.column_stack([points.times, points.voltages,
+                                points.delta_nu / TWO_PI, points.sigma_nu / TWO_PI,
+                                stats.displacements, stats.sigmas]).tolist()
         _write_table(out_dir, "track_displacements", fmt,
                      ["time_s", "voltage_v", "delta_nu_hz", "sigma_nu_hz",
                       "delta_z_m", "sigma_z_m"], rows)
@@ -349,16 +343,12 @@ def cmd_sensitivity(cfg: RunConfig, out_dir: str, fmt: str) -> None:
         mc, analytic, per_side = _sensitivity_cell(
             cfg, duration, offset, np.random.default_rng(child))
         rows.append([duration, offset, per_side, mc, analytic])
-    _write_table(out_dir, "sensitivity", fmt,
-                 ["duration_s", "offset_rabi", "shots_per_side",
-                  "sigma_mc_over_rabi", "sigma_analytic_over_rabi"], rows)
+    header = ["duration_s", "offset_rabi", "shots_per_side",
+              "sigma_mc_over_rabi", "sigma_analytic_over_rabi"]
+    _write_table(out_dir, "sensitivity", fmt, header, rows)
     summary = _summary_base(cfg)
     summary["n_seeds_per_cell"] = cfg.n_seeds
-    summary["cells"] = [
-        {"duration_s": r[0], "offset_rabi": r[1], "shots_per_side": r[2],
-         "sigma_mc_over_rabi": r[3], "sigma_analytic_over_rabi": r[4]}
-        for r in rows
-    ]
+    summary["cells"] = [dict(zip(header, row)) for row in rows]
     _write_json(os.path.join(out_dir, "sensitivity_summary.json"), summary)
 
 

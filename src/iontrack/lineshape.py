@@ -79,10 +79,12 @@ class PulseSpec:
     detuning: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rabi <= 0.0:
-            raise ValueError("Rabi frequency must be positive")
-        if self.duration <= 0.0:
-            raise ValueError("pulse duration must be positive")
+        if not 0.0 < self.rabi < math.inf:
+            raise ValueError("Rabi frequency must be positive and finite")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError("pulse duration must be positive and finite")
+        if not math.isfinite(self.detuning):
+            raise ValueError("pulse detuning must be finite")
 
     @classmethod
     def pi_pulse(cls, rabi: float, detuning: float = 0.0) -> "PulseSpec":

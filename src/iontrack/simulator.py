@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -34,11 +34,9 @@ __all__ = [
     "DriftModel",
     "ExperimentTimeline",
     "SimulationState",
-    "TrackingSample",
     "TrackingRecord",
-    "VoltageStep",
     "VoltageSchedule",
-    "DisplacementPoint",
+    "Displacements",
     "DriftCorrectionError",
     "run_measurement",
     "run_tracking",
@@ -50,17 +48,7 @@ __all__ = [
 
 LINE_FREQUENCY_HZ = 50.0
 LOSS_OF_LOCK_STREAK = 3
-
-CSV_HEADER = [
-    "time_s",
-    "nu0_hz",
-    "delta_hz",
-    "nu_estimated_hz",
-    "sigma_nu_hz",
-    "true_nu_hz",
-    "in_window",
-    "voltage_v",
-]
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -80,6 +68,9 @@ class DriftModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.linear_rate, self.random_walk,
+                                       self.line_amplitude))):
+            raise ValueError("drift rates and amplitudes must be finite")
         if self.random_walk < 0.0 or self.line_amplitude < 0.0:
             raise ValueError("noise strengths must be non-negative")
 
@@ -95,8 +86,8 @@ class ExperimentTimeline:
     shot_order: str = "interleaved"       # or "blocked"
 
     def __post_init__(self) -> None:
-        if self.rep_period <= 0.0:
-            raise ValueError("rep_period must be positive")
+        if not 0.0 < self.rep_period < math.inf:
+            raise ValueError("rep_period must be positive and finite")
         if self.shots_per_side < 0:
             raise ValueError("shots_per_side must be non-negative")
         for err in (self.detection_error_bright, self.detection_error_dark):
@@ -208,113 +199,100 @@ def run_measurement(nu0: float, state: SimulationState, cfg: TwoPointConfig,
     return result, true_mean
 
 
-@dataclass(frozen=True)
-class TrackingSample:
-    """One measurement cycle of a tracking run."""
+def _file_column(name: str, divisor: float | None):
+    """A TrackingRecord column, filed under `name` as its value / divisor.
 
-    timestamp: float        # cycle start, s
-    nu0: float              # probe centre used, rad/s
-    delta: float            # estimated offset, rad/s
-    nu_estimated: float     # nu0 + delta, rad/s
-    sigma_nu: float         # standard error, rad/s
-    true_nu: float          # shot-averaged truth, rad/s
-    in_window: bool
-    applied_voltage: float = 0.0
+    A divisor of None marks the boolean column, filed as 0 or 1."""
+    return field(metadata={"column": name, "divisor": divisor})
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TrackingRecord:
-    """Time-ordered tracking samples plus a loss-of-lock flag."""
+    """Per-cycle columns of a tracking run, plus a loss-of-lock flag.
 
-    samples: list[TrackingSample]
+    Times are s, frequencies rad/s and voltages V; each field declares
+    its file column, from which CSV_HEADER, rows() and read_csv follow.
+    """
+
+    times: np.ndarray = _file_column("time_s", 1.0)                 # cycle start
+    nu0: np.ndarray = _file_column("nu0_hz", TWO_PI)                # probe centre
+    delta: np.ndarray = _file_column("delta_hz", TWO_PI)            # estimated offset
+    nu_estimated: np.ndarray = _file_column("nu_estimated_hz", TWO_PI)
+    sigma_nu: np.ndarray = _file_column("sigma_nu_hz", TWO_PI)      # standard error
+    true_nu: np.ndarray = _file_column("true_nu_hz", TWO_PI)        # shot-averaged truth
+    in_window: np.ndarray = _file_column("in_window", None)
+    applied_voltage: np.ndarray = _file_column("voltage_v", 1.0)
     lost_lock: bool = False
 
+    def __post_init__(self) -> None:
+        for name, _column, divisor in _COLUMNS:
+            values = np.array(getattr(self, name), dtype=float if divisor else bool)
+            if values.shape != np.shape(self.times) or values.ndim != 1:
+                raise ValueError("record columns must be 1-d and of one length")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.times.size
 
-    def _column(self, name: str) -> np.ndarray:
-        return np.array([getattr(s, name) for s in self.samples])
-
-    @property
-    def times(self) -> np.ndarray:
-        return self._column("timestamp")
-
-    @property
-    def nu0(self) -> np.ndarray:
-        return self._column("nu0")
+    @classmethod
+    def from_rows(cls, rows, lost_lock: bool = False) -> "TrackingRecord":
+        """Record from per-cycle rows in column order and the fields' units."""
+        table = np.array(rows, dtype=float).reshape(len(rows), len(_COLUMNS))
+        return cls(*table.T, lost_lock=lost_lock)
 
     @property
-    def delta(self) -> np.ndarray:
-        return self._column("delta")
+    def samples(self) -> list[tuple]:
+        """Per-cycle tuples in column order: from_rows(record.samples) rebuilds it."""
+        return list(zip(*(getattr(self, name).tolist() for name, _c, _d in _COLUMNS)))
 
-    @property
-    def nu_estimated(self) -> np.ndarray:
-        return self._column("nu_estimated")
-
-    @property
-    def sigma_nu(self) -> np.ndarray:
-        return self._column("sigma_nu")
-
-    @property
-    def true_nu(self) -> np.ndarray:
-        return self._column("true_nu")
-
-    @property
-    def in_window(self) -> np.ndarray:
-        return np.array([s.in_window for s in self.samples], dtype=bool)
-
-    @property
-    def applied_voltage(self) -> np.ndarray:
-        return self._column("applied_voltage")
-
-    def rows(self) -> list[list]:
-        """One row per cycle under CSV_HEADER; frequencies in ordinary Hz."""
-        tp = 2.0 * math.pi
-        return [[s.timestamp, s.nu0 / tp, s.delta / tp, s.nu_estimated / tp,
-                 s.sigma_nu / tp, s.true_nu / tp, int(s.in_window), s.applied_voltage]
-                for s in self.samples]
-
-    def write_csv(self, path) -> None:
-        """CSV_HEADER, then rows() at full precision."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            writer.writerows(self.rows())
+    def rows(self) -> list[tuple]:
+        """One row per cycle under CSV_HEADER, in the file's units."""
+        columns = [getattr(self, name).astype(int) if divisor is None
+                   else getattr(self, name) / divisor
+                   for name, _column, divisor in _COLUMNS]
+        return list(zip(*(c.tolist() for c in columns)))
 
     @classmethod
     def read_csv(cls, path) -> "TrackingRecord":
-        """Inverse of write_csv.
+        """Record from a file of CSV_HEADER and rows(), such as track_record.csv.
 
         The file holds per-cycle rows; lost_lock is a property of the
         whole run, so it is not stored here (the CLI records it in
         track_summary.json) and the record read back has lost_lock=False.
+        A missing header or a row of the wrong width or with a value that
+        does not parse raises ValueError naming the line.
         """
-        tp = 2.0 * math.pi
-        samples = []
+        rows = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
             if header != CSV_HEADER:
-                raise ValueError(f"unexpected header {header!r}")
-            for row in reader:
-                samples.append(TrackingSample(
-                    timestamp=float(row[0]),
-                    nu0=float(row[1]) * tp,
-                    delta=float(row[2]) * tp,
-                    nu_estimated=float(row[3]) * tp,
-                    sigma_nu=float(row[4]) * tp,
-                    true_nu=float(row[5]) * tp,
-                    in_window=bool(int(row[6])),
-                    applied_voltage=float(row[7]),
-                ))
-        return cls(samples=samples)
+                raise ValueError(f"{path}: line 1: expected header "
+                                 f"{','.join(CSV_HEADER)}, got {header!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(_COLUMNS):
+                    raise ValueError(f"{path}: line {lineno}: expected "
+                                     f"{len(_COLUMNS)} columns, got {len(row)}")
+                try:
+                    rows.append([int(cell) if divisor is None else float(cell) * divisor
+                                 for cell, (_n, _c, divisor) in zip(row, _COLUMNS)])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+        return cls.from_rows(rows)
+
+
+# (field, file column, divisor) of each TrackingRecord column, in file order
+_COLUMNS = tuple((f.name, f.metadata["column"], f.metadata["divisor"])
+                 for f in fields(TrackingRecord) if f.metadata)
+CSV_HEADER = [column for _name, column, _divisor in _COLUMNS]
 
 
 def _run_cycles(cycle_voltages, initial_nu0: float, drift: DriftModel,
                 cfg: TwoPointConfig, timeline: ExperimentTimeline,
                 shift_of_voltage) -> TrackingRecord:
     state = SimulationState.start(initial_nu0, drift)
-    samples: list[TrackingSample] = []
+    rows = []
     base_estimate = float(initial_nu0)
     streak = 0
     lost = False
@@ -334,22 +312,14 @@ def _run_cycles(cycle_voltages, initial_nu0: float, drift: DriftModel,
             # sentinel is the whole capture half-window.
             delta, sigma, in_window = 0.0, cfg.window_halfwidth, False
             true_mean = exc.true_mean
-        samples.append(TrackingSample(
-            timestamp=t_start,
-            nu0=nu0,
-            delta=delta,
-            nu_estimated=nu0 + delta,
-            sigma_nu=sigma,
-            true_nu=true_mean,
-            in_window=in_window,
-            applied_voltage=voltage,
-        ))
+        rows.append((t_start, nu0, delta, nu0 + delta, sigma, true_mean,
+                     in_window, voltage))
         base_estimate = nu0 + delta - shift
         streak = streak + 1 if not in_window else 0
         if streak >= LOSS_OF_LOCK_STREAK:
             lost = True
             break
-    return TrackingRecord(samples=samples, lost_lock=lost)
+    return TrackingRecord.from_rows(rows, lost_lock=lost)
 
 
 def run_tracking(n_cycles: int, initial_nu0: float, drift: DriftModel,
@@ -366,40 +336,29 @@ def run_tracking(n_cycles: int, initial_nu0: float, drift: DriftModel,
 
 
 @dataclass(frozen=True)
-class VoltageStep:
-    """One commanded voltage in a scan; voltage must be non-zero."""
+class VoltageSchedule:
+    """Non-zero commanded voltages, optionally bracketed by zero-voltage anchors."""
 
-    voltage: float
+    voltages: tuple[float, ...]
     interleave_zero: bool = True
 
     def __post_init__(self) -> None:
-        if self.voltage == 0.0:
-            raise ValueError("scan steps must have non-zero voltage; "
-                             "zero cycles come from interleave_zero")
-
-
-@dataclass(frozen=True)
-class VoltageSchedule:
-    """Ordered voltage steps, optionally bracketed by zero-voltage anchors."""
-
-    steps: tuple[VoltageStep, ...]
+        for voltage in self.voltages:
+            if not math.isfinite(voltage):
+                raise ValueError("scan voltages must be finite")
+            if voltage == 0.0:
+                raise ValueError("scan steps must have non-zero voltage; "
+                                 "zero cycles come from interleave_zero")
 
     @classmethod
     def from_voltages(cls, voltages, interleave_zero: bool = True) -> "VoltageSchedule":
-        return cls(tuple(VoltageStep(float(v), interleave_zero) for v in voltages))
+        return cls(tuple(float(v) for v in voltages), interleave_zero)
 
     def cycle_voltages(self) -> list[float]:
         """Per-cycle applied voltage, with anchors where interleaving is on."""
-        out: list[float] = []
-        any_interleaved = False
-        for step in self.steps:
-            if step.interleave_zero:
-                out.append(0.0)
-                any_interleaved = True
-            out.append(step.voltage)
-        if any_interleaved:
-            out.append(0.0)
-        return out
+        if not (self.interleave_zero and self.voltages):
+            return list(self.voltages)
+        return [u for v in self.voltages for u in (0.0, v)] + [0.0]
 
 
 def voltage_displacement(voltage: float, env: TrapEnvironment,
@@ -444,21 +403,29 @@ def run_voltage_scan(schedule: VoltageSchedule, env: TrapEnvironment,
     )
 
 
-@dataclass(frozen=True)
-class DisplacementPoint:
-    """A drift-corrected frequency offset for one non-zero voltage cycle."""
+@dataclass(frozen=True, eq=False)
+class Displacements:
+    """Drift-corrected frequency offsets of a scan's non-zero-voltage cycles.
 
-    timestamp: float
-    voltage: float
-    delta_nu: float     # rad/s, relative to the interpolated zero-voltage baseline
-    sigma_nu: float     # the point's own measurement error, rad/s
+    delta_nu (rad/s) is relative to the zero-voltage baseline
+    interpolated to each cycle's time; sigma_nu (rad/s) is the cycle's
+    own measurement error.
+    """
+
+    times: np.ndarray       # s
+    voltages: np.ndarray    # V
+    delta_nu: np.ndarray
+    sigma_nu: np.ndarray
+
+    def __len__(self) -> int:
+        return self.times.size
 
 
 class DriftCorrectionError(ValueError):
     """A non-zero-voltage cycle is not bracketed by zero-voltage anchors."""
 
 
-def drift_correct(record: TrackingRecord) -> list[DisplacementPoint]:
+def drift_correct(record: TrackingRecord) -> Displacements:
     """Remove slow drift from the non-zero-voltage cycles of a scan.
 
     Linearly interpolates the zero-voltage anchor estimates to the
@@ -467,24 +434,19 @@ def drift_correct(record: TrackingRecord) -> list[DisplacementPoint]:
     measurement sigma (the anchor-interpolation variance is not folded
     in; the per-measurement standard error is the quantity of record).
     """
-    anchors = [s for s in record.samples if s.applied_voltage == 0.0]
-    targets = [s for s in record.samples if s.applied_voltage != 0.0]
-    if not targets:
-        return []
-    if len(anchors) < 2:
+    anchor = record.applied_voltage == 0.0
+    target = ~anchor
+    times, anchor_t = record.times[target], record.times[anchor]
+    if not times.size:
+        return Displacements(times, times, times, times)
+    if anchor_t.size < 2:
         raise DriftCorrectionError("need at least two zero-voltage anchors")
-    anchor_t = np.array([a.timestamp for a in anchors])
-    anchor_nu = np.array([a.nu_estimated for a in anchors])
-    out = []
-    for s in targets:
-        if not (anchor_t[0] < s.timestamp < anchor_t[-1]):
-            raise DriftCorrectionError(
-                f"cycle at t={s.timestamp} s is not bracketed by zero-voltage anchors")
-        baseline = float(np.interp(s.timestamp, anchor_t, anchor_nu))
-        out.append(DisplacementPoint(
-            timestamp=s.timestamp,
-            voltage=s.applied_voltage,
-            delta_nu=s.nu_estimated - baseline,
-            sigma_nu=s.sigma_nu,
-        ))
-    return out
+    loose = (times <= anchor_t[0]) | (times >= anchor_t[-1])
+    if loose.any():
+        raise DriftCorrectionError(
+            f"cycle at t={float(times[loose][0])} s is not bracketed by "
+            "zero-voltage anchors")
+    baseline = np.interp(times, anchor_t, record.nu_estimated[anchor])
+    return Displacements(times, record.applied_voltage[target],
+                         record.nu_estimated[target] - baseline,
+                         record.sigma_nu[target])

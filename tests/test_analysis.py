@@ -16,7 +16,7 @@ from iontrack.atomphys import IonSpecies, TrapEnvironment
 from iontrack.estimator import TwoPointConfig
 from iontrack.lineshape import MotionalModel, PulseSpec, excitation_profile
 from iontrack.simulator import (
-    DisplacementPoint,
+    Displacements,
     DriftModel,
     ExperimentTimeline,
     run_tracking,
@@ -160,9 +160,10 @@ class TestFitSpectrum:
 
 class TestPositionStatistics:
     def _points(self, deltas_hz, sigmas_hz):
-        return [DisplacementPoint(timestamp=float(i), voltage=1.0,
-                                  delta_nu=TWO_PI * d, sigma_nu=TWO_PI * s)
-                for i, (d, s) in enumerate(zip(deltas_hz, sigmas_hz))]
+        n = len(deltas_hz)
+        return Displacements(times=np.arange(float(n)), voltages=np.ones(n),
+                             delta_nu=TWO_PI * np.array(deltas_hz, dtype=float),
+                             sigma_nu=TWO_PI * np.array(sigmas_hz, dtype=float))
 
     def test_known_conversion(self):
         hz_per_nm = 267.5752951468019  # frozen gradient-chain slope
@@ -196,7 +197,7 @@ class TestPositionStatistics:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            position_statistics([], ENV, SPECIES)
+            position_statistics(self._points([], []), ENV, SPECIES)
 
 
 class TestForceReport:

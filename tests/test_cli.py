@@ -178,8 +178,8 @@ class TestTrack:
 
     def test_record_csv_parses_back(self, track_dir):
         record = TrackingRecord.read_csv(track_dir / "track_record.csv")
-        assert len(record.samples) == 128
-        assert all(s.in_window for s in record.samples)
+        assert len(record) == 128
+        assert record.in_window.all()
 
     def test_same_seed_identical_bytes(self, track_dir, tmp_path):
         assert main(["track", "--out", str(tmp_path)]) == 0
@@ -208,6 +208,40 @@ class TestTrack:
         for r in rows[1:]:
             v, dz = float(r[1]), float(r[4])
             assert dz == pytest.approx(v * 1.0032e-9, abs=0.8e-9)
+
+    def test_scan_without_anchors_is_usage_error(self, tmp_path, capsys):
+        # drift correction needs zero-voltage anchors: refuse before
+        # simulating anything
+        cfg = tmp_path / "scan.ini"
+        cfg.write_text("[voltage_scan]\nenabled = true\ninterleave_zero = off\n")
+        out = tmp_path / "out"
+        assert main(["track", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "interleave_zero" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("ini", [
+        "[voltage_scan]\nenabled = true\n",
+        "[drift]\nlinear_rate_hz_per_s = 500\n\n[tracking]\nn_cycles = 24\n",
+    ], ids=["voltage-scan", "lost-lock"])
+    def test_json_tables_equal_csv_tables(self, tmp_path, ini):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(ini)
+        for fmt in ("csv", "json"):
+            assert main(["track", "--config", str(cfg), "--format", fmt,
+                         "--out", str(tmp_path / fmt)]) == 0
+        scan = "voltage_scan" in ini
+        names = sorted(p.stem for p in (tmp_path / "csv").glob("track_*.csv"))
+        assert names == (["track_displacements"] if scan else []) + ["track_record"]
+        for name in names:
+            header, *rows = read_csv_rows(tmp_path / "csv" / f"{name}.csv")
+            table = read_json(tmp_path / "json" / f"{name}.json")
+            assert [list(entry) for entry in table] == [sorted(header)] * len(rows)
+            for row, entry in zip(rows, table):
+                assert [float(cell) for cell in row] == [entry[k] for k in header]
+        record = read_json(tmp_path / "json" / "track_record.json")
+        flags = [entry["in_window"] for entry in record]
+        assert all(type(flag) is int for flag in flags)
+        assert set(flags) == ({1} if scan else {0, 1})
 
     def test_runaway_drift_loses_lock(self, tmp_path):
         cfg = tmp_path / "fast.ini"

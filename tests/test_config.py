@@ -1,6 +1,6 @@
 """INI configuration: parsing, resolution, validation, round-trips."""
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -93,6 +93,23 @@ class TestLoads:
         with pytest.raises(ConfigError,
                            match=rf"\[{section}\] {key}: not a finite number"):
             loads(f"[{section}]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("builder, name, value", [
+        ("pulse", "rabi", math.nan),
+        ("pulse", "detuning", math.nan),
+        ("pulse", "duration", math.inf),
+        ("trap", "gradient", math.nan),
+        ("trap", "omega_z", math.inf),
+        ("species", "mass", math.nan),
+        ("drift", "linear_rate", math.nan),
+        ("timeline", "rep_period", math.inf),
+        ("voltage_schedule", "voltages", (1.0, math.nan)),
+    ])
+    def test_library_constructors_reject_non_finite(self, builder, name, value):
+        # the library objects refuse what the parser refuses
+        valid = getattr(default_config(), builder)()
+        with pytest.raises(ValueError, match="finite"):
+            replace(valid, **{name: value})
 
     def test_seed_override(self):
         assert loads("", seed=777).seed == 777
