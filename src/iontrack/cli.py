@@ -35,6 +35,7 @@ from .analysis import (
 from .atomphys import EquilibriumConvergenceError, calibrate_gradient
 from .config import _SCHEMA, ConfigError, RunConfig, load_config
 from .estimator import (
+    _shared_inversions,
     analytic_sigma,
     estimate_from_counts,
     g_forward,
@@ -108,13 +109,22 @@ def _summary_base(cfg: RunConfig) -> dict:
     return {"version": __version__, "seed": cfg.seed, "config": _config_echo(cfg)}
 
 
-def _write_json(path: str, payload: dict) -> None:
-    """Strict JSON: a non-finite value is a numerical failure, not a file."""
+def _write_outputs(out_dir: str, fmt: str, command: str, tables: list[tuple],
+                   summary: dict) -> None:
+    """Write each (name, header, rows) table, then `<command>_summary.json`.
+
+    The summary must be strict JSON: a non-finite value is a numerical
+    failure.  It is serialised before any file is opened, so a run that
+    fails, here or earlier, leaves no files.
+    """
+    name = f"{command}_summary.json"
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
-        raise NumericalError(f"{os.path.basename(path)}: {exc}") from exc
-    with open(path, "w", encoding="utf-8") as fh:
+        raise NumericalError(f"{name}: {exc}") from exc
+    for table, header, rows in tables:
+        _write_table(out_dir, table, fmt, header, rows)
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
@@ -160,11 +170,10 @@ def cmd_lineshape(cfg: RunConfig, out_dir: str, fmt: str) -> None:
         except ValueError as exc:
             raise NumericalError(f"FWHM at nbar={label}: {exc}") from exc
     rows = [list(row) for row in zip(*columns)]
-    table = _write_table(out_dir, "lineshape", fmt, header, rows)
     summary = _summary_base(cfg)
     summary["fwhm_over_rabi"] = widths
-    summary["table"] = os.path.basename(table)
-    _write_json(os.path.join(out_dir, "lineshape_summary.json"), summary)
+    summary["table"] = f"lineshape.{fmt}"
+    _write_outputs(out_dir, fmt, "lineshape", [("lineshape", header, rows)], summary)
 
 
 _SPECTRUM_HEADER = ["detuning_hz", "counts", "shots"]
@@ -217,15 +226,14 @@ def cmd_fit_spectrum(cfg: RunConfig, input_path: str, out_dir: str, fmt: str) ->
         "baseline": (result.baseline, float(stderr[3])),
     }
     rows = [[name, value, err] for name, (value, err) in params.items()]
-    _write_table(out_dir, "fit_spectrum", fmt,
-                 ["parameter", "value", "stderr"], rows)
     summary = _summary_base(cfg)
     summary["fit"] = {name: {"value": value, "stderr": err}
                       for name, (value, err) in params.items()}
     summary["fit"]["reduced_chisq"] = result.reduced_chisq
     summary["fit"]["n_points"] = result.n_points
     summary["input"] = os.path.basename(input_path)
-    _write_json(os.path.join(out_dir, "fit_spectrum_summary.json"), summary)
+    _write_outputs(out_dir, fmt, "fit_spectrum",
+                   [("fit_spectrum", ["parameter", "value", "stderr"], rows)], summary)
 
 
 def cmd_track(cfg: RunConfig, out_dir: str, fmt: str) -> None:
@@ -248,10 +256,8 @@ def cmd_track(cfg: RunConfig, out_dir: str, fmt: str) -> None:
     except ValueError as exc:
         raise NumericalError(f"tracking: {exc}") from exc
 
-    table = _write_table(out_dir, "track_record", fmt, CSV_HEADER, record.rows())
-
     summary = _summary_base(cfg)
-    summary["table"] = os.path.basename(table)
+    summary["table"] = f"track_record.{fmt}"
     summary["n_cycles"] = len(record)
     summary["lost_lock"] = record.lost_lock
 
@@ -286,13 +292,14 @@ def cmd_track(cfg: RunConfig, out_dir: str, fmt: str) -> None:
         distance = charge_detection_distance(force.sigma_force)
     except ValueError as exc:
         raise NumericalError(f"position and force: {exc}") from exc
+    tables = [("track_record", CSV_HEADER, record.rows())]
     if points is not None:
         rows = np.column_stack([points.times, points.voltages,
                                 points.delta_nu / TWO_PI, points.sigma_nu / TWO_PI,
                                 stats.displacements, stats.sigmas]).tolist()
-        _write_table(out_dir, "track_displacements", fmt,
-                     ["time_s", "voltage_v", "delta_nu_hz", "sigma_nu_hz",
-                      "delta_z_m", "sigma_z_m"], rows)
+        tables.append(("track_displacements",
+                       ["time_s", "voltage_v", "delta_nu_hz", "sigma_nu_hz",
+                        "delta_z_m", "sigma_z_m"], rows))
         summary["n_displacement_points"] = len(points)
 
     summary["position"] = {"mean_sigma_z_m": stats.mean_sigma}
@@ -303,7 +310,7 @@ def cmd_track(cfg: RunConfig, out_dir: str, fmt: str) -> None:
         "sensitivity_n_per_rt_hz": force.sensitivity,
         "single_charge_distance_m": distance,
     }
-    _write_json(os.path.join(out_dir, "track_summary.json"), summary)
+    _write_outputs(out_dir, fmt, "track", tables, summary)
 
 
 def _sensitivity_cell(cfg: RunConfig, duration: float, offset_rabi: float,
@@ -339,17 +346,17 @@ def cmd_sensitivity(cfg: RunConfig, out_dir: str, fmt: str) -> None:
     cells = [(t, d) for t in cfg.durations_s for d in cfg.offsets_rabi]
     children = np.random.SeedSequence(cfg.seed).spawn(len(cells))
     rows = []
-    for (duration, offset), child in zip(cells, children):
-        mc, analytic, per_side = _sensitivity_cell(
-            cfg, duration, offset, np.random.default_rng(child))
-        rows.append([duration, offset, per_side, mc, analytic])
+    with _shared_inversions():          # one memo across all cells
+        for (duration, offset), child in zip(cells, children):
+            mc, analytic, per_side = _sensitivity_cell(
+                cfg, duration, offset, np.random.default_rng(child))
+            rows.append([duration, offset, per_side, mc, analytic])
     header = ["duration_s", "offset_rabi", "shots_per_side",
               "sigma_mc_over_rabi", "sigma_analytic_over_rabi"]
-    _write_table(out_dir, "sensitivity", fmt, header, rows)
     summary = _summary_base(cfg)
     summary["n_seeds_per_cell"] = cfg.n_seeds
     summary["cells"] = [dict(zip(header, row)) for row in rows]
-    _write_json(os.path.join(out_dir, "sensitivity_summary.json"), summary)
+    _write_outputs(out_dir, fmt, "sensitivity", [("sensitivity", header, rows)], summary)
 
 
 def _read_frequencies(path: str) -> list[float]:
@@ -384,8 +391,6 @@ def cmd_calibrate(cfg: RunConfig, input_path: str, out_dir: str, fmt: str) -> No
         raise NumericalError(f"gradient calibration: {exc}") from exc
     rows = [[i, float(z), float(b)] for i, (z, b) in
             enumerate(zip(result.positions, result.fields))]
-    _write_table(out_dir, "calibrate", fmt,
-                 ["ion_index", "position_m", "field_t"], rows)
     summary = _summary_base(cfg)
     summary["gradient"] = {
         "gradient_t_per_m": result.gradient,
@@ -395,7 +400,8 @@ def cmd_calibrate(cfg: RunConfig, input_path: str, out_dir: str, fmt: str) -> No
         "monotone": result.monotone,
         "n_ions": len(frequencies_hz),
     }
-    _write_json(os.path.join(out_dir, "calibrate_summary.json"), summary)
+    _write_outputs(out_dir, fmt, "calibrate",
+                   [("calibrate", ["ion_index", "position_m", "field_t"], rows)], summary)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +434,10 @@ def main(argv=None) -> int:
         return 1
     except NumericalError as exc:
         print(f"iontrack: numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:      # e.g. a float overflow deep in the physics
+        print(f"iontrack: numerical failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 2
     return 0
 

@@ -29,6 +29,18 @@ __all__ = ["ConfigError", "RunConfig", "default_config", "loads", "load_config",
 
 TWO_PI = 2.0 * math.pi
 
+# Upper bounds of the size keys, so that a run's memory stays bounded
+# and a huge value fails as a config error, not a MemoryError.
+# A tracking run holds about 0.7 KB per cycle (its rows, their columns
+# and the table written out): 10^6 cycles peak near 0.7 GB.
+MAX_CYCLES = 10 ** 6
+# A sensitivity cell holds about 70 B per seed (two count arrays, the
+# estimates as a list and as an array): 10^6 seeds hold about 70 MB.
+MAX_SEEDS = 10 ** 6
+# A lineshape profile holds a few points x Fock-terms arrays at once,
+# about 33 KB per point at nbar = 100: 10^4 points peak near 0.33 GB.
+MAX_LINESHAPE_POINTS = 10 ** 4
+
 
 class ConfigError(ValueError):
     """Malformed, unknown or inconsistent configuration input."""
@@ -193,12 +205,13 @@ class RunConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.shots_per_side < 1:
             raise ConfigError("shots_per_side must be at least 1")
-        if self.n_cycles < 1:
-            raise ConfigError("n_cycles must be at least 1")
-        if self.n_seeds < 2:
-            raise ConfigError("n_seeds must be at least 2")
-        if self.lineshape_n_points < 2:
-            raise ConfigError("lineshape_n_points must be at least 2")
+        for name, low, high in (("n_cycles", 1, MAX_CYCLES),
+                                ("n_seeds", 2, MAX_SEEDS),
+                                ("lineshape_n_points", 2, MAX_LINESHAPE_POINTS)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be at least {low}")
+            if getattr(self, name) > high:
+                raise ConfigError(f"{name} must be at most {high}")
         if self.lineshape_detuning_min_rabi >= self.lineshape_detuning_max_rabi:
             raise ConfigError("empty lineshape detuning range")
         for name in ("allan_taus_s", "durations_s"):

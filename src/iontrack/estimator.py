@@ -13,7 +13,9 @@ counting noise is propagated through g and the local slope dg/ddelta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .lineshape import MotionalModel, PulseSpec, thermal_excitation
@@ -33,6 +35,44 @@ __all__ = [
 
 INVERSION_TOLERANCE = 1e-6   # of Omega_0
 SLOPE_STEP = 1e-3            # of Omega_0, central difference
+
+# Reuse within one run (see `_shared_inversions`).  A memo table stops
+# taking entries at this size, so however long the run, a full midpoint
+# table holds about 6 MB and a full estimate table about 27 MB.
+MEMO_TABLE_CAP = 1 << 16
+
+
+@dataclass
+class _Memo:
+    midpoints: dict = field(default_factory=dict)   # (pulse, motion, kappa) -> {mid: g}
+    estimates: dict = field(default_factory=dict)   # (c+, c-, cfg) -> EstimateResult
+
+
+_memo: ContextVar[_Memo | None] = ContextVar("estimator_memo", default=None)
+
+
+@contextmanager
+def _shared_inversions():
+    """Share exact inversion work among the estimates made inside the block.
+
+    Each bisection of `g_invert` starts from (-w, w) with the same
+    tolerance, so inversions of nearby g visit the same midpoints; the
+    memo keeps g at each midpoint per (pulse, motion, kappa), and each
+    `estimate_from_counts` result per (counts_plus, counts_minus, cfg).
+    A stored value is the one the computation returns, so results are
+    bit-identical with and without the memo.  It lasts for the block
+    only; a nested block has a memo of its own.
+    """
+    token = _memo.set(_Memo())
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _remember(table: dict, key, value) -> None:
+    if len(table) < MEMO_TABLE_CAP:
+        table[key] = value
 
 
 @dataclass(frozen=True)
@@ -94,6 +134,7 @@ def g_invert(g_value: float, cfg: TwoPointConfig) -> tuple[float, bool]:
     Returns (delta, in_window).  Values of g beyond the window edges
     clamp to the corresponding edge with in_window = False; clamping is
     a flagged result, not an error.  Resolution is 1e-6 * Omega_0.
+    Inside `_shared_inversions` g at each midpoint is computed once.
     """
     g_value = float(g_value)
     w, g_lo, g_hi = _window_edges(cfg.pulse, cfg.motion, cfg.kappa)
@@ -101,11 +142,18 @@ def g_invert(g_value: float, cfg: TwoPointConfig) -> tuple[float, bool]:
         return w, g_value <= g_hi
     if g_value <= g_lo:
         return -w, g_value >= g_lo
+    memo = _memo.get()
+    known = {} if memo is None else \
+        memo.midpoints.setdefault((cfg.pulse, cfg.motion, cfg.kappa), {})
     lo, hi = -w, w
     tol = INVERSION_TOLERANCE * cfg.pulse.rabi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if g_forward(mid, cfg) < g_value:
+        g_mid = known.get(mid)
+        if g_mid is None:
+            g_mid = g_forward(mid, cfg)
+            _remember(known, mid, g_mid)
+        if g_mid < g_value:
             lo = mid
         else:
             hi = mid
@@ -163,6 +211,10 @@ def estimate_from_counts(counts_plus: int, counts_minus: int,
     if counts_plus == 0 and counts_minus == 0:
         raise NoSignalError(
             "no bright events on either side: no signal to invert")
+    memo = _memo.get()
+    key = (counts_plus, counts_minus, cfg)
+    if memo is not None and key in memo.estimates:
+        return memo.estimates[key]
     p_plus = counts_plus / n
     p_minus = counts_minus / n
     g = (p_plus - p_minus) / (p_plus + p_minus)
@@ -173,7 +225,7 @@ def estimate_from_counts(counts_plus: int, counts_minus: int,
     )
     slope = g_slope(delta, cfg)
     sigma_delta = sigma_g / abs(slope)
-    return EstimateResult(
+    result = EstimateResult(
         delta=delta,
         sigma_delta=sigma_delta,
         g_measured=g,
@@ -181,6 +233,9 @@ def estimate_from_counts(counts_plus: int, counts_minus: int,
         p_plus=p_plus,
         p_minus=p_minus,
     )
+    if memo is not None:
+        _remember(memo.estimates, key, result)
+    return result
 
 
 def analytic_sigma(cfg: TwoPointConfig, delta: float, shots_per_side: int) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 from .atomphys import CODATA, IonSpecies, PhysicalConstants, TrapEnvironment
 from .atomphys import frequency_to_position_slope, transition_frequency
 from .estimator import (EstimateResult, NoSignalError, TwoPointConfig,
-                        estimate_from_counts)
+                        _shared_inversions, estimate_from_counts)
 from .lineshape import (MotionalModel, PulseSpec, _tabulated_excitation,
                         thermal_excitation)
 
@@ -291,34 +291,40 @@ CSV_HEADER = [column for _name, column, _divisor in _COLUMNS]
 def _run_cycles(cycle_voltages, initial_nu0: float, drift: DriftModel,
                 cfg: TwoPointConfig, timeline: ExperimentTimeline,
                 shift_of_voltage) -> TrackingRecord:
+    """The tracking loop of run_tracking and run_voltage_scan.
+
+    The cycles share one estimator memo, so repeated count pairs and
+    bisection midpoints are computed once per run.
+    """
     state = SimulationState.start(initial_nu0, drift)
     rows = []
     base_estimate = float(initial_nu0)
     streak = 0
     lost = False
-    for voltage in cycle_voltages:
-        shift = shift_of_voltage(voltage)
-        nu0 = base_estimate + shift
-        t_start = state.time
-        try:
-            result, true_mean = run_measurement(
-                nu0, state, cfg, timeline, drift, resonance_offset=shift)
-            delta, sigma, in_window = (result.delta, result.sigma_delta,
-                                       result.in_window)
-        except NoSignalError as exc:
-            # zero bright events on both sides: the resonance is far out
-            # of the window.  Hold the reference, flag the cycle, and
-            # let the loss-of-lock streak terminate the run; the sigma
-            # sentinel is the whole capture half-window.
-            delta, sigma, in_window = 0.0, cfg.window_halfwidth, False
-            true_mean = exc.true_mean
-        rows.append((t_start, nu0, delta, nu0 + delta, sigma, true_mean,
-                     in_window, voltage))
-        base_estimate = nu0 + delta - shift
-        streak = streak + 1 if not in_window else 0
-        if streak >= LOSS_OF_LOCK_STREAK:
-            lost = True
-            break
+    with _shared_inversions():
+        for voltage in cycle_voltages:
+            shift = shift_of_voltage(voltage)
+            nu0 = base_estimate + shift
+            t_start = state.time
+            try:
+                result, true_mean = run_measurement(
+                    nu0, state, cfg, timeline, drift, resonance_offset=shift)
+                delta, sigma, in_window = (result.delta, result.sigma_delta,
+                                           result.in_window)
+            except NoSignalError as exc:
+                # zero bright events on both sides: the resonance is far out
+                # of the window.  Hold the reference, flag the cycle, and
+                # let the loss-of-lock streak terminate the run; the sigma
+                # sentinel is the whole capture half-window.
+                delta, sigma, in_window = 0.0, cfg.window_halfwidth, False
+                true_mean = exc.true_mean
+            rows.append((t_start, nu0, delta, nu0 + delta, sigma, true_mean,
+                         in_window, voltage))
+            base_estimate = nu0 + delta - shift
+            streak = streak + 1 if not in_window else 0
+            if streak >= LOSS_OF_LOCK_STREAK:
+                lost = True
+                break
     return TrackingRecord.from_rows(rows, lost_lock=lost)
 
 

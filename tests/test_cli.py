@@ -1,4 +1,5 @@
 """End-to-end command-line checks: outputs, formats, exit codes."""
+import contextlib
 import csv
 import json
 import math
@@ -7,7 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from iontrack.cli import NumericalError, _write_json, main
+from iontrack import cli
+from iontrack.cli import NumericalError, _write_outputs, main
 from iontrack.lineshape import MotionalModel, PulseSpec, excitation_profile, fwhm
 from iontrack.simulator import TrackingRecord
 
@@ -243,6 +245,16 @@ class TestTrack:
         assert all(type(flag) is int for flag in flags)
         assert set(flags) == ({1} if scan else {0, 1})
 
+    def test_scan_losing_lock_writes_no_files(self, tmp_path, capsys):
+        # a trap so soft that the voltage shift is infinite: the scan
+        # loses lock and fails at drift correction, once its record exists
+        cfg = tmp_path / "soft.ini"
+        cfg.write_text("[trap]\nomega_z_hz = 1e-150\n\n[voltage_scan]\nenabled = true\n")
+        out = tmp_path / "out"
+        assert main(["track", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "not bracketed" in capsys.readouterr().err
+        assert tree_bytes(out) == {}
+
     def test_runaway_drift_loses_lock(self, tmp_path):
         cfg = tmp_path / "fast.ini"
         cfg.write_text("[drift]\nlinear_rate_hz_per_s = 500\n\n"
@@ -324,6 +336,21 @@ class TestSensitivity:
     def test_same_seed_identical_bytes(self, sensitivity_dir, tmp_path):
         assert main(["sensitivity", "--out", str(tmp_path)]) == 0
         assert tree_bytes(tmp_path) == tree_bytes(sensitivity_dir)
+
+    def test_same_bytes_without_the_memo(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[sensitivity]\ndurations_s = 2.0 4.0\noffsets_rabi = 0.0 0.7\n"
+                       "n_seeds = 60\n")
+
+        def run(name):
+            for fmt in ("csv", "json"):
+                assert main(["sensitivity", "--config", str(cfg), "--format", fmt,
+                             "--out", str(tmp_path / name / fmt)]) == 0
+            return tree_bytes(tmp_path / name)
+
+        shared = run("shared")
+        monkeypatch.setattr(cli, "_shared_inversions", contextlib.nullcontext)
+        assert run("plain") == shared
 
 
 class TestCalibrate:
@@ -437,7 +464,34 @@ class TestTopLevel:
         assert not (tmp_path / "track_summary.json").exists()
 
     def test_non_finite_summary_is_numerical_failure(self, tmp_path):
-        path = tmp_path / "summary.json"
-        with pytest.raises(NumericalError):
-            _write_json(str(path), {"value": float("nan")})
-        assert not path.exists()
+        with pytest.raises(NumericalError, match="track_summary.json"):
+            _write_outputs(str(tmp_path), "csv", "track",
+                           [("track_record", ["value"], [[1.0]])],
+                           {"value": float("nan")})
+        assert tree_bytes(tmp_path) == {}
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("track", "tracking", "n_cycles"),
+        ("sensitivity", "sensitivity", "n_seeds"),
+        ("lineshape", "lineshape", "n_points"),
+    ])
+    def test_huge_size_key_is_usage_error(self, tmp_path, capsys, command, section, key):
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text(f"[{section}]\n{key} = 100000000000\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "must be at most" in capsys.readouterr().err
+        assert tree_bytes(out) == {}
+
+    @pytest.mark.parametrize("command, ini", [
+        ("track", "[drift]\nlinear_rate_hz_per_s = 1e300\n\n[tracking]\nn_cycles = 3\n"),
+        ("track", "[timeline]\nrep_period_s = 1e300\n\n[tracking]\nn_cycles = 3\n"),
+        ("sensitivity", "[sensitivity]\noffsets_rabi = 1e300\n"),
+    ], ids=["drift-rate", "rep-period", "offset"])
+    def test_float_overflow_is_numerical_failure(self, tmp_path, capsys, command, ini):
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "numerical failure: OverflowError" in capsys.readouterr().err
+        assert tree_bytes(out) == {}

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from iontrack import config
 from iontrack.config import (ConfigError, RunConfig, default_config, emit,
                              load_config, loads)
 from iontrack.simulator import DriftModel, VoltageSchedule
@@ -80,6 +81,16 @@ class TestLoads:
     def test_kappa_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
             loads("[two_point]\nkappa = 1.5\n")
+
+    @pytest.mark.parametrize("section, key, field, bound", [
+        ("tracking", "n_cycles", "n_cycles", config.MAX_CYCLES),
+        ("sensitivity", "n_seeds", "n_seeds", config.MAX_SEEDS),
+        ("lineshape", "n_points", "lineshape_n_points", config.MAX_LINESHAPE_POINTS),
+    ])
+    def test_size_keys_bounded_above(self, section, key, field, bound):
+        assert getattr(loads(f"[{section}]\n{key} = {bound}\n"), field) == bound
+        with pytest.raises(ConfigError, match=f"{field} must be at most {bound}"):
+            loads(f"[{section}]\n{key} = {bound + 1}\n")
 
     @pytest.mark.parametrize("section, key, value", [
         ("pulse", "rabi_hz", "nan"),

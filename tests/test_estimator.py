@@ -1,5 +1,6 @@
 """Two-point asymmetry estimator and its error propagation."""
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from iontrack import estimator
 from iontrack.estimator import (
     EstimateResult,
+    NoSignalError,
     TwoPointConfig,
     analytic_sigma,
+    _shared_inversions,
     binomial_variance,
     estimate_from_counts,
     g_forward,
@@ -163,3 +166,88 @@ class TestAnalyticSigma:
                   for a, b in zip(c_plus, c_minus)]
         mc = float(np.std(deltas, ddof=1))
         assert mc == pytest.approx(analytic_sigma(HOT, 0.0, 50), rel=0.10)
+
+
+def plain_estimate(counts_plus, counts_minus, cfg):
+    """estimate_from_counts as a plain bisection that reuses nothing."""
+    n = cfg.shots_per_side
+    p_plus, p_minus = counts_plus / n, counts_minus / n
+    g = (p_plus - p_minus) / (p_plus + p_minus)
+    w = cfg.window_halfwidth
+    g_lo, g_hi = g_forward(-w, cfg), g_forward(w, cfg)
+    if g >= g_hi:
+        delta, in_window = w, g <= g_hi
+    elif g <= g_lo:
+        delta, in_window = -w, g >= g_lo
+    else:
+        lo, hi = -w, w
+        while hi - lo > estimator.INVERSION_TOLERANCE * cfg.pulse.rabi:
+            mid = 0.5 * (lo + hi)
+            if g_forward(mid, cfg) < g:
+                lo = mid
+            else:
+                hi = mid
+        delta, in_window = 0.5 * (lo + hi), True
+    sigma_g = estimator._propagate_g_sigma(
+        p_plus, p_minus, binomial_variance(p_plus, n), binomial_variance(p_minus, n))
+    return EstimateResult(delta, sigma_g / abs(g_slope(delta, cfg)), g, in_window,
+                          p_plus, p_minus)
+
+
+COOL = TwoPointConfig(pulse=PULSE, motion=MotionalModel(nbar=5.0, eta=0.026))
+
+
+class TestSharedInversions:
+    def test_every_count_pair_equals_plain_bisection(self):
+        pairs = [(a, b) for a in range(51) for b in range(51) if a or b]
+        with _shared_inversions():
+            for a, b in pairs + pairs[::7]:       # the repeats hit the stored results
+                assert astuple(estimate_from_counts(a, b, COOL)) == \
+                    astuple(plain_estimate(a, b, COOL))
+
+    def test_random_pairs_on_the_hot_line_equal_plain_bisection(self):
+        # two probe placements share the memo: its keys must tell them apart
+        configs = (replace(HOT, shots_per_side=200),
+                   replace(HOT, shots_per_side=200, kappa=0.75))
+        rng = np.random.default_rng(6)
+        pairs = [(int(a), int(b)) for a, b in rng.integers(60, 141, size=(300, 2))]
+        cases = [(a, b, configs[i % 2]) for i, (a, b) in enumerate(pairs)]
+        cases += [(a, b, configs[(i + 1) % 2]) for i, (a, b) in enumerate(pairs[:10])]
+        with _shared_inversions():
+            for a, b, cfg in cases:
+                assert astuple(estimate_from_counts(a, b, cfg)) == \
+                    astuple(plain_estimate(a, b, cfg))
+
+    def test_errors_are_raised_inside_the_memo(self):
+        with _shared_inversions():
+            estimate_from_counts(30, 20, GROUND)
+            with pytest.raises(NoSignalError):
+                estimate_from_counts(0, 0, GROUND)
+            with pytest.raises(ValueError, match="between 0 and"):
+                estimate_from_counts(51, 20, GROUND)
+
+    def test_memo_lasts_for_the_block_only(self):
+        assert estimator._memo.get() is None
+        with _shared_inversions():
+            outer = estimator._memo.get()
+            with _shared_inversions():
+                inner = estimator._memo.get()
+                assert inner is not None and inner is not outer
+            assert estimator._memo.get() is outer
+            estimate_from_counts(30, 20, GROUND)
+            assert outer.estimates and outer.midpoints
+        assert estimator._memo.get() is None
+        with pytest.raises(NoSignalError), _shared_inversions():
+            estimate_from_counts(0, 0, GROUND)
+        assert estimator._memo.get() is None
+
+    def test_capped_tables_stop_growing_and_stay_exact(self, monkeypatch):
+        monkeypatch.setattr(estimator, "MEMO_TABLE_CAP", 5)
+        pairs = [(a, 50 - a) for a in range(10, 41)]
+        with _shared_inversions():
+            for a, b in pairs + pairs:
+                assert astuple(estimate_from_counts(a, b, COOL)) == \
+                    astuple(plain_estimate(a, b, COOL))
+            memo = estimator._memo.get()
+            assert len(memo.estimates) == 5
+            assert [len(t) for t in memo.midpoints.values()] == [5]

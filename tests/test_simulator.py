@@ -1,11 +1,12 @@
 """Shot-level stochastic simulation of the tracking experiment."""
+import contextlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from iontrack import lineshape, simulator
+from iontrack import estimator, lineshape, simulator
 from iontrack.cli import _write_table, main
 from iontrack.atomphys import IonSpecies, TrapEnvironment, transition_frequency
 from iontrack.estimator import TwoPointConfig, estimate_from_counts
@@ -188,6 +189,53 @@ class TestBatchedShots:
         exact = run_tracking(12, NU0, drift, CFG, TIMELINE)
         assert tabulated.samples == exact.samples
         assert tabulated.lost_lock == exact.lost_lock
+
+
+@pytest.fixture
+def g_forward_calls(monkeypatch):
+    """A one-item list counting estimator.g_forward calls."""
+    calls = [0]
+    g_forward = estimator.g_forward
+
+    def counted(*args):
+        calls[0] += 1
+        return g_forward(*args)
+
+    monkeypatch.setattr(estimator, "g_forward", counted)
+    return calls
+
+
+class TestSharedInversions:
+    TIMELINE = ExperimentTimeline(detection_error_bright=0.05, detection_error_dark=0.03,
+                                  shot_order="blocked")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_records_same_without_the_memo(self, seed, monkeypatch, g_forward_calls):
+        drift = replace(TestBatchedShots.NOISY, seed=seed)
+        scan = VoltageSchedule.from_voltages([1.0, -1.0, 2.0])
+
+        def runs():
+            return (run_tracking(24, NU0, drift, CFG, self.TIMELINE),
+                    run_voltage_scan(scan, ENV, SPECIES, drift, CFG, self.TIMELINE, NU0))
+
+        shared = runs()
+        shared_calls = g_forward_calls[0]
+        monkeypatch.setattr(simulator, "_shared_inversions", contextlib.nullcontext)
+        plain = runs()
+        for ours, ref in zip(shared, plain):
+            assert ours.samples == ref.samples
+            assert ours.lost_lock == ref.lost_lock
+        assert shared_calls < g_forward_calls[0] - shared_calls
+
+    def test_memo_lasts_one_run(self, g_forward_calls):
+        drift = DriftModel(linear_rate=TWO_PI * 8.2, seed=7)
+        per_run = []
+        for _ in range(2):
+            before = g_forward_calls[0]
+            run_tracking(16, NU0, drift, CFG, TIMELINE)
+            per_run.append(g_forward_calls[0] - before)
+            assert estimator._memo.get() is None
+        assert per_run[0] == per_run[1]
 
 
 class TestTracking:
