@@ -28,7 +28,6 @@ __all__ = [
     "transition_frequency_derivative",
     "field_from_frequency",
     "frequency_to_position_slope",
-    "frequency_shift_to_position",
     "axial_stiffness",
     "length_scale",
     "equilibrium_positions",
@@ -255,20 +254,6 @@ def frequency_to_position_slope(
     return transition_frequency_derivative(
         species, env.offset_field, variant=variant, constants=constants
     ) * env.gradient
-
-
-def frequency_shift_to_position(
-    delta_nu: float,
-    env: TrapEnvironment,
-    species: IonSpecies,
-    *,
-    variant: str = "standard",
-    constants: PhysicalConstants = CODATA,
-) -> float:
-    """Convert a frequency offset (rad/s) to an axial displacement (m)."""
-    return float(delta_nu) / frequency_to_position_slope(
-        env, species, variant=variant, constants=constants
-    )
 
 
 def axial_stiffness(

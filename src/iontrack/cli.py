@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -113,35 +114,35 @@ def _write_outputs(out_dir: str, fmt: str, command: str, tables: list[tuple],
                    summary: dict) -> None:
     """Write each (name, header, rows) table, then `<command>_summary.json`.
 
-    The summary must be strict JSON: a non-finite value is a numerical
-    failure.  It is serialised before any file is opened, so a run that
-    fails, here or earlier, leaves no files.
+    The summary and the JSON tables must be strict JSON: a non-finite
+    value is a numerical failure.  Every file is serialised before any
+    is opened, so a run that fails, here or earlier, leaves no files.
     """
-    name = f"{command}_summary.json"
+    files = [(f"{table}.{fmt}", _table_text(f"{table}.{fmt}", header, rows))
+             for table, header, rows in tables]
+    files.append((f"{command}_summary.json",
+                  _strict_json(f"{command}_summary.json", summary)))
+    for name, text in files:
+        with open(os.path.join(out_dir, name), "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _strict_json(name: str, payload) -> str:
     try:
-        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericalError(f"{name}: {exc}") from exc
-    for table, header, rows in tables:
-        _write_table(out_dir, table, fmt, header, rows)
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
 
 
-def _write_table(out_dir: str, name: str, fmt: str, header: list[str],
-                 rows: list[tuple | list]) -> str:
-    path = os.path.join(out_dir, f"{name}.{fmt}")
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        payload = [dict(zip(header, row)) for row in rows]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return path
+def _table_text(name: str, header: list[str], rows: list[tuple | list]) -> str:
+    """The file text of a table: CSV, or JSON when `name` ends in .json."""
+    if name.endswith(".json"):
+        return _strict_json(name, [dict(zip(header, row)) for row in rows])
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def _nbar_label(value: float) -> str:

@@ -161,7 +161,11 @@ class RunConfig:
         """Probe centre for the first tracking cycle, rad/s."""
         if self.initial_nu0_hz == "auto":
             raise ConfigError("initial_nu0_hz must be resolved before use")
-        return TWO_PI * float(self.initial_nu0_hz)
+        nu0 = TWO_PI * float(self.initial_nu0_hz)
+        if not math.isfinite(nu0):
+            raise ConfigError(f"initial_nu0_hz = {self.initial_nu0_hz!r} overflows "
+                              "as an angular frequency")
+        return nu0
 
     def resolved(self) -> "RunConfig":
         """Replace every `auto` with its computed value."""

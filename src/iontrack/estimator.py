@@ -9,16 +9,29 @@ is an odd, strictly increasing function of the true offset
 delta = nu - nu0 inside the capture window |delta| <= (1-kappa)*Omega_0
 and is inverted numerically to give the frequency estimate.  Binomial
 counting noise is propagated through g and the local slope dg/ddelta.
+
+Each bisection step of `g_invert` only asks whether g(mid) < g.  The
+probe points |mid -+ kappa Omega_0| <= Omega_0 lie inside the span of
+the per-shot table of `lineshape`, which gives each P within a bound
+eps.  With e+- = P~+- - P+- and S = P+ + P-,
+
+    g~ - g = 2 (e+ P- - e- P+) / (S~ S),   so   |g~ - g| <= 2 eps / S~,
+
+and S~ > 2 eps makes S > 0.  A step is decided from g~ only when g~
+clears g by more than that bound plus DECISION_SLACK for rounding; any
+other step, and every step of a pulse too long to tabulate, calls the
+exact `g_forward`.  So every decision, and every estimate, is the one
+the exact bisection makes.
 """
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .lineshape import MotionalModel, PulseSpec, thermal_excitation
+from .lineshape import MotionalModel, PulseSpec, _shot_table, thermal_excitation
 
 __all__ = [
     "TwoPointConfig",
@@ -36,43 +49,31 @@ __all__ = [
 INVERSION_TOLERANCE = 1e-6   # of Omega_0
 SLOPE_STEP = 1e-3            # of Omega_0, central difference
 
-# Reuse within one run (see `_shared_inversions`).  A memo table stops
-# taking entries at this size, so however long the run, a full midpoint
-# table holds about 6 MB and a full estimate table about 27 MB.
+DECISION_SLACK = 1e-12       # of g: rounding in g~ and g, a few 1e-16 each
+
+# Reuse within one run (see `_shared_inversions`).  The memo stops
+# taking entries at this size, so however long the run, a full table
+# holds about 27 MB.
 MEMO_TABLE_CAP = 1 << 16
 
-
-@dataclass
-class _Memo:
-    midpoints: dict = field(default_factory=dict)   # (pulse, motion, kappa) -> {mid: g}
-    estimates: dict = field(default_factory=dict)   # (c+, c-, cfg) -> EstimateResult
-
-
-_memo: ContextVar[_Memo | None] = ContextVar("estimator_memo", default=None)
+_memo: ContextVar[dict | None] = ContextVar("estimator_memo", default=None)
 
 
 @contextmanager
 def _shared_inversions():
-    """Share exact inversion work among the estimates made inside the block.
+    """Share exact estimates among the calls made inside the block.
 
-    Each bisection of `g_invert` starts from (-w, w) with the same
-    tolerance, so inversions of nearby g visit the same midpoints; the
-    memo keeps g at each midpoint per (pulse, motion, kappa), and each
-    `estimate_from_counts` result per (counts_plus, counts_minus, cfg).
-    A stored value is the one the computation returns, so results are
-    bit-identical with and without the memo.  It lasts for the block
-    only; a nested block has a memo of its own.
+    The memo keeps each `estimate_from_counts` result per
+    (counts_plus, counts_minus, cfg).  A stored value is the one the
+    computation returns, so results are bit-identical with and without
+    the memo.  It lasts for the block only; a nested block has a memo
+    of its own.
     """
-    token = _memo.set(_Memo())
+    token = _memo.set({})
     try:
         yield
     finally:
         _memo.reset(token)
-
-
-def _remember(table: dict, key, value) -> None:
-    if len(table) < MEMO_TABLE_CAP:
-        table[key] = value
 
 
 @dataclass(frozen=True)
@@ -128,13 +129,54 @@ def _window_edges(pulse: PulseSpec, motion: MotionalModel,
     return w, g_forward(-w, cfg), g_forward(w, cfg)
 
 
+@lru_cache(maxsize=16)
+def _probe_table(rabi: float, duration: float, motion: MotionalModel):
+    """(p on the per-shot table's grid as a float tuple, 1 / pitch, eps), or None.
+
+    Python floats, because the bisection reads two entries a step and
+    indexing a numpy array would box each one.
+    """
+    table = _shot_table(rabi, duration, motion)
+    if table is None:
+        return None
+    grid, values, bound = table
+    return tuple(values.tolist()), 1.0 / float(grid[1]), bound
+
+
+def _certified_below(mid: float, off: float, g_value: float, table) -> bool | None:
+    """g(mid) < g_value decided from the table, or None if it cannot be.
+
+    The probe points |mid -+ off| <= Omega_0 lie inside the table's
+    span [0, 2 Omega_0], so both interpolation intervals exist.
+    """
+    values, scale, eps = table
+    u = abs(mid - off) * scale
+    i = int(u)
+    p_plus = values[i] + (values[i + 1] - values[i]) * (u - i)
+    u = abs(mid + off) * scale
+    i = int(u)
+    p_minus = values[i] + (values[i + 1] - values[i]) * (u - i)
+    total = p_plus + p_minus
+    if total <= 2.0 * eps:
+        return None
+    gap = (p_plus - p_minus) / total - g_value
+    margin = 2.0 * eps / total + DECISION_SLACK
+    if gap < -margin:
+        return True
+    if gap > margin:
+        return False
+    return None
+
+
 def g_invert(g_value: float, cfg: TwoPointConfig) -> tuple[float, bool]:
     """Invert g on the capture window by bisection.
 
     Returns (delta, in_window).  Values of g beyond the window edges
     clamp to the corresponding edge with in_window = False; clamping is
     a flagged result, not an error.  Resolution is 1e-6 * Omega_0.
-    Inside `_shared_inversions` g at each midpoint is computed once.
+    Each step is decided from the per-shot table when the bound
+    2 eps / S~ certifies it and by `g_forward` otherwise (see the module
+    docstring), so the result is the exact bisection's.
     """
     g_value = float(g_value)
     w, g_lo, g_hi = _window_edges(cfg.pulse, cfg.motion, cfg.kappa)
@@ -142,18 +184,16 @@ def g_invert(g_value: float, cfg: TwoPointConfig) -> tuple[float, bool]:
         return w, g_value <= g_hi
     if g_value <= g_lo:
         return -w, g_value >= g_lo
-    memo = _memo.get()
-    known = {} if memo is None else \
-        memo.midpoints.setdefault((cfg.pulse, cfg.motion, cfg.kappa), {})
+    table = _probe_table(cfg.pulse.rabi, cfg.pulse.duration, cfg.motion)
+    off = cfg.kappa * cfg.pulse.rabi
     lo, hi = -w, w
     tol = INVERSION_TOLERANCE * cfg.pulse.rabi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        g_mid = known.get(mid)
-        if g_mid is None:
-            g_mid = g_forward(mid, cfg)
-            _remember(known, mid, g_mid)
-        if g_mid < g_value:
+        below = None if table is None else _certified_below(mid, off, g_value, table)
+        if below is None:
+            below = g_forward(mid, cfg) < g_value
+        if below:
             lo = mid
         else:
             hi = mid
@@ -213,8 +253,8 @@ def estimate_from_counts(counts_plus: int, counts_minus: int,
             "no bright events on either side: no signal to invert")
     memo = _memo.get()
     key = (counts_plus, counts_minus, cfg)
-    if memo is not None and key in memo.estimates:
-        return memo.estimates[key]
+    if memo is not None and key in memo:
+        return memo[key]
     p_plus = counts_plus / n
     p_minus = counts_minus / n
     g = (p_plus - p_minus) / (p_plus + p_minus)
@@ -233,8 +273,8 @@ def estimate_from_counts(counts_plus: int, counts_minus: int,
         p_plus=p_plus,
         p_minus=p_minus,
     )
-    if memo is not None:
-        _remember(memo.estimates, key, result)
+    if memo is not None and len(memo) < MEMO_TABLE_CAP:
+        memo[key] = result
     return result
 
 

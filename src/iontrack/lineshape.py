@@ -19,7 +19,9 @@ interpolation errs by at most pitch^2 / 8 * max|p''| with
 a pi pulse).  `_tabulated_excitation` reads p and that bound off the
 table, with an infinite bound beyond the span and for pulses too long
 to tabulate (area above 4 pi), so that the simulator can fall back to
-`thermal_excitation` for every shot the table cannot decide.
+`thermal_excitation` for every shot the table cannot decide.  The
+estimator's bisection reads the same table and bound for its probe
+points (see `estimator`).
 """
 from __future__ import annotations
 
@@ -37,7 +39,6 @@ __all__ = [
     "MotionalModel",
     "thermal_excitation",
     "excitation_profile",
-    "thermal_weights",
     "fwhm",
     "compute_eta",
     "LINEWIDTH_CALIBRATED_ETA",
@@ -141,11 +142,6 @@ def _motional_arrays(motion: MotionalModel) -> tuple[np.ndarray, np.ndarray]:
     weights.flags.writeable = False
     ratios.flags.writeable = False
     return weights, ratios
-
-
-def thermal_weights(motion: MotionalModel) -> np.ndarray:
-    """Geometric occupation weights over n = 0 .. motion.n_cutoff."""
-    return _motional_arrays(motion)[0]
 
 
 @lru_cache(maxsize=128)

@@ -293,8 +293,8 @@ def _run_cycles(cycle_voltages, initial_nu0: float, drift: DriftModel,
                 shift_of_voltage) -> TrackingRecord:
     """The tracking loop of run_tracking and run_voltage_scan.
 
-    The cycles share one estimator memo, so repeated count pairs and
-    bisection midpoints are computed once per run.
+    The cycles share one estimator memo, so a repeated count pair is
+    estimated once per run.
     """
     state = SimulationState.start(initial_nu0, drift)
     rows = []
@@ -402,11 +402,14 @@ def run_voltage_scan(schedule: VoltageSchedule, env: TrapEnvironment,
     if initial_nu0 is None:
         initial_nu0 = transition_frequency(
             species, env.offset_field, variant=variant, constants=constants)
-    return _run_cycles(
-        schedule.cycle_voltages(), initial_nu0, drift, cfg, timeline,
-        lambda v: voltage_frequency_shift(
-            v, env, species, variant=variant, constants=constants),
-    )
+    voltages = schedule.cycle_voltages()
+    shifts = {v: voltage_frequency_shift(v, env, species, variant=variant,
+                                         constants=constants) for v in voltages}
+    for voltage, shift in shifts.items():
+        if not math.isfinite(shift):
+            raise ValueError(f"voltage_frequency_shift at {voltage!r} V is not "
+                             f"finite ({shift!r})")
+    return _run_cycles(voltages, initial_nu0, drift, cfg, timeline, shifts.__getitem__)
 
 
 @dataclass(frozen=True, eq=False)

@@ -247,12 +247,22 @@ class TestTrack:
 
     def test_scan_losing_lock_writes_no_files(self, tmp_path, capsys):
         # a trap so soft that the voltage shift is infinite: the scan
-        # loses lock and fails at drift correction, once its record exists
+        # fails before it simulates, naming the shift
         cfg = tmp_path / "soft.ini"
         cfg.write_text("[trap]\nomega_z_hz = 1e-150\n\n[voltage_scan]\nenabled = true\n")
         out = tmp_path / "out"
         assert main(["track", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "not bracketed" in capsys.readouterr().err
+        assert "voltage_frequency_shift at 1.0 V is not finite" in capsys.readouterr().err
+        assert tree_bytes(out) == {}
+
+    def test_overflowing_probe_centre_is_usage_error(self, tmp_path, capsys):
+        # finite in Hz, infinite once multiplied by 2 pi
+        cfg = tmp_path / "far.ini"
+        cfg.write_text("[tracking]\ninitial_nu0_hz = 1e308\nn_cycles = 3\n")
+        out = tmp_path / "out"
+        assert main(["track", "--config", str(cfg), "--out", str(out),
+                     "--format", "json"]) == 1
+        assert "initial_nu0_hz = 1e+308 overflows" in capsys.readouterr().err
         assert tree_bytes(out) == {}
 
     def test_runaway_drift_loses_lock(self, tmp_path):
@@ -462,6 +472,18 @@ class TestTopLevel:
         assert main(["track", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "overflows" in capsys.readouterr().err
         assert not (tmp_path / "track_summary.json").exists()
+
+    def test_non_finite_json_table_is_numerical_failure(self, tmp_path, capsys,
+                                                         monkeypatch):
+        with pytest.raises(NumericalError, match="track_record.json"):
+            _write_outputs(str(tmp_path / "direct"), "json", "track",
+                           [("track_record", ["value"], [[math.inf]])], {"value": 1.0})
+        monkeypatch.setattr(cli, "excitation_profile",
+                            lambda detunings, *args: np.full(len(detunings), math.nan))
+        out = tmp_path / "out"
+        assert main(["lineshape", "--out", str(out), "--format", "json"]) == 2
+        assert "lineshape.json: Out of range float values" in capsys.readouterr().err
+        assert tree_bytes(tmp_path) == {}
 
     def test_non_finite_summary_is_numerical_failure(self, tmp_path):
         with pytest.raises(NumericalError, match="track_summary.json"):

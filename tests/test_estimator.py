@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iontrack import estimator
+from iontrack import estimator, lineshape
 from iontrack.estimator import (
     EstimateResult,
     NoSignalError,
@@ -235,7 +235,7 @@ class TestSharedInversions:
                 assert inner is not None and inner is not outer
             assert estimator._memo.get() is outer
             estimate_from_counts(30, 20, GROUND)
-            assert outer.estimates and outer.midpoints
+            assert list(outer) == [(30, 20, GROUND)]
         assert estimator._memo.get() is None
         with pytest.raises(NoSignalError), _shared_inversions():
             estimate_from_counts(0, 0, GROUND)
@@ -248,6 +248,86 @@ class TestSharedInversions:
             for a, b in pairs + pairs:
                 assert astuple(estimate_from_counts(a, b, COOL)) == \
                     astuple(plain_estimate(a, b, COOL))
-            memo = estimator._memo.get()
-            assert len(memo.estimates) == 5
-            assert [len(t) for t in memo.midpoints.values()] == [5]
+            assert len(estimator._memo.get()) == 5
+
+
+def plain_invert(g, cfg, visited=None):
+    """g_invert as a plain bisection on g_forward, appending each midpoint to visited."""
+    w = cfg.window_halfwidth
+    g_lo, g_hi = g_forward(-w, cfg), g_forward(w, cfg)
+    if g >= g_hi:
+        return w, g <= g_hi
+    if g <= g_lo:
+        return -w, g >= g_lo
+    lo, hi = -w, w
+    while hi - lo > estimator.INVERSION_TOLERANCE * cfg.pulse.rabi:
+        mid = 0.5 * (lo + hi)
+        if visited is not None:
+            visited.append(mid)
+        if g_forward(mid, cfg) < g:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), True
+
+
+def tabulated_g(mid, cfg):
+    """g at mid with both probe probabilities read off the per-shot table."""
+    grid, values, _ = lineshape._shot_table(cfg.pulse.rabi, cfg.pulse.duration, cfg.motion)
+    off = cfg.kappa * cfg.pulse.rabi
+    p_plus, p_minus = np.interp([abs(mid - off), abs(mid + off)], grid, values)
+    return (p_plus - p_minus) / (p_plus + p_minus)
+
+
+def area_config(area, nbar, kappa):
+    pulse = PulseSpec(RABI, area * math.pi / RABI)
+    return TwoPointConfig(pulse=pulse, motion=MotionalModel(nbar=nbar, eta=0.026),
+                          kappa=kappa)
+
+
+class TestCertifiedDecisions:
+    """g_invert decides bisection steps from the table only where that is exact."""
+
+    @pytest.mark.parametrize("kappa", [0.6, 0.7, 0.8])
+    @pytest.mark.parametrize("nbar", [0.0, 5.0, 80.0])
+    @pytest.mark.parametrize("area", [0.5, 1.0, 3.0, 5.0])
+    def test_equals_plain_bisection(self, area, nbar, kappa):
+        cfg = area_config(area, nbar, kappa)
+        assert (lineshape._shot_table(RABI, cfg.pulse.duration, cfg.motion) is None) == \
+            (area == 5.0)
+        w = cfg.window_halfwidth
+        edges = g_forward(-w, cfg), g_forward(w, cfg)
+        rng = np.random.default_rng(round(100 * area + nbar + 10 * kappa))
+        values = list(rng.uniform(1.05 * min(edges), 1.05 * max(edges), size=6))
+        # g at real bisection midpoints, shallow and deep, and one ulp either side
+        visited = []
+        plain_invert(values[0], cfg, visited)
+        for mid in visited[:3] + visited[-3:]:
+            g_mid = g_forward(mid, cfg)
+            values += [g_mid, math.nextafter(g_mid, 2.0), math.nextafter(g_mid, -2.0)]
+            if area != 5.0:
+                # between g and its tabulated value: within one bound of g,
+                # so the table must leave these steps to g_forward
+                gap = tabulated_g(mid, cfg) - g_mid
+                values += [g_mid + f * gap for f in (0.02, 0.5, 0.98)]
+        for g in values:
+            assert g_invert(g, cfg) == plain_invert(g, cfg), g
+
+    def test_most_steps_are_decided_by_the_table(self, monkeypatch):
+        # the criterion-5 configuration: pi pulse, nbar 80, kappa 0.8, 50 shots
+        calls = [0]
+        exact = estimator.g_forward
+
+        def counted(*args):
+            calls[0] += 1
+            return exact(*args)
+
+        rng = np.random.default_rng(5)
+        p_plus, p_minus = probe_probabilities(0.0, HOT)
+        pairs = list(zip(rng.binomial(50, p_plus, 300), rng.binomial(50, p_minus, 300)))
+        estimator._window_edges(HOT.pulse, HOT.motion, HOT.kappa)
+        monkeypatch.setattr(estimator, "g_forward", counted)
+        for a, b in pairs:                 # outside a memo: every estimate is fresh
+            estimate_from_counts(int(a), int(b), HOT)
+        # two of them are g_slope's central difference
+        assert calls[0] / len(pairs) <= 4.0

@@ -17,7 +17,6 @@ from iontrack.lineshape import (
     excitation_profile,
     fwhm,
     thermal_excitation,
-    thermal_weights,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -68,16 +67,16 @@ class TestThermalWeights:
     @pytest.mark.parametrize("nbar,min_mass", [(0.0, 1.0), (20.0, 0.999),
                                                (100.0, 0.999)])
     def test_weights_cover_distribution(self, nbar, min_mass):
-        w = thermal_weights(motion(nbar))
+        w = lineshape._motional_arrays(motion(nbar))[0]
         assert w.sum() <= 1.0 + 1e-12
         assert w.sum() >= min_mass
 
     def test_ground_state_all_in_n0(self):
-        w = thermal_weights(motion(0.0))
+        w = lineshape._motional_arrays(motion(0.0))[0]
         assert w[0] == 1.0 and np.all(w[1:] == 0.0)
 
     def test_mean_matches_nbar(self):
-        w = thermal_weights(motion(50.0))
+        w = lineshape._motional_arrays(motion(50.0))[0]
         n = np.arange(w.size)
         assert float(n @ w) / w.sum() == pytest.approx(50.0, rel=5e-3)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from iontrack import estimator, lineshape, simulator
-from iontrack.cli import _write_table, main
+from iontrack.cli import _table_text, main
 from iontrack.atomphys import IonSpecies, TrapEnvironment, transition_frequency
 from iontrack.estimator import TwoPointConfig, estimate_from_counts
 from iontrack.lineshape import MotionalModel, PulseSpec, thermal_excitation
@@ -210,25 +210,50 @@ class TestSharedInversions:
                                   shot_order="blocked")
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_records_same_without_the_memo(self, seed, monkeypatch, g_forward_calls):
+    def test_records_same_without_the_memo(self, seed, monkeypatch):
         drift = replace(TestBatchedShots.NOISY, seed=seed)
         scan = VoltageSchedule.from_voltages([1.0, -1.0, 2.0])
+        pairs, inversions = [], [0]
+        estimate, invert = simulator.estimate_from_counts, estimator.g_invert
+
+        def recorded(counts_plus, counts_minus, cfg):
+            pairs.append((counts_plus, counts_minus))
+            return estimate(counts_plus, counts_minus, cfg)
+
+        def counted(*args):
+            inversions[0] += 1
+            return invert(*args)
+
+        monkeypatch.setattr(simulator, "estimate_from_counts", recorded)
+        monkeypatch.setattr(estimator, "g_invert", counted)
 
         def runs():
-            return (run_tracking(24, NU0, drift, CFG, self.TIMELINE),
-                    run_voltage_scan(scan, ENV, SPECIES, drift, CFG, self.TIMELINE, NU0))
+            """(record, distinct signal pairs, signal pairs, inversions) per run."""
+            out = []
+            for run in (lambda: run_tracking(24, NU0, drift, CFG, self.TIMELINE),
+                        lambda: run_voltage_scan(scan, ENV, SPECIES, drift, CFG,
+                                                 self.TIMELINE, NU0)):
+                pairs.clear()
+                inversions[0] = 0
+                record = run()
+                signal = [pair for pair in pairs if any(pair)]
+                out.append((record, len(set(signal)), len(signal), inversions[0]))
+            return out
 
         shared = runs()
-        shared_calls = g_forward_calls[0]
         monkeypatch.setattr(simulator, "_shared_inversions", contextlib.nullcontext)
         plain = runs()
-        for ours, ref in zip(shared, plain):
+        for (ours, distinct, _, ours_inverted), (ref, _, total, ref_inverted) in \
+                zip(shared, plain):
             assert ours.samples == ref.samples
             assert ours.lost_lock == ref.lost_lock
-        assert shared_calls < g_forward_calls[0] - shared_calls
+            # with the memo each distinct count pair is inverted once per run
+            assert (ours_inverted, ref_inverted) == (distinct, total)
 
     def test_memo_lasts_one_run(self, g_forward_calls):
         drift = DriftModel(linear_rate=TWO_PI * 8.2, seed=7)
+        # the window edges are cached for the process: fill that cache first
+        estimator._window_edges(CFG.pulse, CFG.motion, CFG.kappa)
         per_run = []
         for _ in range(2):
             before = g_forward_calls[0]
@@ -287,13 +312,14 @@ class TestCsvRoundTrip:
         assert main(["track", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         first = tmp_path / "track_record.csv"
         again = TrackingRecord.read_csv(first)
-        second = _write_table(str(tmp_path), "again", "csv", CSV_HEADER, again.rows())
-        assert open(second, "rb").read() == first.read_bytes()
+        second = _table_text("again.csv", CSV_HEADER, again.rows())
+        assert second.encode() == first.read_bytes()
 
     def test_values_survive_within_rounding(self, tmp_path):
         record = run_tracking(12, NU0, DriftModel(linear_rate=TWO_PI * 8.2,
                                                   seed=21), CFG, TIMELINE)
-        path = _write_table(str(tmp_path), "record", "csv", CSV_HEADER, record.rows())
+        path = tmp_path / "record.csv"
+        path.write_text(_table_text("record.csv", CSV_HEADER, record.rows()), newline="")
         back = TrackingRecord.read_csv(path)
         assert len(back) == len(record)
         assert np.array_equal(back.times, record.times)
