@@ -17,7 +17,6 @@ from scipy.optimize import least_squares, minimize
 from .atomphys import (
     CODATA,
     IonSpecies,
-    PhysicalConstants,
     TrapEnvironment,
     axial_stiffness,
     frequency_to_position_slope,
@@ -180,8 +179,8 @@ def _guess_from_data(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([center, rabi, amplitude, baseline])
 
 
-def fit_spectrum(detuning, excitation, shots, motion: MotionalModel,
-                 initial_guess=None) -> SpectrumFitResult:
+def fit_spectrum(detuning, excitation, shots,
+                 motion: MotionalModel) -> SpectrumFitResult:
     """Weighted least-squares fit of a scanned resonance line.
 
     The model is amplitude * P(delta - center; Omega) + baseline with
@@ -210,16 +209,10 @@ def fit_spectrum(detuning, excitation, shots, motion: MotionalModel,
     def residuals(params: np.ndarray) -> np.ndarray:
         return (model(params) - y) / sigma
 
-    if initial_guess is None:
-        p0 = _guess_from_data(x, y)
-    else:
-        p0 = np.asarray(initial_guess, dtype=float)
-        if p0.shape != (4,):
-            raise ValueError("initial_guess must be (center, rabi, amplitude, baseline)")
     span = float(x.max() - x.min())
     lower = [x.min() - span, 1e-9, -np.inf, -np.inf]
     upper = [x.max() + span, np.inf, np.inf, np.inf]
-    p0 = np.clip(p0, lower, upper)
+    p0 = np.clip(_guess_from_data(x, y), lower, upper)
 
     fit = least_squares(residuals, p0, bounds=(lower, upper),
                         xtol=1e-8, x_scale="jac")
@@ -258,8 +251,7 @@ class PositionStatistics:
 
 def position_statistics(points: Displacements | TrackingRecord,
                         env: TrapEnvironment, species: IonSpecies, *,
-                        variant: str = "standard",
-                        constants: PhysicalConstants = CODATA) -> PositionStatistics:
+                        variant: str = "standard") -> PositionStatistics:
     """Convert frequency offsets and errors to positions via the gradient.
 
     Accepts either the drift-corrected displacements of a voltage scan,
@@ -274,8 +266,7 @@ def position_statistics(points: Displacements | TrackingRecord,
     else:
         delta_nu = points.delta_nu
     sigma_nu = points.sigma_nu
-    slope = frequency_to_position_slope(env, species, variant=variant,
-                                        constants=constants)
+    slope = frequency_to_position_slope(env, species, variant=variant)
     z = delta_nu / slope
     sigma_z = np.abs(sigma_nu / slope)
     return PositionStatistics(displacements=z, sigmas=sigma_z,
@@ -315,14 +306,13 @@ def force_report(sigma_z: float, env: TrapEnvironment, species: IonSpecies,
     )
 
 
-def charge_detection_distance(sigma_force: float,
-                              constants: PhysicalConstants = CODATA) -> float:
+def charge_detection_distance(sigma_force: float) -> float:
     """Distance (m) at which one elementary charge exerts sigma_force.
 
     Inverts the bare Coulomb force: r = sqrt(e^2 / (4 pi eps0 sigma_F)).
     """
     if sigma_force <= 0.0:
         raise ValueError("sigma_force must be positive")
-    coulomb = constants.elementary_charge ** 2 / (
-        4.0 * math.pi * constants.vacuum_permittivity)
+    coulomb = CODATA.elementary_charge ** 2 / (
+        4.0 * math.pi * CODATA.vacuum_permittivity)
     return math.sqrt(coulomb / sigma_force)

@@ -37,7 +37,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Fundamental constants (SI).  Defaults are CODATA-2018 values."""
+    """CODATA-2018 fundamental constants (SI); every function reads `CODATA`."""
 
     planck_h: float = 6.62607015e-34          # J s (exact)
     bohr_magneton: float = 9.2740100783e-24    # J/T
@@ -79,11 +79,11 @@ class IonSpecies:
             raise ValueError("hyperfine constant must be positive")
 
     @classmethod
-    def ytterbium_171(cls, constants: PhysicalConstants = CODATA) -> "IonSpecies":
+    def ytterbium_171(cls) -> "IonSpecies":
         """171Yb+ with the measured zero-field splitting near 12.64 GHz."""
         return cls(
             label="171Yb+",
-            mass=170.936323 * constants.atomic_mass_unit,
+            mass=170.936323 * CODATA.atomic_mass_unit,
             hyperfine_constant=2.0 * math.pi * 12_642_812_118.471,
             g_electron=2.0025,
             g_nucleus=0.9837,
@@ -132,6 +132,19 @@ class TrapEnvironment:
 # and whose low-field slope is half the standard one.
 BREIT_RABI_VARIANTS = ("standard", "single-cross")
 
+# Upper end of the field bracket that `field_from_frequency` searches.
+# 171Yb+ reaches 14.2 GHz there, and any trap's working field is
+# milliteslas, so a frequency past it is a bad input, not a strong field.
+FIELD_BRACKET_MAX_T = 0.1
+
+# Damped Newton reaches EQUILIBRIUM_GRAD_TOL in 3 to 7 iterations for
+# every chain of 2 to 32 ions; the limit only stops a run that diverges.
+EQUILIBRIUM_MAX_ITER = 100
+# Scaled-gradient 2-norm at which a chain counts as in equilibrium; the
+# scaled positions and forces are of order one, so this is a few orders
+# of magnitude above rounding.
+EQUILIBRIUM_GRAD_TOL = 1e-12
+
 
 def _cross_term_coefficient(variant: str) -> float:
     if variant == "standard":
@@ -141,13 +154,26 @@ def _cross_term_coefficient(variant: str) -> float:
     raise ValueError(f"unknown Breit-Rabi variant {variant!r}")
 
 
-def transition_frequency(
-    species: IonSpecies,
-    field_t: float,
-    *,
-    variant: str = "standard",
-    constants: PhysicalConstants = CODATA,
-) -> float:
+def _breit_rabi_terms(species: IonSpecies, field_t: float, variant: str) -> tuple:
+    """(B, c, A, x, xB, r1, r2) of `transition_frequency`'s formula, B >= 0.
+
+    Shared with the derivative; B is the field as a float.
+    """
+    field_t = float(field_t)
+    if field_t < 0.0:
+        raise ValueError("field must be non-negative")
+    c = _cross_term_coefficient(variant)
+    a_energy = CODATA.hbar * species.hyperfine_constant
+    x = (species.g_electron * CODATA.bohr_magneton
+         - species.g_nucleus * CODATA.nuclear_magneton) / a_energy
+    xb = x * field_t
+    r1 = math.sqrt(1.0 + c * xb + xb * xb)
+    r2 = math.sqrt(1.0 + xb * xb)
+    return field_t, c, a_energy, x, xb, r1, r2
+
+
+def transition_frequency(species: IonSpecies, field_t: float, *,
+                         variant: str = "standard") -> float:
     """Transition angular frequency (rad/s) at a static field (T).
 
     Evaluates
@@ -160,73 +186,45 @@ def transition_frequency(
     c = 1 ("single-cross").  At B = 0 both radicals are 1 and the
     result is the zero-field splitting.
     """
-    field_t = float(field_t)
-    if field_t < 0.0:
-        raise ValueError("field must be non-negative")
-    c = _cross_term_coefficient(variant)
-    a_energy = constants.hbar * species.hyperfine_constant
-    x = (species.g_electron * constants.bohr_magneton
-         - species.g_nucleus * constants.nuclear_magneton) / a_energy
-    xb = x * field_t
-    r1 = math.sqrt(1.0 + c * xb + xb * xb)
-    r2 = math.sqrt(1.0 + xb * xb)
-    energy = (species.g_nucleus * constants.nuclear_magneton * field_t
+    field_t, _c, a_energy, _x, _xb, r1, r2 = _breit_rabi_terms(species, field_t, variant)
+    energy = (species.g_nucleus * CODATA.nuclear_magneton * field_t
               + 0.5 * a_energy * (r1 + r2))
-    return energy / constants.hbar
+    return energy / CODATA.hbar
 
 
-def transition_frequency_derivative(
-    species: IonSpecies,
-    field_t: float,
-    *,
-    variant: str = "standard",
-    constants: PhysicalConstants = CODATA,
-) -> float:
+def transition_frequency_derivative(species: IonSpecies, field_t: float, *,
+                                    variant: str = "standard") -> float:
     """Analytic d(nu)/dB of `transition_frequency`, in (rad/s)/T."""
-    field_t = float(field_t)
-    if field_t < 0.0:
-        raise ValueError("field must be non-negative")
-    c = _cross_term_coefficient(variant)
-    a_energy = constants.hbar * species.hyperfine_constant
-    x = (species.g_electron * constants.bohr_magneton
-         - species.g_nucleus * constants.nuclear_magneton) / a_energy
-    xb = x * field_t
-    r1 = math.sqrt(1.0 + c * xb + xb * xb)
-    r2 = math.sqrt(1.0 + xb * xb)
-    d_energy = (species.g_nucleus * constants.nuclear_magneton
+    _b, c, a_energy, x, xb, r1, r2 = _breit_rabi_terms(species, field_t, variant)
+    d_energy = (species.g_nucleus * CODATA.nuclear_magneton
                 + 0.25 * a_energy * x * (c + 2.0 * xb) / r1
                 + 0.5 * a_energy * x * xb / r2)
-    return d_energy / constants.hbar
+    return d_energy / CODATA.hbar
 
 
-def field_from_frequency(
-    species: IonSpecies,
-    nu: float,
-    *,
-    variant: str = "standard",
-    constants: PhysicalConstants = CODATA,
-    field_max: float = 0.1,
-) -> float:
+def field_from_frequency(species: IonSpecies, nu: float, *,
+                         variant: str = "standard") -> float:
     """Invert `transition_frequency`: field (T) for a frequency (rad/s).
 
-    The forward map is strictly increasing in B, so the root is
-    bracketed on [0, field_max] and found by bisection to a relative
-    frequency residual of 1e-12, then polished with one Newton step.
+    The forward map is strictly increasing in B, so the root is bracketed
+    on [0, FIELD_BRACKET_MAX_T] and found by bisection to a relative
+    residual of 1e-12, then polished with one Newton step.
     """
     nu = float(nu)
-    nu_zero = transition_frequency(species, 0.0, variant=variant, constants=constants)
+    nu_zero = transition_frequency(species, 0.0, variant=variant)
     if nu < nu_zero:
         raise ValueError("frequency below the zero-field splitting")
     if nu == nu_zero:
         return 0.0
-    lo, hi = 0.0, float(field_max)
-    f_hi = transition_frequency(species, hi, variant=variant, constants=constants) - nu
+    lo, hi = 0.0, FIELD_BRACKET_MAX_T
+    f_hi = transition_frequency(species, hi, variant=variant) - nu
     if f_hi < 0.0:
-        raise ValueError("frequency above the bracket maximum; raise field_max")
+        raise ValueError(f"frequency above the field bracket: it needs more "
+                         f"than {FIELD_BRACKET_MAX_T} T")
     mid = 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        f_mid = transition_frequency(species, mid, variant=variant, constants=constants) - nu
+        f_mid = transition_frequency(species, mid, variant=variant) - nu
         if abs(f_mid) <= 1e-12 * nu or (hi - lo) <= 1e-18:
             break
         if f_mid < 0.0:
@@ -234,26 +232,20 @@ def field_from_frequency(
         else:
             hi = mid
     b = mid
-    slope = transition_frequency_derivative(species, b, variant=variant, constants=constants)
-    b -= (transition_frequency(species, b, variant=variant, constants=constants) - nu) / slope
+    slope = transition_frequency_derivative(species, b, variant=variant)
+    b -= (transition_frequency(species, b, variant=variant) - nu) / slope
     return max(b, 0.0)
 
 
-def frequency_to_position_slope(
-    env: TrapEnvironment,
-    species: IonSpecies,
-    *,
-    variant: str = "standard",
-    constants: PhysicalConstants = CODATA,
-) -> float:
+def frequency_to_position_slope(env: TrapEnvironment, species: IonSpecies, *,
+                                variant: str = "standard") -> float:
     """d(nu)/dz at the working point, in (rad/s)/m.
 
     Chain rule through the static gradient: d(nu)/dz = d(nu)/dB * dB/dz,
     with the slope evaluated at the environment's offset field.
     """
     return transition_frequency_derivative(
-        species, env.offset_field, variant=variant, constants=constants
-    ) * env.gradient
+        species, env.offset_field, variant=variant) * env.gradient
 
 
 def axial_stiffness(
@@ -264,13 +256,9 @@ def axial_stiffness(
     return species.mass * env.omega_z ** 2
 
 
-def length_scale(
-    env: TrapEnvironment,
-    species: IonSpecies,
-    constants: PhysicalConstants = CODATA,
-) -> float:
+def length_scale(env: TrapEnvironment, species: IonSpecies) -> float:
     """Coulomb/harmonic length scale l = (e^2 / (4 pi eps0 m w_z^2))^(1/3)."""
-    coulomb = constants.elementary_charge ** 2 / (4.0 * math.pi * constants.vacuum_permittivity)
+    coulomb = CODATA.elementary_charge ** 2 / (4.0 * math.pi * CODATA.vacuum_permittivity)
     return (coulomb / (species.mass * env.omega_z ** 2)) ** (1.0 / 3.0)
 
 
@@ -298,34 +286,27 @@ def _chain_hessian(u: np.ndarray) -> np.ndarray:
     return h
 
 
-def equilibrium_positions(
-    n_ions: int,
-    env: TrapEnvironment,
-    species: IonSpecies,
-    constants: PhysicalConstants = CODATA,
-    *,
-    max_iter: int = 100,
-    grad_tol: float = 1e-12,
-) -> np.ndarray:
+def equilibrium_positions(n_ions: int, env: TrapEnvironment,
+                          species: IonSpecies) -> np.ndarray:
     """Equilibrium positions (m, ascending) of n_ions in the axial well.
 
     Minimises sum(m w_z^2 z^2 / 2) + sum(e^2 / (4 pi eps0 |z_i - z_j|))
     by damped Newton iteration on the scaled force-balance equations,
     starting from a uniformly spaced chain.  Converged when the scaled
-    gradient 2-norm drops below grad_tol.
+    gradient 2-norm drops below EQUILIBRIUM_GRAD_TOL.
     """
     if not 1 <= n_ions <= 32:
         raise ValueError("n_ions must be in 1..32")
-    scale = length_scale(env, species, constants)
+    scale = length_scale(env, species)
     if n_ions == 1:
         return np.zeros(1)
     # Uniform start; 2.018/N^0.559 approximates the true minimum spacing.
     spacing = 2.018 / n_ions ** 0.559
     u = spacing * (np.arange(n_ions) - 0.5 * (n_ions - 1))
     g = _chain_gradient(u)
-    for _ in range(max_iter):
+    for _ in range(EQUILIBRIUM_MAX_ITER):
         norm = np.linalg.norm(g)
-        if norm < grad_tol:
+        if norm < EQUILIBRIUM_GRAD_TOL:
             return u * scale
         step = np.linalg.solve(_chain_hessian(u), -g)
         lam = 1.0
@@ -339,10 +320,10 @@ def equilibrium_positions(
             lam *= 0.5
         else:
             break
-    if np.linalg.norm(_chain_gradient(u)) < grad_tol:
+    if np.linalg.norm(_chain_gradient(u)) < EQUILIBRIUM_GRAD_TOL:
         return u * scale
     raise EquilibriumConvergenceError(
-        f"no equilibrium after {max_iter} Newton iterations", u * scale
+        f"no equilibrium after {EQUILIBRIUM_MAX_ITER} Newton iterations", u * scale
     )
 
 
@@ -358,14 +339,8 @@ class GradientCalibration:
     monotone: bool = True
 
 
-def calibrate_gradient(
-    frequencies,
-    env: TrapEnvironment,
-    species: IonSpecies,
-    *,
-    variant: str = "standard",
-    constants: PhysicalConstants = CODATA,
-) -> GradientCalibration:
+def calibrate_gradient(frequencies, env: TrapEnvironment, species: IonSpecies, *,
+                       variant: str = "standard") -> GradientCalibration:
     """Fit B(z) = B0 + B' z through per-ion fields.
 
     Each transition frequency (rad/s, one per ion, ordered along the
@@ -379,11 +354,8 @@ def calibrate_gradient(
     if nu.ndim != 1 or nu.size < 2:
         raise ValueError("need at least two per-ion frequencies")
     n = nu.size
-    fields = np.array([
-        field_from_frequency(species, v, variant=variant, constants=constants)
-        for v in nu
-    ])
-    z = equilibrium_positions(n, env, species, constants)
+    fields = np.array([field_from_frequency(species, v, variant=variant) for v in nu])
+    z = equilibrium_positions(n, env, species)
     dz = z - z.mean()
     szz = float(np.dot(dz, dz))
     slope = float(np.dot(dz, fields)) / szz

@@ -427,10 +427,7 @@ def main(argv=None) -> int:
             cmd_sensitivity(cfg, args.out, args.format)
         elif args.command == "calibrate":
             cmd_calibrate(cfg, args.input, args.out, args.format)
-    except (UsageError, ConfigError) as exc:
-        print(f"iontrack: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UsageError, ConfigError, OSError) as exc:
         print(f"iontrack: error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -22,7 +22,7 @@ from .atomphys import (
     transition_frequency,
 )
 from .estimator import TwoPointConfig
-from .lineshape import MotionalModel, PulseSpec, compute_eta
+from .lineshape import LINEWIDTH_CALIBRATED_ETA, MotionalModel, PulseSpec, compute_eta
 from .simulator import DriftModel, ExperimentTimeline, VoltageSchedule
 
 __all__ = ["ConfigError", "RunConfig", "default_config", "loads", "load_config", "emit"]
@@ -74,7 +74,7 @@ class RunConfig:
     rabi_hz: float = _key("pulse", 640.0)
     duration_s: float | str = _key("pulse", "auto")          # auto -> pi pulse
     nbar: float = _key("motion", 80.0)
-    eta: float | str = _key("motion", 0.026)
+    eta: float | str = _key("motion", LINEWIDTH_CALIBRATED_ETA)
     kappa: float = _key("two_point", 0.8)
     shots_per_side: int = _key("two_point", 50)
     rep_period_s: float = _key("timeline", 0.02)

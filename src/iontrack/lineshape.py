@@ -31,8 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .atomphys import CODATA, IonSpecies, PhysicalConstants, TrapEnvironment
-from .atomphys import frequency_to_position_slope
+from .atomphys import CODATA, IonSpecies, TrapEnvironment, frequency_to_position_slope
 
 __all__ = [
     "PulseSpec",
@@ -44,6 +43,11 @@ __all__ = [
     "LINEWIDTH_CALIBRATED_ETA",
 ]
 
+# The thermal average runs over n <= max(THERMAL_CUTOFF_FACTOR * nbar,
+# MIN_THERMAL_CUTOFF).  The weights it leaves out sum to
+# (nbar/(nbar+1))^(cutoff+1): at most 1.6e-4 (near nbar = 3), falling to
+# e^-10 = 4.5e-5 at large nbar.
+THERMAL_CUTOFF_FACTOR = 10
 MIN_THERMAL_CUTOFF = 30
 
 # Per-shot table (see the module docstring).  Building a table of N
@@ -57,6 +61,11 @@ TABLE_INTERVALS_PER_PI = 2048      # table intervals per pi of pulse area
 TABLE_MAX_INTERVALS = 1 << 13
 TABLE_CHUNK_ELEMENTS = 1 << 14     # rows x Fock terms per excitation_profile call
 TABLE_ROUNDING_SLACK = 1e-10       # table and scalar sums differ by rounding only
+
+# `fwhm` bisects each half-maximum crossing to this fraction of the bare
+# Rabi frequency, far inside the 0.01 Omega_0 within which the widths
+# must meet the reference linewidth endpoints.
+FWHM_RESOLUTION = 1e-6
 
 # Effective Lamb-Dicke parameter calibrated against the reference
 # linewidth endpoints (FWHM 1.602 Omega_0 at nbar = 20, 1.62 Omega_0 at
@@ -88,9 +97,9 @@ class PulseSpec:
             raise ValueError("pulse detuning must be finite")
 
     @classmethod
-    def pi_pulse(cls, rabi: float, detuning: float = 0.0) -> "PulseSpec":
+    def pi_pulse(cls, rabi: float) -> "PulseSpec":
         """Pulse with duration pi/Omega_0: full transfer on resonance."""
-        return cls(rabi=rabi, duration=math.pi / rabi, detuning=detuning)
+        return cls(rabi=rabi, duration=math.pi / rabi)
 
 
 @dataclass(frozen=True)
@@ -99,26 +108,23 @@ class MotionalModel:
 
     nbar is the mean phonon number, eta the Lamb-Dicke parameter of the
     gradient-induced coupling.  The thermal average runs over
-    n <= max(n_cutoff_factor * nbar, 30).
+    n <= max(THERMAL_CUTOFF_FACTOR * nbar, MIN_THERMAL_CUTOFF).
     """
 
     nbar: float
     eta: float
-    n_cutoff_factor: int = 10
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.nbar < math.inf:
             raise ValueError("nbar must be finite and non-negative")
         if not 0.0 <= self.eta < 1.0:
             raise ValueError("eta must be in [0, 1)")
-        if self.n_cutoff_factor < 1:
-            raise ValueError("n_cutoff_factor must be at least 1")
-        if not math.isfinite(self.n_cutoff_factor * self.nbar):
-            raise ValueError("n_cutoff_factor * nbar overflows")
+        if not math.isfinite(THERMAL_CUTOFF_FACTOR * self.nbar):
+            raise ValueError(f"{THERMAL_CUTOFF_FACTOR} * nbar overflows")
 
     @property
     def n_cutoff(self) -> int:
-        return max(int(round(self.n_cutoff_factor * self.nbar)), MIN_THERMAL_CUTOFF)
+        return max(int(round(THERMAL_CUTOFF_FACTOR * self.nbar)), MIN_THERMAL_CUTOFF)
 
 
 def _laguerre_sequence(n_max: int, x: float) -> np.ndarray:
@@ -225,16 +231,11 @@ def _tabulated_excitation(detunings: np.ndarray, pulse: PulseSpec,
             np.where(magnitude <= grid[-1], bound, np.inf))
 
 
-def fwhm(
-    motion: MotionalModel,
-    pulse: PulseSpec,
-    *,
-    resolution: float = 1e-6,
-) -> float:
+def fwhm(motion: MotionalModel, pulse: PulseSpec) -> float:
     """Full width at half maximum of the thermal line, rad/s.
 
     Scans detuning about zero, checks the peak is at zero detuning, and
-    bisects the half-maximum crossing on each side to `resolution`
+    bisects the half-maximum crossing on each side to FWHM_RESOLUTION
     times the bare Rabi frequency.
     """
     omega = pulse.rabi
@@ -259,7 +260,7 @@ def fwhm(
         k = below[0]
         lo = grid[k - 1] if k > 0 else 0.0
         hi = grid[k]
-        while hi - lo > resolution * omega:
+        while hi - lo > FWHM_RESOLUTION * omega:
             mid = 0.5 * (lo + hi)
             if float(profile(np.array([side * mid]))[0]) < half:
                 hi = mid
@@ -269,21 +270,16 @@ def fwhm(
     return float(sum(widths))
 
 
-def compute_eta(
-    env: TrapEnvironment,
-    species: IonSpecies,
-    *,
-    variant: str = "standard",
-    constants: PhysicalConstants = CODATA,
-) -> float:
+def compute_eta(env: TrapEnvironment, species: IonSpecies, *,
+                variant: str = "standard") -> float:
     """Lamb-Dicke parameter of the gradient coupling to the axial mode.
 
     eta = (d nu/d z) * z0 / omega_z with the ground-state extent
     z0 = sqrt(hbar / (2 m omega_z)); the frequency/position slope is
     evaluated at the environment's offset field.
     """
-    slope = frequency_to_position_slope(env, species, variant=variant, constants=constants)
-    z0 = math.sqrt(constants.hbar / (2.0 * species.mass * env.omega_z))
+    slope = frequency_to_position_slope(env, species, variant=variant)
+    z0 = math.sqrt(CODATA.hbar / (2.0 * species.mass * env.omega_z))
     eta = abs(slope) * z0 / env.omega_z
     if eta >= 1.0:
         raise ValueError("computed eta >= 1: outside the Lamb-Dicke regime")

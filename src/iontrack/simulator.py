@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .atomphys import CODATA, IonSpecies, PhysicalConstants, TrapEnvironment
+from .atomphys import CODATA, IonSpecies, TrapEnvironment
 from .atomphys import frequency_to_position_slope, transition_frequency
 from .estimator import (EstimateResult, NoSignalError, TwoPointConfig,
                         _shared_inversions, estimate_from_counts)
@@ -368,31 +368,28 @@ class VoltageSchedule:
 
 
 def voltage_displacement(voltage: float, env: TrapEnvironment,
-                         species: IonSpecies,
-                         constants: PhysicalConstants = CODATA) -> float:
+                         species: IonSpecies) -> float:
     """Static displacement (m) from a control-voltage offset.
 
     The voltage produces a residual field E = voltage_to_field * U at
     the ion; the ion re-equilibrates at z = e E / (m omega_z^2).
     """
-    force = constants.elementary_charge * env.voltage_to_field * voltage
+    force = CODATA.elementary_charge * env.voltage_to_field * voltage
     return force / (species.mass * env.omega_z ** 2)
 
 
 def voltage_frequency_shift(voltage: float, env: TrapEnvironment,
-                            species: IonSpecies, *, variant: str = "standard",
-                            constants: PhysicalConstants = CODATA) -> float:
+                            species: IonSpecies, *, variant: str = "standard") -> float:
     """Resonance shift (rad/s) caused by a control-voltage offset."""
-    return voltage_displacement(voltage, env, species, constants) * \
-        frequency_to_position_slope(env, species, variant=variant, constants=constants)
+    return voltage_displacement(voltage, env, species) * \
+        frequency_to_position_slope(env, species, variant=variant)
 
 
 def run_voltage_scan(schedule: VoltageSchedule, env: TrapEnvironment,
                      species: IonSpecies, drift: DriftModel,
                      cfg: TwoPointConfig, timeline: ExperimentTimeline,
                      initial_nu0: float | None = None, *,
-                     variant: str = "standard",
-                     constants: PhysicalConstants = CODATA) -> TrackingRecord:
+                     variant: str = "standard") -> TrackingRecord:
     """Track through a commanded voltage scan.
 
     The predicted voltage-induced shift is fed forward into the probe
@@ -400,11 +397,10 @@ def run_voltage_scan(schedule: VoltageSchedule, env: TrapEnvironment,
     experiment), so the estimator only has to absorb residual drift.
     """
     if initial_nu0 is None:
-        initial_nu0 = transition_frequency(
-            species, env.offset_field, variant=variant, constants=constants)
+        initial_nu0 = transition_frequency(species, env.offset_field, variant=variant)
     voltages = schedule.cycle_voltages()
-    shifts = {v: voltage_frequency_shift(v, env, species, variant=variant,
-                                         constants=constants) for v in voltages}
+    shifts = {v: voltage_frequency_shift(v, env, species, variant=variant)
+              for v in voltages}
     for voltage, shift in shifts.items():
         if not math.isfinite(shift):
             raise ValueError(f"voltage_frequency_shift at {voltage!r} V is not "

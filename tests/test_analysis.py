@@ -145,12 +145,6 @@ class TestFitSpectrum:
         with pytest.raises(ValueError, match="eight"):
             fit_spectrum(x, np.linspace(0, 1, 7), 100, self.MOTION)
 
-    def test_explicit_initial_guess(self):
-        x, y, rabi, motion = self._clean(25e3, 80.0)
-        fit = fit_spectrum(x, y, 1000, motion,
-                           initial_guess=(0.0, 0.8 * rabi, 1.0, 0.0))
-        assert fit.rabi == pytest.approx(rabi, rel=1e-6)
-
     def test_shots_array_accepted(self):
         x, y, _rabi, motion = self._clean(1e3, 0.0)
         shots = np.full(x.size, 200)

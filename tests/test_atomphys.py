@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from iontrack.atomphys import (
     BREIT_RABI_VARIANTS,
-    CODATA,
     IonSpecies,
     TrapEnvironment,
     axial_stiffness,
@@ -147,18 +146,18 @@ class TestStiffness:
 
 class TestChainEquilibria:
     def test_single_ion_at_origin(self):
-        z = equilibrium_positions(1, ENV, SPECIES, CODATA)
+        z = equilibrium_positions(1, ENV, SPECIES)
         assert z.shape == (1,) and z[0] == 0.0
 
     def test_two_ions_analytic(self):
-        z = equilibrium_positions(2, ENV, SPECIES, CODATA)
+        z = equilibrium_positions(2, ENV, SPECIES)
         u = z / length_scale(ENV, SPECIES)
         expected = 2.0 ** (-2.0 / 3.0)
         assert u[1] == pytest.approx(expected, rel=1e-10)
         assert u[0] == pytest.approx(-expected, rel=1e-10)
 
     def test_three_ions_analytic(self):
-        z = equilibrium_positions(3, ENV, SPECIES, CODATA)
+        z = equilibrium_positions(3, ENV, SPECIES)
         u = z / length_scale(ENV, SPECIES)
         expected = (5.0 / 4.0) ** (1.0 / 3.0)
         assert u[1] == pytest.approx(0.0, abs=1e-12)
@@ -167,19 +166,19 @@ class TestChainEquilibria:
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
     def test_larger_chains_ordered_and_symmetric(self, n):
-        z = equilibrium_positions(n, ENV, SPECIES, CODATA)
+        z = equilibrium_positions(n, ENV, SPECIES)
         assert np.all(np.diff(z) > 0.0)
         np.testing.assert_allclose(z, -z[::-1], atol=1e-18)
 
     def test_out_of_range_counts_rejected(self):
         for n in (0, 33):
             with pytest.raises(ValueError):
-                equilibrium_positions(n, ENV, SPECIES, CODATA)
+                equilibrium_positions(n, ENV, SPECIES)
 
 
 class TestGradientCalibration:
     def _frequencies(self, env, n):
-        z = equilibrium_positions(n, env, SPECIES, CODATA)
+        z = equilibrium_positions(n, env, SPECIES)
         return [transition_frequency(SPECIES, env.offset_field + env.gradient * zi)
                 for zi in z]
 

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from iontrack import cli
+from iontrack import atomphys, cli
 from iontrack.cli import NumericalError, _write_outputs, main
 from iontrack.lineshape import MotionalModel, PulseSpec, excitation_profile, fwhm
 from iontrack.simulator import TrackingRecord
@@ -424,6 +424,27 @@ class TestCalibrate:
         path.write_text("12.0e9\n12.1e9\n")
         assert main(["calibrate", str(path), "--out", str(tmp_path)]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_frequency_above_field_bracket_is_numerical_failure(self, tmp_path,
+                                                                 capsys):
+        # 14.3 GHz needs more than the 0.1 T the field inversion searches
+        path = tmp_path / "freqs.txt"
+        path.write_text("12.65e9\n14.3e9\n")
+        out = tmp_path / "out"
+        assert main(["calibrate", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "above the field bracket" in err and "0.1 T" in err
+        assert os.listdir(out) == []
+
+    def test_unconverged_chain_is_numerical_failure(self, tmp_path, capsys,
+                                                    monkeypatch):
+        freqs, cfg = self._write_frequencies(tmp_path, 4)
+        monkeypatch.setattr(atomphys, "EQUILIBRIUM_MAX_ITER", 0)
+        out = tmp_path / "out"
+        assert main(["calibrate", str(freqs), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert "chain equilibrium" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
 
 class TestTopLevel:

@@ -1,0 +1,127 @@
+"""Byte-level goldens: the SHA-256 of every file each CLI run writes.
+
+Each case runs `cli.main` at a fixed seed on the default config or on a
+small input the test writes, and compares the digest of every output
+file with one recorded from an earlier tree.  A change that should
+leave the outputs alone must keep these digests; a change that moves
+them on purpose must say so and record the new ones.
+"""
+import hashlib
+import os
+
+import pytest
+
+from iontrack.cli import main
+
+# A 25-point pi-pulse scan of the default line (640 Hz Rabi, nbar 80),
+# 100 shots per point.
+SPECTRUM_CSV = "detuning_hz,counts,shots\n" + "".join(
+    f"{d},{c},100\n" for d, c in zip(
+        range(-768, 769, 64),
+        [19, 21, 32, 41, 45, 62, 72, 68, 81, 90, 96, 99, 99,
+         99, 92, 93, 86, 73, 66, 62, 53, 40, 32, 20, 22]))
+
+# Four ions in a 19.07 T/m gradient about 0.6 mT, ordinary Hz.
+FREQUENCIES_TXT = """\
+# per-ion transition frequencies, ordinary Hz
+12646585035.570433
+12649759462.60357
+12652697279.702642
+12655874766.942284
+"""
+CALIBRATE_INI = "[trap]\noffset_field_t = 6e-4\n"
+SCAN_INI = "[voltage_scan]\nenabled = true\n"
+
+# case -> (argv, inputs the test writes); "{name}" in argv is that input's path
+CASES = {
+    "lineshape-csv": (["lineshape", "--seed", "777"], {}),
+    "lineshape-json": (["lineshape", "--seed", "777", "--format", "json"], {}),
+    "track-csv": (["track", "--seed", "777"], {}),
+    "track-json": (["track", "--seed", "777", "--format", "json"], {}),
+    "sensitivity-csv": (["sensitivity", "--seed", "777"], {}),
+    "sensitivity-json": (["sensitivity", "--seed", "777", "--format", "json"], {}),
+    "voltage-scan": (["track", "--seed", "777", "--config", "{scan.ini}"],
+                     {"scan.ini": SCAN_INI}),
+    "fit-spectrum": (["fit-spectrum", "{spectrum.csv}", "--seed", "777"],
+                     {"spectrum.csv": SPECTRUM_CSV}),
+    "calibrate": (["calibrate", "{freqs.txt}", "--seed", "777",
+                   "--config", "{calib.ini}"],
+                  {"freqs.txt": FREQUENCIES_TXT, "calib.ini": CALIBRATE_INI}),
+}
+
+# case -> {output file: SHA-256}
+GOLDENS = {
+    "calibrate": {
+        "calibrate.csv":
+            "0f4cc2ef852c547a5eb8306e6015a4e8a34b4845a2cb9b2a5b033c540c7a5f35",
+        "calibrate_summary.json":
+            "c9cd8d781f5c4cfb4702863519a7160e0b05093f64347d45045eaf2b864a0ab9",
+    },
+    "fit-spectrum": {
+        "fit_spectrum.csv":
+            "2be15885bceb48c4da0d78e5413163e2826dad3ae88715952b1ee573b2de7b96",
+        "fit_spectrum_summary.json":
+            "396ac19b6a37f2b84c27ebd9d8a8b7d8144dcc3f728a4bc13e079d3614ea6769",
+    },
+    "lineshape-csv": {
+        "lineshape.csv":
+            "591b24b9772dada2c1f49a40292978ec330d6b532a14193ed02a7bec1533f4a9",
+        "lineshape_summary.json":
+            "ffe83595631421fc5ff3f4d425a3215dd83063d22ec106b4457e488fc545dc65",
+    },
+    "lineshape-json": {
+        "lineshape.json":
+            "f012861ecf44f5999d2070244ba0debf5ff1d5efba84981e085d8a4beb8c41be",
+        "lineshape_summary.json":
+            "cd1636134cde9ecfecce9fbf8367bdeb3e0ac24c2f9b8544d0f861ac674e2ab2",
+    },
+    "sensitivity-csv": {
+        "sensitivity.csv":
+            "d7d0c3ca77181c55504f2a46f9573318848d4a11079d40c70cad2cf3deb2b1b3",
+        "sensitivity_summary.json":
+            "e66818ee0186b59a0c8e8b949688d659625333597ecdd5c3c513e4d77a54d302",
+    },
+    "sensitivity-json": {
+        "sensitivity.json":
+            "1e476fc90ec54b201619bfcb4fd0b50b8c39f372b19a4686c0a1930d74815137",
+        "sensitivity_summary.json":
+            "e66818ee0186b59a0c8e8b949688d659625333597ecdd5c3c513e4d77a54d302",
+    },
+    "track-csv": {
+        "track_record.csv":
+            "bd887c1bf059be112bf4c7c09b22b36895080751bbe9563d25320f3bd7fb4e23",
+        "track_summary.json":
+            "ed91138401137e3f3bbd612cfb9363c5cc9b8d4cd9ef9be322a48d6df918f350",
+    },
+    "track-json": {
+        "track_record.json":
+            "9c376dd46c6619606b921d62c73985cdc6ce82b64d5f05c50505941301e9ef7e",
+        "track_summary.json":
+            "a7cce0b1501c44be6f173cb18bef14a2fbcb005a87d4f2ed9b59c059cc2627d4",
+    },
+    "voltage-scan": {
+        "track_displacements.csv":
+            "39a9456de068272e4c7c16e3053261f7d9c7c788473fc0ba56ad33a3d0075870",
+        "track_record.csv":
+            "9e02af845bf33857117c6439f251b1bc958cc27a92d26fda2b49566967987024",
+        "track_summary.json":
+            "932ed5bb945cac1c2068f56bddf2407e544940effb6b8e82d7352747d555c238",
+    },
+}
+
+
+def _digests(out_dir) -> dict[str, str]:
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in sorted(os.listdir(out_dir))}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_goldens(case, tmp_path):
+    argv, inputs = CASES[case]
+    paths = {}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        paths["{" + name + "}"] = str(tmp_path / name)
+    out = tmp_path / "out"
+    assert main([paths.get(arg, arg) for arg in argv] + ["--out", str(out)]) == 0
+    assert _digests(out) == GOLDENS[case]
