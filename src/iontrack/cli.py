@@ -36,7 +36,7 @@ from .analysis import (
 from .atomphys import EquilibriumConvergenceError, calibrate_gradient
 from .config import _SCHEMA, ConfigError, RunConfig, load_config
 from .estimator import (
-    _shared_inversions,
+    NoSignalError,
     analytic_sigma,
     estimate_from_counts,
     g_forward,
@@ -328,10 +328,16 @@ def _sensitivity_cell(cfg: RunConfig, duration: float, offset_rabi: float,
     c_plus = rng.binomial(per_side, p_plus, size=cfg.n_seeds)
     c_minus = rng.binomial(per_side, p_minus, size=cfg.n_seeds)
     if abs(delta) < cell_cfg.window_halfwidth:
-        estimates = np.array([
-            estimate_from_counts(int(cp), int(cm), cell_cfg).delta
-            for cp, cm in zip(c_plus, c_minus)
-        ])
+        # each distinct count pair is estimated once, then read back per seed
+        pairs, seed_pair = np.unique(np.column_stack([c_plus, c_minus]), axis=0,
+                                     return_inverse=True)
+        try:
+            deltas = np.array([estimate_from_counts(int(cp), int(cm), cell_cfg).delta
+                               for cp, cm in pairs])
+        except NoSignalError as exc:
+            raise NumericalError(f"sensitivity cell duration {duration} s, offset "
+                                 f"{offset_rabi} Rabi: {exc}") from exc
+        estimates = deltas[seed_pair]
     else:
         # Outside the capture window the inversion clamps, so the cell
         # reports the locally linearised estimator's spread instead.
@@ -347,11 +353,10 @@ def cmd_sensitivity(cfg: RunConfig, out_dir: str, fmt: str) -> None:
     cells = [(t, d) for t in cfg.durations_s for d in cfg.offsets_rabi]
     children = np.random.SeedSequence(cfg.seed).spawn(len(cells))
     rows = []
-    with _shared_inversions():          # one memo across all cells
-        for (duration, offset), child in zip(cells, children):
-            mc, analytic, per_side = _sensitivity_cell(
-                cfg, duration, offset, np.random.default_rng(child))
-            rows.append([duration, offset, per_side, mc, analytic])
+    for (duration, offset), child in zip(cells, children):
+        mc, analytic, per_side = _sensitivity_cell(
+            cfg, duration, offset, np.random.default_rng(child))
+        rows.append([duration, offset, per_side, mc, analytic])
     header = ["duration_s", "offset_rabi", "shots_per_side",
               "sigma_mc_over_rabi", "sigma_analytic_over_rabi"]
     summary = _summary_base(cfg)

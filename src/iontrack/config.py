@@ -223,8 +223,11 @@ class RunConfig:
                 raise ConfigError(f"{name} values must be positive")
         if not self.lineshape_nbar_values:
             raise ConfigError("lineshape_nbar_values must not be empty")
-        if any(v < 0.0 for v in self.lineshape_nbar_values):
-            raise ConfigError("lineshape_nbar_values must be non-negative")
+        for nbar in self.lineshape_nbar_values:
+            try:
+                replace(self.motion(), nbar=nbar)
+            except ValueError as exc:
+                raise ConfigError(f"lineshape_nbar_values: {exc}") from exc
         if any(v < 0.0 for v in self.offsets_rabi):
             raise ConfigError("offsets_rabi must be non-negative")
 
@@ -291,7 +294,7 @@ _SCHEMA = _schema()
 
 def default_config() -> RunConfig:
     """Compiled-in defaults, fully resolved."""
-    return RunConfig().resolved()
+    return loads("")
 
 
 def loads(text: str, seed: int | None = None) -> RunConfig:
@@ -326,8 +329,7 @@ def loads(text: str, seed: int | None = None) -> RunConfig:
 def load_config(path, seed: int | None = None) -> RunConfig:
     """Load a config file (or the defaults when path is None)."""
     if path is None:
-        cfg = default_config()
-        return cfg if seed is None else replace(cfg, seed=int(seed)).resolved()
+        return loads("", seed=seed)
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()

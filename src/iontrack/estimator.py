@@ -26,8 +26,6 @@ the exact bisection makes.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,31 +48,6 @@ INVERSION_TOLERANCE = 1e-6   # of Omega_0
 SLOPE_STEP = 1e-3            # of Omega_0, central difference
 
 DECISION_SLACK = 1e-12       # of g: rounding in g~ and g, a few 1e-16 each
-
-# Reuse within one run (see `_shared_inversions`).  The memo stops
-# taking entries at this size, so however long the run, a full table
-# holds about 27 MB.
-MEMO_TABLE_CAP = 1 << 16
-
-_memo: ContextVar[dict | None] = ContextVar("estimator_memo", default=None)
-
-
-@contextmanager
-def _shared_inversions():
-    """Share exact estimates among the calls made inside the block.
-
-    The memo keeps each `estimate_from_counts` result per
-    (counts_plus, counts_minus, cfg).  A stored value is the one the
-    computation returns, so results are bit-identical with and without
-    the memo.  It lasts for the block only; a nested block has a memo
-    of its own.
-    """
-    token = _memo.set({})
-    try:
-        yield
-    finally:
-        _memo.reset(token)
-
 
 @dataclass(frozen=True)
 class TwoPointConfig:
@@ -129,27 +102,13 @@ def _window_edges(pulse: PulseSpec, motion: MotionalModel,
     return w, g_forward(-w, cfg), g_forward(w, cfg)
 
 
-@lru_cache(maxsize=16)
-def _probe_table(rabi: float, duration: float, motion: MotionalModel):
-    """(p on the per-shot table's grid as a float tuple, 1 / pitch, eps), or None.
-
-    Python floats, because the bisection reads two entries a step and
-    indexing a numpy array would box each one.
-    """
-    table = _shot_table(rabi, duration, motion)
-    if table is None:
-        return None
-    grid, values, bound = table
-    return tuple(values.tolist()), 1.0 / float(grid[1]), bound
-
-
 def _certified_below(mid: float, off: float, g_value: float, table) -> bool | None:
     """g(mid) < g_value decided from the table, or None if it cannot be.
 
     The probe points |mid -+ off| <= Omega_0 lie inside the table's
     span [0, 2 Omega_0], so both interpolation intervals exist.
     """
-    values, scale, eps = table
+    _grid, _array, eps, values, scale = table
     u = abs(mid - off) * scale
     i = int(u)
     p_plus = values[i] + (values[i + 1] - values[i]) * (u - i)
@@ -184,7 +143,7 @@ def g_invert(g_value: float, cfg: TwoPointConfig) -> tuple[float, bool]:
         return w, g_value <= g_hi
     if g_value <= g_lo:
         return -w, g_value >= g_lo
-    table = _probe_table(cfg.pulse.rabi, cfg.pulse.duration, cfg.motion)
+    table = _shot_table(cfg.pulse.rabi, cfg.pulse.duration, cfg.motion)
     off = cfg.kappa * cfg.pulse.rabi
     lo, hi = -w, w
     tol = INVERSION_TOLERANCE * cfg.pulse.rabi
@@ -251,10 +210,6 @@ def estimate_from_counts(counts_plus: int, counts_minus: int,
     if counts_plus == 0 and counts_minus == 0:
         raise NoSignalError(
             "no bright events on either side: no signal to invert")
-    memo = _memo.get()
-    key = (counts_plus, counts_minus, cfg)
-    if memo is not None and key in memo:
-        return memo[key]
     p_plus = counts_plus / n
     p_minus = counts_minus / n
     g = (p_plus - p_minus) / (p_plus + p_minus)
@@ -265,7 +220,7 @@ def estimate_from_counts(counts_plus: int, counts_minus: int,
     )
     slope = g_slope(delta, cfg)
     sigma_delta = sigma_g / abs(slope)
-    result = EstimateResult(
+    return EstimateResult(
         delta=delta,
         sigma_delta=sigma_delta,
         g_measured=g,
@@ -273,9 +228,6 @@ def estimate_from_counts(counts_plus: int, counts_minus: int,
         p_plus=p_plus,
         p_minus=p_minus,
     )
-    if memo is not None and len(memo) < MEMO_TABLE_CAP:
-        memo[key] = result
-    return result
 
 
 def analytic_sigma(cfg: TwoPointConfig, delta: float, shots_per_side: int) -> float:

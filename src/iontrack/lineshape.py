@@ -49,6 +49,12 @@ __all__ = [
 # e^-10 = 4.5e-5 at large nbar.
 THERMAL_CUTOFF_FACTOR = 10
 MIN_THERMAL_CUTOFF = 30
+# Largest cutoff, so nbar <= 10^4, that a MotionalModel accepts.  At the
+# cap the cached weights and couplings hold 3.8 MB and a scalar thermal
+# sum peaks 2.3 MB above them (measured); a profile holds about 32 B per
+# point and Fock term (127 MB for 401 points at cutoff 10^4), so a
+# 401-point lineshape at the cap takes about 1.3 GB.
+MAX_THERMAL_CUTOFF = 10 ** 5
 
 # Per-shot table (see the module docstring).  Building a table of N
 # points costs as much as 0.5 N to 1.7 N exact per-shot sums (measured
@@ -108,7 +114,8 @@ class MotionalModel:
 
     nbar is the mean phonon number, eta the Lamb-Dicke parameter of the
     gradient-induced coupling.  The thermal average runs over
-    n <= max(THERMAL_CUTOFF_FACTOR * nbar, MIN_THERMAL_CUTOFF).
+    n <= max(THERMAL_CUTOFF_FACTOR * nbar, MIN_THERMAL_CUTOFF), at most
+    MAX_THERMAL_CUTOFF.
     """
 
     nbar: float
@@ -121,6 +128,9 @@ class MotionalModel:
             raise ValueError("eta must be in [0, 1)")
         if not math.isfinite(THERMAL_CUTOFF_FACTOR * self.nbar):
             raise ValueError(f"{THERMAL_CUTOFF_FACTOR} * nbar overflows")
+        if self.nbar > MAX_THERMAL_CUTOFF / THERMAL_CUTOFF_FACTOR:
+            raise ValueError(f"nbar = {self.nbar!r} needs a thermal cutoff above "
+                             f"{MAX_THERMAL_CUTOFF} Fock states")
 
     @property
     def n_cutoff(self) -> int:
@@ -187,11 +197,13 @@ def excitation_profile(detunings, pulse: PulseSpec, motion: MotionalModel) -> np
 
 @lru_cache(maxsize=16)
 def _shot_table(rabi: float, duration: float, motion: MotionalModel):
-    """(grid, p on the grid, interpolation error bound) over [0, 2 rabi].
+    """(grid, p on the grid, interpolation error bound, p, 1 / pitch) over [0, 2 rabi].
 
-    None above TABLE_MAX_INTERVALS intervals; callers then use the exact
-    sum throughout.  The rows are evaluated TABLE_CHUNK_ELEMENTS Fock
-    terms at a time.
+    The second p is a tuple of Python floats for the estimator's
+    bisection, which reads two entries a step: indexing the numpy array
+    would box each one.  None above TABLE_MAX_INTERVALS intervals;
+    callers then use the exact sum throughout.  The rows are evaluated
+    TABLE_CHUNK_ELEMENTS Fock terms at a time.
     """
     area = rabi * duration
     intervals = max(1, round(area / math.pi * TABLE_INTERVALS_PER_PI))
@@ -210,7 +222,7 @@ def _shot_table(rabi: float, duration: float, motion: MotionalModel):
     weights, ratios = _motional_arrays(motion)
     curvature = float(np.dot(weights, (0.5 * area * ratios) ** 2))
     bound = (area / intervals) ** 2 / 12.0 * curvature
-    return grid, values, bound + TABLE_ROUNDING_SLACK
+    return grid, values, bound + TABLE_ROUNDING_SLACK, tuple(values.tolist()), 1.0 / pitch
 
 
 def _tabulated_excitation(detunings: np.ndarray, pulse: PulseSpec,
@@ -225,7 +237,7 @@ def _tabulated_excitation(detunings: np.ndarray, pulse: PulseSpec,
     table = _shot_table(pulse.rabi, pulse.duration, motion)
     if table is None:
         return np.zeros(detunings.shape), np.full(detunings.shape, np.inf)
-    grid, values, bound = table
+    grid, values, bound = table[:3]
     magnitude = np.abs(detunings)
     return (np.interp(magnitude, grid, values),
             np.where(magnitude <= grid[-1], bound, np.inf))

@@ -24,8 +24,7 @@ import numpy as np
 
 from .atomphys import CODATA, IonSpecies, TrapEnvironment
 from .atomphys import frequency_to_position_slope, transition_frequency
-from .estimator import (EstimateResult, NoSignalError, TwoPointConfig,
-                        _shared_inversions, estimate_from_counts)
+from .estimator import NoSignalError, TwoPointConfig, estimate_from_counts
 from .lineshape import (MotionalModel, PulseSpec, _tabulated_excitation,
                         thermal_excitation)
 
@@ -48,6 +47,10 @@ __all__ = [
 
 LINE_FREQUENCY_HZ = 50.0
 LOSS_OF_LOCK_STREAK = 3
+# A tracking run estimates each count pair once and keeps the estimate
+# for the cycles that repeat it, up to this many pairs: a full dict
+# holds at most about 17 MB (measured).
+ESTIMATE_CACHE_CAP = 1 << 16
 TWO_PI = 2.0 * math.pi
 
 
@@ -143,11 +146,12 @@ def _bright_shots(detunings: np.ndarray, uniforms: np.ndarray,
 
 def run_measurement(nu0: float, state: SimulationState, cfg: TwoPointConfig,
                     timeline: ExperimentTimeline, drift: DriftModel,
-                    resonance_offset: float = 0.0) -> tuple[EstimateResult, float]:
+                    resonance_offset: float = 0.0) -> tuple[int, int, float]:
     """One two-point measurement around nu0; advances the state in place.
 
-    Returns the estimate and the shot-averaged true resonance over the
-    measurement.  The state clock moves by exactly
+    Returns the bright counts on the + and - sides and the shot-averaged
+    true resonance over the measurement; turning the counts into an
+    estimate is left to the caller.  The state clock moves by exactly
     2 * shots_per_side * rep_period.
 
     Each tick records the true resonance and draws, in this order, the
@@ -188,15 +192,7 @@ def run_measurement(nu0: float, state: SimulationState, cfg: TwoPointConfig,
                        flip < timeline.detection_error_dark)
     count_plus = int(np.count_nonzero(counted & (sides > 0)))
     count_minus = int(np.count_nonzero(counted & (sides < 0)))
-    true_mean = true_sum / (2.0 * cfg.shots_per_side)
-    try:
-        result = estimate_from_counts(count_plus, count_minus, cfg)
-    except NoSignalError as exc:
-        # the state has fully advanced; let callers that survive the
-        # error (the tracking loop) still see the truth for this cycle
-        exc.true_mean = true_mean
-        raise
-    return result, true_mean
+    return count_plus, count_minus, true_sum / (2.0 * cfg.shots_per_side)
 
 
 def _file_column(name: str, divisor: float | None):
@@ -293,38 +289,45 @@ def _run_cycles(cycle_voltages, initial_nu0: float, drift: DriftModel,
                 shift_of_voltage) -> TrackingRecord:
     """The tracking loop of run_tracking and run_voltage_scan.
 
-    The cycles share one estimator memo, so a repeated count pair is
-    estimated once per run.
+    A count pair that repeats within the run is estimated once: the loop
+    keeps each pair's estimate, for up to ESTIMATE_CACHE_CAP pairs.  The
+    no-signal pair (0, 0) is not kept, so each such cycle reaches
+    `estimate_from_counts`.
     """
     state = SimulationState.start(initial_nu0, drift)
     rows = []
+    estimates: dict[tuple[int, int], tuple[float, float, bool]] = {}
     base_estimate = float(initial_nu0)
     streak = 0
     lost = False
-    with _shared_inversions():
-        for voltage in cycle_voltages:
-            shift = shift_of_voltage(voltage)
-            nu0 = base_estimate + shift
-            t_start = state.time
+    for voltage in cycle_voltages:
+        shift = shift_of_voltage(voltage)
+        nu0 = base_estimate + shift
+        t_start = state.time
+        count_plus, count_minus, true_mean = run_measurement(
+            nu0, state, cfg, timeline, drift, resonance_offset=shift)
+        estimate = estimates.get((count_plus, count_minus))
+        if estimate is None:
             try:
-                result, true_mean = run_measurement(
-                    nu0, state, cfg, timeline, drift, resonance_offset=shift)
-                delta, sigma, in_window = (result.delta, result.sigma_delta,
-                                           result.in_window)
-            except NoSignalError as exc:
+                result = estimate_from_counts(count_plus, count_minus, cfg)
+            except NoSignalError:
                 # zero bright events on both sides: the resonance is far out
                 # of the window.  Hold the reference, flag the cycle, and
                 # let the loss-of-lock streak terminate the run; the sigma
                 # sentinel is the whole capture half-window.
-                delta, sigma, in_window = 0.0, cfg.window_halfwidth, False
-                true_mean = exc.true_mean
-            rows.append((t_start, nu0, delta, nu0 + delta, sigma, true_mean,
-                         in_window, voltage))
-            base_estimate = nu0 + delta - shift
-            streak = streak + 1 if not in_window else 0
-            if streak >= LOSS_OF_LOCK_STREAK:
-                lost = True
-                break
+                estimate = 0.0, cfg.window_halfwidth, False
+            else:
+                estimate = result.delta, result.sigma_delta, result.in_window
+                if len(estimates) < ESTIMATE_CACHE_CAP:
+                    estimates[count_plus, count_minus] = estimate
+        delta, sigma, in_window = estimate
+        rows.append((t_start, nu0, delta, nu0 + delta, sigma, true_mean,
+                     in_window, voltage))
+        base_estimate = nu0 + delta - shift
+        streak = streak + 1 if not in_window else 0
+        if streak >= LOSS_OF_LOCK_STREAK:
+            lost = True
+            break
     return TrackingRecord.from_rows(rows, lost_lock=lost)
 
 

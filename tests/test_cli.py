@@ -1,5 +1,4 @@
 """End-to-end command-line checks: outputs, formats, exit codes."""
-import contextlib
 import csv
 import json
 import math
@@ -351,16 +350,40 @@ class TestSensitivity:
         cfg = tmp_path / "run.ini"
         cfg.write_text("[sensitivity]\ndurations_s = 2.0 4.0\noffsets_rabi = 0.0 0.7\n"
                        "n_seeds = 60\n")
+        calls = []
+        estimate = cli.estimate_from_counts
+
+        def recorded(counts_plus, counts_minus, cell_cfg):
+            calls.append((counts_plus, counts_minus, cell_cfg))
+            return estimate(counts_plus, counts_minus, cell_cfg)
 
         def run(name):
+            calls.clear()
             for fmt in ("csv", "json"):
                 assert main(["sensitivity", "--config", str(cfg), "--format", fmt,
                              "--out", str(tmp_path / name / fmt)]) == 0
             return tree_bytes(tmp_path / name)
 
+        monkeypatch.setattr(cli, "estimate_from_counts", recorded)
         shared = run("shared")
-        monkeypatch.setattr(cli, "_shared_inversions", contextlib.nullcontext)
+        # each run inverts a distinct pair of an in-window cell once
+        assert len(calls) == 2 * len(set(calls)) < 2 * 2 * 60
+        # every seed a pair of its own: per-seed estimation
+        monkeypatch.setattr(np, "unique", lambda rows, axis, return_inverse:
+                            (rows, np.arange(len(rows))))
         assert run("plain") == shared
+        assert len(calls) == 2 * 2 * 60
+
+    def test_no_signal_seed_is_numerical_failure(self, tmp_path, capsys):
+        # one shot per side: a seed that counts no bright event on either
+        # side leaves nothing to invert
+        cfg = tmp_path / "single.ini"
+        cfg.write_text("[sensitivity]\ndurations_s = 0.04\noffsets_rabi = 0.0\n")
+        out = tmp_path / "out"
+        assert main(["sensitivity", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "sensitivity cell duration 0.04 s, offset 0.0 Rabi: no bright events" \
+            in capsys.readouterr().err
+        assert os.listdir(out) == []
 
 
 class TestCalibrate:
@@ -486,6 +509,20 @@ class TestTopLevel:
         assert main(["track", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "not a finite number" in capsys.readouterr().err
         assert not (tmp_path / "track_summary.json").exists()
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("track", "motion", "nbar"),
+        ("lineshape", "lineshape", "nbar_values"),
+    ])
+    def test_thermal_cutoff_above_its_cap_is_usage_error(self, tmp_path, capsys,
+                                                         command, section, key):
+        cfg = tmp_path / "hot.ini"
+        cfg.write_text(f"[{section}]\n{key} = 1e9\n\n[tracking]\nn_cycles = 3\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "needs a thermal cutoff above 100000 Fock states" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     def test_overflowing_thermal_cutoff_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "hot.ini"

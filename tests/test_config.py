@@ -122,8 +122,15 @@ class TestLoads:
         with pytest.raises(ValueError, match="finite"):
             replace(valid, **{name: value})
 
+    @pytest.mark.parametrize("section, key", [("motion", "nbar"),
+                                              ("lineshape", "nbar_values")])
+    def test_thermal_cutoff_bounded(self, section, key):
+        with pytest.raises(ConfigError, match="needs a thermal cutoff above"):
+            loads(f"[{section}]\n{key} = 1e9\n")
+
     def test_seed_override(self):
         assert loads("", seed=777).seed == 777
+        assert load_config(None, seed=777) == loads("", seed=777)
         assert loads("[drift]\nseed = 3\n", seed=777).seed == 777
         assert loads("[drift]\nseed = 3\n").seed == 3
 

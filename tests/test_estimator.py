@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from iontrack import estimator, lineshape
 from iontrack.estimator import (
     EstimateResult,
-    NoSignalError,
     TwoPointConfig,
     analytic_sigma,
-    _shared_inversions,
     binomial_variance,
     estimate_from_counts,
     g_forward,
@@ -198,57 +196,23 @@ COOL = TwoPointConfig(pulse=PULSE, motion=MotionalModel(nbar=5.0, eta=0.026))
 
 
 class TestSharedInversions:
+    """The estimates that the run loops keep per count pair: plain bisection."""
+
     def test_every_count_pair_equals_plain_bisection(self):
         pairs = [(a, b) for a in range(51) for b in range(51) if a or b]
-        with _shared_inversions():
-            for a, b in pairs + pairs[::7]:       # the repeats hit the stored results
-                assert astuple(estimate_from_counts(a, b, COOL)) == \
-                    astuple(plain_estimate(a, b, COOL))
+        for a, b in pairs:
+            assert astuple(estimate_from_counts(a, b, COOL)) == \
+                astuple(plain_estimate(a, b, COOL))
 
     def test_random_pairs_on_the_hot_line_equal_plain_bisection(self):
-        # two probe placements share the memo: its keys must tell them apart
         configs = (replace(HOT, shots_per_side=200),
                    replace(HOT, shots_per_side=200, kappa=0.75))
         rng = np.random.default_rng(6)
         pairs = [(int(a), int(b)) for a, b in rng.integers(60, 141, size=(300, 2))]
-        cases = [(a, b, configs[i % 2]) for i, (a, b) in enumerate(pairs)]
-        cases += [(a, b, configs[(i + 1) % 2]) for i, (a, b) in enumerate(pairs[:10])]
-        with _shared_inversions():
-            for a, b, cfg in cases:
-                assert astuple(estimate_from_counts(a, b, cfg)) == \
-                    astuple(plain_estimate(a, b, cfg))
-
-    def test_errors_are_raised_inside_the_memo(self):
-        with _shared_inversions():
-            estimate_from_counts(30, 20, GROUND)
-            with pytest.raises(NoSignalError):
-                estimate_from_counts(0, 0, GROUND)
-            with pytest.raises(ValueError, match="between 0 and"):
-                estimate_from_counts(51, 20, GROUND)
-
-    def test_memo_lasts_for_the_block_only(self):
-        assert estimator._memo.get() is None
-        with _shared_inversions():
-            outer = estimator._memo.get()
-            with _shared_inversions():
-                inner = estimator._memo.get()
-                assert inner is not None and inner is not outer
-            assert estimator._memo.get() is outer
-            estimate_from_counts(30, 20, GROUND)
-            assert list(outer) == [(30, 20, GROUND)]
-        assert estimator._memo.get() is None
-        with pytest.raises(NoSignalError), _shared_inversions():
-            estimate_from_counts(0, 0, GROUND)
-        assert estimator._memo.get() is None
-
-    def test_capped_tables_stop_growing_and_stay_exact(self, monkeypatch):
-        monkeypatch.setattr(estimator, "MEMO_TABLE_CAP", 5)
-        pairs = [(a, 50 - a) for a in range(10, 41)]
-        with _shared_inversions():
-            for a, b in pairs + pairs:
-                assert astuple(estimate_from_counts(a, b, COOL)) == \
-                    astuple(plain_estimate(a, b, COOL))
-            assert len(estimator._memo.get()) == 5
+        for i, (a, b) in enumerate(pairs):
+            cfg = configs[i % 2]
+            assert astuple(estimate_from_counts(a, b, cfg)) == \
+                astuple(plain_estimate(a, b, cfg))
 
 
 def plain_invert(g, cfg, visited=None):
@@ -273,7 +237,7 @@ def plain_invert(g, cfg, visited=None):
 
 def tabulated_g(mid, cfg):
     """g at mid with both probe probabilities read off the per-shot table."""
-    grid, values, _ = lineshape._shot_table(cfg.pulse.rabi, cfg.pulse.duration, cfg.motion)
+    grid, values, _, _, _ = lineshape._shot_table(cfg.pulse.rabi, cfg.pulse.duration, cfg.motion)
     off = cfg.kappa * cfg.pulse.rabi
     p_plus, p_minus = np.interp([abs(mid - off), abs(mid + off)], grid, values)
     return (p_plus - p_minus) / (p_plus + p_minus)
@@ -327,7 +291,7 @@ class TestCertifiedDecisions:
         pairs = list(zip(rng.binomial(50, p_plus, 300), rng.binomial(50, p_minus, 300)))
         estimator._window_edges(HOT.pulse, HOT.motion, HOT.kappa)
         monkeypatch.setattr(estimator, "g_forward", counted)
-        for a, b in pairs:                 # outside a memo: every estimate is fresh
+        for a, b in pairs:
             estimate_from_counts(int(a), int(b), HOT)
         # two of them are g_slope's central difference
         assert calls[0] / len(pairs) <= 4.0

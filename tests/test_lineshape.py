@@ -56,9 +56,11 @@ class TestMotionalModel:
 
     @pytest.mark.parametrize("nbar,eta", [(math.nan, 0.02), (math.inf, 0.02),
                                           (10.0, math.nan), (10.0, math.inf),
-                                          (1e308, 0.02)])
+                                          (1e308, 0.02), (1e9, 0.02),
+                                          (math.nextafter(1e4, math.inf), 0.02)])
     def test_non_finite_and_overflowing_rejected(self, nbar, eta):
-        # 10 * 1e308 overflows the cutoff computation
+        # 10 * 1e308 overflows the cutoff computation; above nbar = 10^4
+        # the cutoff passes MAX_THERMAL_CUTOFF
         with pytest.raises(ValueError):
             MotionalModel(nbar=nbar, eta=eta)
 
@@ -132,7 +134,7 @@ class TestShotTable:
     @pytest.mark.parametrize("nbar", [0.0, 20.0, 80.0])
     def test_matches_exact_sum_on_dense_grid(self, area, nbar):
         pulse, m = _table_case(area, nbar)
-        grid, _, bound = lineshape._shot_table(pulse.rabi, pulse.duration, m)
+        grid, _, bound, _, _ = lineshape._shot_table(pulse.rabi, pulse.duration, m)
         # every interval midpoint of the table (where linear interpolation
         # errs most), alternating in sign, then points past the span
         mid = 0.5 * (grid[:-1] + grid[1:])
@@ -152,10 +154,14 @@ class TestShotTable:
     def test_pitch_scales_with_inverse_duration(self):
         for area in (math.pi / 2, math.pi, 3 * math.pi):
             pulse, m = _table_case(area, 20.0)
-            grid, _, _ = lineshape._shot_table(pulse.rabi, pulse.duration, m)
+            grid, values, _, floats, scale = lineshape._shot_table(pulse.rabi,
+                                                                   pulse.duration, m)
             assert grid[-1] == pytest.approx(2.0 * RABI, rel=1e-12)
             assert (grid[1] - grid[0]) * pulse.duration == \
                 pytest.approx(2.0 * math.pi / lineshape.TABLE_INTERVALS_PER_PI, rel=1e-12)
+            # the estimator's copy: the same values as Python floats, 1 / pitch
+            assert floats == tuple(values.tolist())
+            assert scale == 1.0 / float(grid[1])
         pulse, m = _table_case(math.pi, 80.0)
         assert lineshape._shot_table(pulse.rabi, pulse.duration, m)[0].size == 2049
 

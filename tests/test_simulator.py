@@ -1,5 +1,4 @@
 """Shot-level stochastic simulation of the tracking experiment."""
-import contextlib
 import math
 from dataclasses import replace
 
@@ -9,10 +8,11 @@ import pytest
 from iontrack import estimator, lineshape, simulator
 from iontrack.cli import _table_text, main
 from iontrack.atomphys import IonSpecies, TrapEnvironment, transition_frequency
-from iontrack.estimator import TwoPointConfig, estimate_from_counts
+from iontrack.estimator import NoSignalError, TwoPointConfig, estimate_from_counts
 from iontrack.lineshape import MotionalModel, PulseSpec, thermal_excitation
 from iontrack.simulator import (
     LINE_FREQUENCY_HZ,
+    LOSS_OF_LOCK_STREAK,
     DriftCorrectionError,
     DriftModel,
     ExperimentTimeline,
@@ -65,9 +65,9 @@ class TestRunMeasurement:
 
     def test_centered_probe_estimates_near_zero(self):
         state = SimulationState.start(NU0, DriftModel(seed=3))
-        result, true_mean = run_measurement(NU0, state, CFG, TIMELINE,
-                                            DriftModel(seed=3))
-        assert abs(result.delta) < 0.2 * RABI
+        c_plus, c_minus, true_mean = run_measurement(NU0, state, CFG, TIMELINE,
+                                                     DriftModel(seed=3))
+        assert abs(estimate_from_counts(c_plus, c_minus, CFG).delta) < 0.2 * RABI
         assert true_mean == pytest.approx(NU0, rel=1e-12)
 
     def test_all_dark_detector_yields_no_signal(self):
@@ -75,8 +75,10 @@ class TestRunMeasurement:
         # both sides count zero and the estimate has nothing to invert.
         broken = ExperimentTimeline(detection_error_bright=1.0)
         state = SimulationState.start(NU0, DriftModel(seed=4))
-        with pytest.raises(ValueError, match="no signal"):
-            run_measurement(NU0, state, CFG, broken, DriftModel(seed=4))
+        c_plus, c_minus, _ = run_measurement(NU0, state, CFG, broken, DriftModel(seed=4))
+        assert (c_plus, c_minus) == (0, 0)
+        with pytest.raises(NoSignalError, match="no signal"):
+            estimate_from_counts(c_plus, c_minus, CFG)
 
 
 class TestDeterminism:
@@ -173,11 +175,8 @@ class TestBatchedShots:
         ours = SimulationState.start(NU0, drift)
         ref = SimulationState.start(NU0, drift)
         for offset in (0.0, 0.05 * RABI, -0.15 * RABI):
-            result, true_mean = run_measurement(NU0 + offset, ours, CFG, timeline, drift)
-            c_plus, c_minus, ref_mean = _per_shot_counts(NU0 + offset, ref, CFG,
-                                                         timeline, drift)
-            assert result == estimate_from_counts(c_plus, c_minus, CFG)
-            assert true_mean == ref_mean
+            assert run_measurement(NU0 + offset, ours, CFG, timeline, drift) == \
+                _per_shot_counts(NU0 + offset, ref, CFG, timeline, drift)
             assert (ours.base_nu, ours.time) == (ref.base_nu, ref.time)
         assert ours.rng.random() == ref.rng.random()
 
@@ -205,50 +204,96 @@ def g_forward_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def traced(monkeypatch):
+    """Run a callable; return (its result, the count pairs measured, the pairs
+    passed to estimate_from_counts, the g_invert calls)."""
+    measured, estimated, inversions = [], [], [0]
+    measure, estimate, invert = (simulator.run_measurement,
+                                 simulator.estimate_from_counts, estimator.g_invert)
+
+    def measuring(*args, **kwargs):
+        counts = measure(*args, **kwargs)
+        measured.append(counts[:2])
+        return counts
+
+    def estimating(counts_plus, counts_minus, cfg):
+        estimated.append((counts_plus, counts_minus))
+        return estimate(counts_plus, counts_minus, cfg)
+
+    def inverting(*args):
+        inversions[0] += 1
+        return invert(*args)
+
+    monkeypatch.setattr(simulator, "run_measurement", measuring)
+    monkeypatch.setattr(simulator, "estimate_from_counts", estimating)
+    monkeypatch.setattr(estimator, "g_invert", inverting)
+
+    def run(fn):
+        measured.clear()
+        estimated.clear()
+        inversions[0] = 0
+        return fn(), list(measured), list(estimated), inversions[0]
+
+    return run
+
+
 class TestSharedInversions:
-    TIMELINE = ExperimentTimeline(detection_error_bright=0.05, detection_error_dark=0.03,
-                                  shot_order="blocked")
+    """A run estimates each count pair once, up to simulator.ESTIMATE_CACHE_CAP pairs."""
+
+    # ten shots per side, so that count pairs repeat within a run
+    CFG = replace(CFG, shots_per_side=10)
+    TIMELINE = ExperimentTimeline(shots_per_side=10, detection_error_bright=0.05,
+                                  detection_error_dark=0.03, shot_order="blocked")
+
+    def runs(self, seed):
+        drift = replace(TestBatchedShots.NOISY, seed=seed)
+        scan = VoltageSchedule.from_voltages([1.0, -1.0, 2.0, -2.0] * 3)
+        return (lambda: run_tracking(24, NU0, drift, self.CFG, self.TIMELINE),
+                lambda: run_voltage_scan(scan, ENV, SPECIES, drift, self.CFG,
+                                         self.TIMELINE, NU0))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_records_same_without_the_memo(self, seed, monkeypatch):
-        drift = replace(TestBatchedShots.NOISY, seed=seed)
-        scan = VoltageSchedule.from_voltages([1.0, -1.0, 2.0])
-        pairs, inversions = [], [0]
-        estimate, invert = simulator.estimate_from_counts, estimator.g_invert
-
-        def recorded(counts_plus, counts_minus, cfg):
-            pairs.append((counts_plus, counts_minus))
-            return estimate(counts_plus, counts_minus, cfg)
-
-        def counted(*args):
-            inversions[0] += 1
-            return invert(*args)
-
-        monkeypatch.setattr(simulator, "estimate_from_counts", recorded)
-        monkeypatch.setattr(estimator, "g_invert", counted)
-
-        def runs():
-            """(record, distinct signal pairs, signal pairs, inversions) per run."""
-            out = []
-            for run in (lambda: run_tracking(24, NU0, drift, CFG, self.TIMELINE),
-                        lambda: run_voltage_scan(scan, ENV, SPECIES, drift, CFG,
-                                                 self.TIMELINE, NU0)):
-                pairs.clear()
-                inversions[0] = 0
-                record = run()
-                signal = [pair for pair in pairs if any(pair)]
-                out.append((record, len(set(signal)), len(signal), inversions[0]))
-            return out
-
-        shared = runs()
-        monkeypatch.setattr(simulator, "_shared_inversions", contextlib.nullcontext)
-        plain = runs()
-        for (ours, distinct, _, ours_inverted), (ref, _, total, ref_inverted) in \
+    def test_records_same_without_the_memo(self, seed, traced, monkeypatch):
+        shared = [traced(run) for run in self.runs(seed)]
+        monkeypatch.setattr(simulator, "ESTIMATE_CACHE_CAP", 0)
+        plain = [traced(run) for run in self.runs(seed)]
+        for (ours, measured, _, ours_inverted), (ref, _, _, ref_inverted) in \
                 zip(shared, plain):
             assert ours.samples == ref.samples
             assert ours.lost_lock == ref.lost_lock
-            # with the memo each distinct count pair is inverted once per run
-            assert (ours_inverted, ref_inverted) == (distinct, total)
+            # kept, each distinct signal pair is inverted once per run, not per cycle
+            signal = [pair for pair in measured if any(pair)]
+            assert len(set(signal)) < len(signal)
+            assert (ours_inverted, ref_inverted) == (len(set(signal)), len(signal))
+
+    def test_capped_memo_stops_growing_and_stays_exact(self, traced, monkeypatch):
+        full = [traced(run)[0] for run in self.runs(1)]
+        monkeypatch.setattr(simulator, "ESTIMATE_CACHE_CAP", 3)
+        for run, ref in zip(self.runs(1), full):
+            record, measured, estimated, _ = traced(run)
+            assert record.samples == ref.samples
+            # the first three distinct pairs are kept; every other pair is
+            # estimated in each cycle that measures it
+            kept = list(dict.fromkeys(measured))[:3]
+            assert estimated == [pair for i, pair in enumerate(measured)
+                                 if pair not in kept or measured.index(pair) == i]
+            assert len(set(estimated)) < len(estimated)
+
+    def test_no_signal_cycles_reach_the_estimator(self, traced):
+        # an all-dark detector counts (0, 0) in every cycle: the estimator
+        # raises NoSignalError each time, and the cycle keeps its truth
+        broken = ExperimentTimeline(detection_error_bright=1.0)
+        drift = DriftModel(linear_rate=TWO_PI * 8.2, seed=4)
+        record, measured, estimated, inverted = traced(
+            lambda: run_tracking(10, NU0, drift, CFG, broken))
+        assert measured == estimated == [(0, 0)] * LOSS_OF_LOCK_STREAK
+        assert inverted == 0
+        assert record.lost_lock and not record.in_window.any()
+        assert np.all(record.sigma_nu == CFG.window_halfwidth)
+        # the truth does not depend on what was detected
+        working = run_tracking(LOSS_OF_LOCK_STREAK, NU0, drift, CFG, TIMELINE)
+        assert np.array_equal(record.true_nu, working.true_nu)
 
     def test_memo_lasts_one_run(self, g_forward_calls):
         drift = DriftModel(linear_rate=TWO_PI * 8.2, seed=7)
@@ -259,7 +304,6 @@ class TestSharedInversions:
             before = g_forward_calls[0]
             run_tracking(16, NU0, drift, CFG, TIMELINE)
             per_run.append(g_forward_calls[0] - before)
-            assert estimator._memo.get() is None
         assert per_run[0] == per_run[1]
 
 
