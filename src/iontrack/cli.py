@@ -36,7 +36,6 @@ from .analysis import (
 from .atomphys import EquilibriumConvergenceError, calibrate_gradient
 from .config import _SCHEMA, ConfigError, RunConfig, load_config
 from .estimator import (
-    NoSignalError,
     analytic_sigma,
     estimate_from_counts,
     g_forward,
@@ -327,16 +326,16 @@ def _sensitivity_cell(cfg: RunConfig, duration: float, offset_rabi: float,
     p_plus, p_minus = probe_probabilities(delta, cell_cfg)
     c_plus = rng.binomial(per_side, p_plus, size=cfg.n_seeds)
     c_minus = rng.binomial(per_side, p_minus, size=cfg.n_seeds)
+    if not np.all(c_plus + c_minus):
+        raise NumericalError(f"sensitivity cell duration {duration} s, offset "
+                             f"{offset_rabi} Rabi: no bright events on either side: "
+                             "no signal to invert")
     if abs(delta) < cell_cfg.window_halfwidth:
         # each distinct count pair is estimated once, then read back per seed
         pairs, seed_pair = np.unique(np.column_stack([c_plus, c_minus]), axis=0,
                                      return_inverse=True)
-        try:
-            deltas = np.array([estimate_from_counts(int(cp), int(cm), cell_cfg).delta
-                               for cp, cm in pairs])
-        except NoSignalError as exc:
-            raise NumericalError(f"sensitivity cell duration {duration} s, offset "
-                                 f"{offset_rabi} Rabi: {exc}") from exc
+        deltas = np.array([estimate_from_counts(int(cp), int(cm), cell_cfg).delta
+                           for cp, cm in pairs])
         estimates = deltas[seed_pair]
     else:
         # Outside the capture window the inversion clamps, so the cell

@@ -12,16 +12,20 @@ counting noise is propagated through g and the local slope dg/ddelta.
 
 Each bisection step of `g_invert` only asks whether g(mid) < g.  The
 probe points |mid -+ kappa Omega_0| <= Omega_0 lie inside the span of
-the per-shot table of `lineshape`, which gives each P within a bound
-eps.  With e+- = P~+- - P+- and S = P+ + P-,
+the per-shot table of `lineshape`, and `lineshape._cubic_read` gives
+each P from the four nodes around it within the table's cubic bound
+eps = 3 (h tau)^4 / 256 + 2.25 TABLE_ROUNDING_SLACK, about 2.3e-10 at
+every pulse area (Bernstein's inequality, |P''''| <= tau^4 / 2; see
+`lineshape`).  With e+- = P~+- - P+- and S = P+ + P-,
 
     g~ - g = 2 (e+ P- - e- P+) / (S~ S),   so   |g~ - g| <= 2 eps / S~,
 
 and S~ > 2 eps makes S > 0.  A step is decided from g~ only when g~
 clears g by more than that bound plus DECISION_SLACK for rounding; any
-other step, and every step of a pulse too long to tabulate, calls the
-exact `g_forward`.  So every decision, and every estimate, is the one
-the exact bisection makes.
+other step calls the exact `g_forward`, and so does every step of a
+pulse too long to tabulate (above 4 pi) or of a table with fewer than
+the 4 intervals the cubic's nodes need.  So every decision, and every
+estimate, is the one the exact bisection makes.
 """
 from __future__ import annotations
 
@@ -29,7 +33,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lineshape import MotionalModel, PulseSpec, _shot_table, thermal_excitation
+from .lineshape import (MotionalModel, PulseSpec, _cubic_read, _shot_table,
+                        thermal_excitation)
 
 __all__ = [
     "TwoPointConfig",
@@ -102,19 +107,16 @@ def _window_edges(pulse: PulseSpec, motion: MotionalModel,
     return w, g_forward(-w, cfg), g_forward(w, cfg)
 
 
-def _certified_below(mid: float, off: float, g_value: float, table) -> bool | None:
+def _certified_below(mid: float, off: float, g_value: float,
+                     floats: tuple, scale: float, eps: float) -> bool | None:
     """g(mid) < g_value decided from the table, or None if it cannot be.
 
-    The probe points |mid -+ off| <= Omega_0 lie inside the table's
-    span [0, 2 Omega_0], so both interpolation intervals exist.
+    The probe points |mid -+ off| <= Omega_0 lie in the first half of
+    the table's span [0, 2 Omega_0], so with at least 4 intervals the
+    cubic's nodes exist.
     """
-    _grid, _array, eps, values, scale = table
-    u = abs(mid - off) * scale
-    i = int(u)
-    p_plus = values[i] + (values[i + 1] - values[i]) * (u - i)
-    u = abs(mid + off) * scale
-    i = int(u)
-    p_minus = values[i] + (values[i + 1] - values[i]) * (u - i)
+    p_plus = _cubic_read(floats, abs(mid - off) * scale)
+    p_minus = _cubic_read(floats, abs(mid + off) * scale)
     total = p_plus + p_minus
     if total <= 2.0 * eps:
         return None
@@ -133,9 +135,9 @@ def g_invert(g_value: float, cfg: TwoPointConfig) -> tuple[float, bool]:
     Returns (delta, in_window).  Values of g beyond the window edges
     clamp to the corresponding edge with in_window = False; clamping is
     a flagged result, not an error.  Resolution is 1e-6 * Omega_0.
-    Each step is decided from the per-shot table when the bound
-    2 eps / S~ certifies it and by `g_forward` otherwise (see the module
-    docstring), so the result is the exact bisection's.
+    Each step is decided from the per-shot table's cubic read when the
+    bound 2 eps / S~ certifies it and by `g_forward` otherwise (see the
+    module docstring), so the result is the exact bisection's.
     """
     g_value = float(g_value)
     w, g_lo, g_hi = _window_edges(cfg.pulse, cfg.motion, cfg.kappa)
@@ -144,12 +146,16 @@ def g_invert(g_value: float, cfg: TwoPointConfig) -> tuple[float, bool]:
     if g_value <= g_lo:
         return -w, g_value >= g_lo
     table = _shot_table(cfg.pulse.rabi, cfg.pulse.duration, cfg.motion)
+    if table is None or len(table.floats) < 5:    # the cubic needs 4 intervals
+        read = None
+    else:
+        read = table.floats, table.scale, table.cubic_bound
     off = cfg.kappa * cfg.pulse.rabi
     lo, hi = -w, w
     tol = INVERSION_TOLERANCE * cfg.pulse.rabi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        below = None if table is None else _certified_below(mid, off, g_value, table)
+        below = None if read is None else _certified_below(mid, off, g_value, *read)
         if below is None:
             below = g_forward(mid, cfg) < g_value
         if below:

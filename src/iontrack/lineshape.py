@@ -11,23 +11,44 @@ Detunings are angular (rad/s), durations are seconds.
 
 The shot-by-shot simulator asks for the thermal excitation at a new
 detuning on every shot.  For that path `_shot_table` tabulates p(|delta|)
-once per (Omega_0, duration, motion): p is even in delta, the table
-spans [0, 2 Omega_0] with pitch 2 pi / (2048 duration) (about
-3.07e-3 / duration, 2049 points for a pi pulse), and linear
-interpolation errs by at most pitch^2 / 8 * max|p''| with
-|p''| <= (2/3) (duration/2)^4 sum_n w_n Omega_n^2 (at most 4.9e-7 for
-a pi pulse).  `_tabulated_excitation` reads p and that bound off the
-table, with an infinite bound beyond the span and for pulses too long
-to tabulate (area above 4 pi), so that the simulator can fall back to
+once per (Omega_0, duration, motion): p is even in delta, and the table
+spans [0, 2 Omega_0] with pitch h = 2 pi / (2048 tau) (about
+3.07e-3 / tau, 2049 points for a pi pulse).
+
+Its error bounds come from Bernstein's inequality for entire functions
+of exponential type (Boas, Entire Functions, 1954, Thm 11.1.2): if f is
+entire of exponential type s and |f| <= M on the real line, then
+|f'| <= s M there.  Each Fock term
+
+    p_n(delta) = Omega_n^2 (1 - cos(tau r)) / (2 r^2),
+    r = sqrt(Omega_n^2 + delta^2),
+
+is entire in delta (the cosine is even in r and the zero of r^2 is
+removable), and |Im r| <= |Im delta| makes it of exponential type tau.
+So is the thermal average p, whose weights sum to at most 1, and
+p - 1/2 is bounded by 1/2 on the real line.  Applied k times,
+|p^(k)| <= tau^k / 2 at every pulse area, nbar and eta.  With
+h tau = 2 area / intervals, about 2 pi / 2048 at every tabulated area:
+
+- linear interpolation errs by at most h^2 / 8 max|p''| = (h tau)^2 / 16,
+  5.9e-7;
+- the Lagrange cubic through nodes i-1 .. i+2, read at x_i + t h with
+  0 <= t < 1, errs by at most max|(t+1) t (t-1) (t-2)| h^4 / 24 max|p''''|
+  = 3 (h tau)^4 / 256, 1.0e-12 (the maximum 9/16 is at t = 1/2).
+
+`_tabulated_excitation` reads p and the linear bound off the table, with
+an infinite bound beyond the span and for pulses too long to tabulate
+(area above 4 pi), so that the simulator can fall back to
 `thermal_excitation` for every shot the table cannot decide.  The
-estimator's bisection reads the same table and bound for its probe
-points (see `estimator`).
+estimator's bisection reads its probe points with `_cubic_read` under
+the cubic bound (see `estimator`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,7 +87,12 @@ MAX_THERMAL_CUTOFF = 10 ** 5
 TABLE_INTERVALS_PER_PI = 2048      # table intervals per pi of pulse area
 TABLE_MAX_INTERVALS = 1 << 13
 TABLE_CHUNK_ELEMENTS = 1 << 14     # rows x Fock terms per excitation_profile call
-TABLE_ROUNDING_SLACK = 1e-10       # table and scalar sums differ by rounding only
+# Each thermal sum, tabulated or scalar, is within TABLE_ROUNDING_SLACK
+# of its exact value: a sum of n terms in [0, 1] with weights summing to
+# at most 1 rounds by at most about n 2^-53, 1.1e-11 at MAX_THERMAL_CUTOFF.
+# The reads' own rounding (node positions, read position, interpolation
+# arithmetic) stays below 1e-14.
+TABLE_ROUNDING_SLACK = 1e-10
 
 # `fwhm` bisects each half-maximum crossing to this fraction of the bare
 # Rabi frequency, far inside the 0.01 Omega_0 within which the widths
@@ -195,15 +221,25 @@ def excitation_profile(detunings, pulse: PulseSpec, motion: MotionalModel) -> np
     return (p @ weights).reshape(d.shape)
 
 
-@lru_cache(maxsize=16)
-def _shot_table(rabi: float, duration: float, motion: MotionalModel):
-    """(grid, p on the grid, interpolation error bound, p, 1 / pitch) over [0, 2 rabi].
+class _ShotTable(NamedTuple):
+    """The per-shot table of p(|delta|) over [0, 2 Omega_0] and its read bounds."""
 
-    The second p is a tuple of Python floats for the estimator's
-    bisection, which reads two entries a step: indexing the numpy array
-    would box each one.  None above TABLE_MAX_INTERVALS intervals;
-    callers then use the exact sum throughout.  The rows are evaluated
-    TABLE_CHUNK_ELEMENTS Fock terms at a time.
+    grid: np.ndarray      # |delta| at the nodes, rad/s
+    values: np.ndarray    # p at the nodes
+    floats: tuple         # the same p as Python floats, for scalar reads
+    scale: float          # 1 / pitch
+    linear_bound: float   # on |linear read - thermal_excitation|
+    cubic_bound: float    # on |_cubic_read - thermal_excitation|
+
+
+@lru_cache(maxsize=16)
+def _shot_table(rabi: float, duration: float, motion: MotionalModel) -> _ShotTable | None:
+    """The per-shot table for this pulse and motion, or None above TABLE_MAX_INTERVALS.
+
+    Without a table, callers use the exact sum throughout.  `floats`
+    serves the estimator's bisection, which reads four entries a probe
+    point: indexing the numpy array would box each one.  The rows are
+    evaluated TABLE_CHUNK_ELEMENTS Fock terms at a time.
     """
     area = rabi * duration
     intervals = max(1, round(area / math.pi * TABLE_INTERVALS_PER_PI))
@@ -217,12 +253,32 @@ def _shot_table(rabi: float, duration: float, motion: MotionalModel):
                              for i in range(0, grid.size, rows)])
     grid.flags.writeable = False
     values.flags.writeable = False
-    # pitch^2 / 8 * max|p''| with |p''| <= (2/3) (duration/2)^4 sum_n w_n Omega_n^2,
-    # written in the dimensionless pulse area so that it cannot overflow
-    weights, ratios = _motional_arrays(motion)
-    curvature = float(np.dot(weights, (0.5 * area * ratios) ** 2))
-    bound = (area / intervals) ** 2 / 12.0 * curvature
-    return grid, values, bound + TABLE_ROUNDING_SLACK, tuple(values.tolist()), 1.0 / pitch
+    # Bernstein's bounds (module docstring), written in the dimensionless
+    # h tau so that they cannot overflow.  Rounding: a read weights the
+    # table's sums by coefficients whose absolute values add up to 1
+    # (linear) or 1 + t (1 - t) <= 1.25 (cubic), and the scalar sum it
+    # stands for rounds by one slack more.
+    h_tau = 2.0 * area / intervals
+    return _ShotTable(grid, values, tuple(values.tolist()), 1.0 / pitch,
+                      h_tau ** 2 / 16.0 + 2.0 * TABLE_ROUNDING_SLACK,
+                      3.0 * h_tau ** 4 / 256.0 + 2.25 * TABLE_ROUNDING_SLACK)
+
+
+def _cubic_read(floats: tuple, u: float) -> float:
+    """p at u >= 0 pitches by the Lagrange cubic through nodes i-1 .. i+2, i = int(u).
+
+    Node i + 2 must exist.  p is even, so at i = 0 node -1 is node 1.
+    Written as the linear read plus t (t - 1) / 6 times the second
+    differences at nodes i and i+1 weighted (2 - t, t + 1), t = u - i.
+    """
+    i = int(u)
+    t = u - i
+    b = floats[i]
+    c = floats[i + 1]
+    a = floats[i - 1] if i else c
+    d = floats[i + 2]
+    return b + t * (c - b) + t * (t - 1.0) / 6.0 * (
+        (2.0 - t) * (a - 2.0 * b + c) + (t + 1.0) * (b - 2.0 * c + d))
 
 
 def _tabulated_excitation(detunings: np.ndarray, pulse: PulseSpec,
@@ -237,10 +293,9 @@ def _tabulated_excitation(detunings: np.ndarray, pulse: PulseSpec,
     table = _shot_table(pulse.rabi, pulse.duration, motion)
     if table is None:
         return np.zeros(detunings.shape), np.full(detunings.shape, np.inf)
-    grid, values, bound = table[:3]
     magnitude = np.abs(detunings)
-    return (np.interp(magnitude, grid, values),
-            np.where(magnitude <= grid[-1], bound, np.inf))
+    return (np.interp(magnitude, table.grid, table.values),
+            np.where(magnitude <= table.grid[-1], table.linear_bound, np.inf))
 
 
 def fwhm(motion: MotionalModel, pulse: PulseSpec) -> float:

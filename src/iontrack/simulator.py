@@ -32,7 +32,6 @@ __all__ = [
     "LINE_FREQUENCY_HZ",
     "DriftModel",
     "ExperimentTimeline",
-    "SimulationState",
     "TrackingRecord",
     "VoltageSchedule",
     "Displacements",
@@ -106,7 +105,7 @@ class ExperimentTimeline:
 
 
 @dataclass
-class SimulationState:
+class _SimulationState:
     """Mutable truth carried between measurements."""
 
     base_nu: float          # drifting resonance without the line term, rad/s
@@ -114,7 +113,7 @@ class SimulationState:
     rng: np.random.Generator
 
     @classmethod
-    def start(cls, initial_nu: float, drift: DriftModel) -> "SimulationState":
+    def start(cls, initial_nu: float, drift: DriftModel) -> "_SimulationState":
         return cls(base_nu=float(initial_nu), time=0.0,
                    rng=np.random.default_rng(drift.seed))
 
@@ -132,7 +131,7 @@ def _bright_shots(detunings: np.ndarray, uniforms: np.ndarray,
 
     The per-shot table of `lineshape` (linear interpolation of p(|delta|)
     on [0, 2 Omega_0] at pitch 2 pi / (2048 duration), error at most
-    4.9e-7 for a pi pulse) decides every shot whose uniform lies further
+    5.9e-7 at every pulse area) decides every shot whose uniform lies further
     than the error bound from the tabulated p.  The rest, every shot
     beyond the span and every shot of a pulse too long to tabulate
     included, call `thermal_excitation`, so each decision is the one a
@@ -144,7 +143,7 @@ def _bright_shots(detunings: np.ndarray, uniforms: np.ndarray,
     return uniforms < p
 
 
-def run_measurement(nu0: float, state: SimulationState, cfg: TwoPointConfig,
+def run_measurement(nu0: float, state: _SimulationState, cfg: TwoPointConfig,
                     timeline: ExperimentTimeline, drift: DriftModel,
                     resonance_offset: float = 0.0) -> tuple[int, int, float]:
     """One two-point measurement around nu0; advances the state in place.
@@ -294,7 +293,7 @@ def _run_cycles(cycle_voltages, initial_nu0: float, drift: DriftModel,
     no-signal pair (0, 0) is not kept, so each such cycle reaches
     `estimate_from_counts`.
     """
-    state = SimulationState.start(initial_nu0, drift)
+    state = _SimulationState.start(initial_nu0, drift)
     rows = []
     estimates: dict[tuple[int, int], tuple[float, float, bool]] = {}
     base_estimate = float(initial_nu0)

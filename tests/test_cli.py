@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -374,14 +375,18 @@ class TestSensitivity:
         assert run("plain") == shared
         assert len(calls) == 2 * 2 * 60
 
-    def test_no_signal_seed_is_numerical_failure(self, tmp_path, capsys):
+    @pytest.mark.parametrize("offset", ["0.0", "0.7"])
+    def test_no_signal_seed_is_numerical_failure(self, tmp_path, capsys, offset):
         # one shot per side: a seed that counts no bright event on either
-        # side leaves nothing to invert
+        # side leaves nothing to invert, inside the capture window and in
+        # the linearised estimate outside it
         cfg = tmp_path / "single.ini"
-        cfg.write_text("[sensitivity]\ndurations_s = 0.04\noffsets_rabi = 0.0\n")
+        cfg.write_text(f"[sensitivity]\ndurations_s = 0.04\noffsets_rabi = {offset}\n")
         out = tmp_path / "out"
-        assert main(["sensitivity", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "sensitivity cell duration 0.04 s, offset 0.0 Rabi: no bright events" \
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sensitivity", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"sensitivity cell duration 0.04 s, offset {offset} Rabi: no bright events" \
             in capsys.readouterr().err
         assert os.listdir(out) == []
 

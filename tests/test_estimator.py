@@ -235,12 +235,12 @@ def plain_invert(g, cfg, visited=None):
     return 0.5 * (lo + hi), True
 
 
-def tabulated_g(mid, cfg):
-    """g at mid with both probe probabilities read off the per-shot table."""
-    grid, values, _, _, _ = lineshape._shot_table(cfg.pulse.rabi, cfg.pulse.duration, cfg.motion)
+def tabulated_g(mid, cfg, table):
+    """(g, P+ + P-) at mid with both probe probabilities read off the table's cubic."""
     off = cfg.kappa * cfg.pulse.rabi
-    p_plus, p_minus = np.interp([abs(mid - off), abs(mid + off)], grid, values)
-    return (p_plus - p_minus) / (p_plus + p_minus)
+    p_plus, p_minus = (lineshape._cubic_read(table.floats, abs(x) * table.scale)
+                       for x in (mid - off, mid + off))
+    return (p_plus - p_minus) / (p_plus + p_minus), p_plus + p_minus
 
 
 def area_config(area, nbar, kappa):
@@ -257,8 +257,8 @@ class TestCertifiedDecisions:
     @pytest.mark.parametrize("area", [0.5, 1.0, 3.0, 5.0])
     def test_equals_plain_bisection(self, area, nbar, kappa):
         cfg = area_config(area, nbar, kappa)
-        assert (lineshape._shot_table(RABI, cfg.pulse.duration, cfg.motion) is None) == \
-            (area == 5.0)
+        table = lineshape._shot_table(RABI, cfg.pulse.duration, cfg.motion)
+        assert (table is None) == (area == 5.0)
         w = cfg.window_halfwidth
         edges = g_forward(-w, cfg), g_forward(w, cfg)
         rng = np.random.default_rng(round(100 * area + nbar + 10 * kappa))
@@ -269,16 +269,58 @@ class TestCertifiedDecisions:
         for mid in visited[:3] + visited[-3:]:
             g_mid = g_forward(mid, cfg)
             values += [g_mid, math.nextafter(g_mid, 2.0), math.nextafter(g_mid, -2.0)]
-            if area != 5.0:
-                # between g and its tabulated value: within one bound of g,
-                # so the table must leave these steps to g_forward
-                gap = tabulated_g(mid, cfg) - g_mid
-                values += [g_mid + f * gap for f in (0.02, 0.5, 0.98)]
+            if table is not None:
+                # between g and its tabulated value, and elsewhere inside
+                # the cubic margin about g: the table must leave these
+                # steps to g_forward
+                g_table, total = tabulated_g(mid, cfg, table)
+                values += [g_mid + f * (g_table - g_mid) for f in (0.02, 0.5, 0.98)]
+                margin = 2.0 * table.cubic_bound / total + estimator.DECISION_SLACK
+                values += [g_table + f * margin for f in (-0.98, -0.5, 0.5, 0.98)]
         for g in values:
             assert g_invert(g, cfg) == plain_invert(g, cfg), g
 
+    def test_tables_too_short_for_the_cubic_use_the_exact_sum(self):
+        # a 1.6e-3 rad pulse: one table interval, fewer than the cubic's 4
+        cfg = area_config(5e-4, 5.0, 0.8)
+        assert lineshape._shot_table(RABI, cfg.pulse.duration, cfg.motion).grid.size == 2
+        w = cfg.window_halfwidth
+        for g in np.linspace(g_forward(-w, cfg), g_forward(w, cfg), 7)[1:-1]:
+            assert g_invert(g, cfg) == plain_invert(g, cfg), g
+
+    @pytest.mark.parametrize("area", [0.5, 1.0, 3.0])
+    def test_table_off_by_its_rounding_allowance_still_decides_exactly(
+            self, area, monkeypatch):
+        # Each tabulated sum may be off by TABLE_ROUNDING_SLACK.  Shift the
+        # table by 0.9 of that, up below the probe offset and down above
+        # it, so that away from delta = 0 one probe reads high and the
+        # other low and g~ moves by about 1.8 slack / S, a larger error
+        # than the table itself makes.  g values between g and this g~
+        # must still go to g_forward.
+        cfg = area_config(area, 80.0, 0.8)
+        table = lineshape._shot_table(RABI, cfg.pulse.duration, cfg.motion)
+        off = cfg.kappa * RABI
+        shift = 0.9 * lineshape.TABLE_ROUNDING_SLACK * np.sign(off - table.grid)
+        skewed = table._replace(floats=tuple((table.values + shift).tolist()))
+        monkeypatch.setattr(estimator, "_shot_table", lambda *args: skewed)
+        visited = []
+        plain_invert(g_forward(0.37 * cfg.window_halfwidth, cfg), cfg, visited)
+        tested = 0
+        for mid in visited:
+            if abs(mid) * table.scale < 4.0:      # the probes' nodes straddle the shift
+                continue
+            g_mid = g_forward(mid, cfg)
+            gap = tabulated_g(mid, cfg, skewed)[0] - g_mid
+            assert abs(gap) > 1.5 * lineshape.TABLE_ROUNDING_SLACK
+            for f in (0.02, 0.5, 0.98):
+                g = g_mid + f * gap
+                assert g_invert(g, cfg) == plain_invert(g, cfg), g
+            tested += 1
+        assert tested >= 15
+
     def test_most_steps_are_decided_by_the_table(self, monkeypatch):
-        # the criterion-5 configuration: pi pulse, nbar 80, kappa 0.8, 50 shots
+        # the criterion-5 configuration (nbar 80, kappa 0.8, 50 shots) at a
+        # pi pulse and at 3 pi
         calls = [0]
         exact = estimator.g_forward
 
@@ -286,12 +328,16 @@ class TestCertifiedDecisions:
             calls[0] += 1
             return exact(*args)
 
-        rng = np.random.default_rng(5)
-        p_plus, p_minus = probe_probabilities(0.0, HOT)
-        pairs = list(zip(rng.binomial(50, p_plus, 300), rng.binomial(50, p_minus, 300)))
-        estimator._window_edges(HOT.pulse, HOT.motion, HOT.kappa)
-        monkeypatch.setattr(estimator, "g_forward", counted)
-        for a, b in pairs:
-            estimate_from_counts(int(a), int(b), HOT)
-        # two of them are g_slope's central difference
-        assert calls[0] / len(pairs) <= 4.0
+        for area in (1.0, 3.0):
+            cfg = replace(HOT, pulse=PulseSpec(RABI, area * math.pi / RABI))
+            rng = np.random.default_rng(5)
+            p_plus, p_minus = probe_probabilities(0.0, cfg)
+            pairs = list(zip(rng.binomial(50, p_plus, 300), rng.binomial(50, p_minus, 300)))
+            estimator._window_edges(cfg.pulse, cfg.motion, cfg.kappa)
+            calls[0] = 0
+            monkeypatch.setattr(estimator, "g_forward", counted)
+            for a, b in pairs:
+                estimate_from_counts(int(a), int(b), cfg)
+            monkeypatch.undo()
+            # two of them are g_slope's central difference
+            assert calls[0] / len(pairs) <= 2.2, area

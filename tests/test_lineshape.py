@@ -130,44 +130,65 @@ def _table_case(area, nbar):
 
 
 class TestShotTable:
-    @pytest.mark.parametrize("area", [math.pi / 2, math.pi, 3 * math.pi])
+    @pytest.mark.parametrize("area", [math.pi / 2, math.pi, 3 * math.pi, 4 * math.pi])
     @pytest.mark.parametrize("nbar", [0.0, 20.0, 80.0])
     def test_matches_exact_sum_on_dense_grid(self, area, nbar):
         pulse, m = _table_case(area, nbar)
-        grid, _, bound, _, _ = lineshape._shot_table(pulse.rabi, pulse.duration, m)
+        table = lineshape._shot_table(pulse.rabi, pulse.duration, m)
+        grid = table.grid
+        # Bernstein: |p^(k)| <= tau^k / 2, with h tau = 2 area / intervals
+        h_tau = 2.0 * area / (grid.size - 1)
+        assert table.linear_bound == \
+            h_tau ** 2 / 16.0 + 2.0 * lineshape.TABLE_ROUNDING_SLACK
         # every interval midpoint of the table (where linear interpolation
         # errs most), alternating in sign, then points past the span
         mid = 0.5 * (grid[:-1] + grid[1:])
         mid[1::2] *= -1.0
         beyond = np.linspace(1.01, 1.5, 9) * grid[-1]
         deltas = np.concatenate([mid, beyond, -beyond])
-        table, bounds = lineshape._tabulated_excitation(deltas, pulse, m)
+        linear, bounds = lineshape._tabulated_excitation(deltas, pulse, m)
         exact = np.array([thermal_excitation(PulseSpec(RABI, pulse.duration, d), m)
                           for d in mid])
-        err = np.abs(table[:mid.size] - exact)
+        err = np.abs(linear[:mid.size] - exact)
         assert err.max() <= 5e-7
-        assert err.max() <= bound
-        assert np.all(bounds[:mid.size] == bound)
+        assert err.max() <= table.linear_bound
+        assert np.all(bounds[:mid.size] == table.linear_bound)
         # past the span the bound sends every shot to the exact sum
         assert np.all(bounds[mid.size:] == np.inf)
+
+        # the cubic read, at a random point of every interval it can read
+        # (node i + 2 must exist), the first one included: there it
+        # mirrors node 1 to node -1
+        u = np.arange(grid.size - 2) + np.random.default_rng(grid.size).uniform(
+            size=grid.size - 2)
+        u[0] = 0.3
+        cubic = np.array([lineshape._cubic_read(table.floats, x) for x in u])
+        exact = np.array([thermal_excitation(PulseSpec(RABI, pulse.duration, x / table.scale), m)
+                          for x in u])
+        err = np.abs(cubic - exact)
+        assert err.max() <= table.cubic_bound
+        # the truncation bound alone holds, with 1e-13 for the sums' rounding
+        assert err.max() <= 3.0 * h_tau ** 4 / 256.0 + 1e-13
+        # and the read is exact at the nodes
+        assert [lineshape._cubic_read(table.floats, float(i)) for i in range(8)] == \
+            list(table.floats[:8])
 
     def test_pitch_scales_with_inverse_duration(self):
         for area in (math.pi / 2, math.pi, 3 * math.pi):
             pulse, m = _table_case(area, 20.0)
-            grid, values, _, floats, scale = lineshape._shot_table(pulse.rabi,
-                                                                   pulse.duration, m)
-            assert grid[-1] == pytest.approx(2.0 * RABI, rel=1e-12)
-            assert (grid[1] - grid[0]) * pulse.duration == \
+            table = lineshape._shot_table(pulse.rabi, pulse.duration, m)
+            assert table.grid[-1] == pytest.approx(2.0 * RABI, rel=1e-12)
+            assert (table.grid[1] - table.grid[0]) * pulse.duration == \
                 pytest.approx(2.0 * math.pi / lineshape.TABLE_INTERVALS_PER_PI, rel=1e-12)
             # the estimator's copy: the same values as Python floats, 1 / pitch
-            assert floats == tuple(values.tolist())
-            assert scale == 1.0 / float(grid[1])
+            assert table.floats == tuple(table.values.tolist())
+            assert table.scale == 1.0 / float(table.grid[1])
         pulse, m = _table_case(math.pi, 80.0)
-        assert lineshape._shot_table(pulse.rabi, pulse.duration, m)[0].size == 2049
+        assert lineshape._shot_table(pulse.rabi, pulse.duration, m).grid.size == 2049
 
     def test_no_table_beyond_four_pi(self):
         pulse, m = _table_case(4 * math.pi, 20.0)
-        assert lineshape._shot_table(pulse.rabi, pulse.duration, m)[0].size == \
+        assert lineshape._shot_table(pulse.rabi, pulse.duration, m).grid.size == \
             lineshape.TABLE_MAX_INTERVALS + 1
         pulse, m = _table_case(4.01 * math.pi, 20.0)
         assert lineshape._shot_table(pulse.rabi, pulse.duration, m) is None

@@ -17,7 +17,7 @@ from iontrack.simulator import (
     DriftModel,
     ExperimentTimeline,
     CSV_HEADER,
-    SimulationState,
+    _SimulationState,
     TrackingRecord,
     VoltageSchedule,
     drift_correct,
@@ -53,18 +53,18 @@ class TestTimeline:
 
 class TestRunMeasurement:
     def test_advances_clock_exactly(self):
-        state = SimulationState.start(NU0, DriftModel(seed=1))
+        state = _SimulationState.start(NU0, DriftModel(seed=1))
         run_measurement(NU0, state, CFG, TIMELINE, DriftModel(seed=1))
         assert state.time == pytest.approx(2.0, rel=1e-12)
 
     def test_shots_per_side_mismatch_rejected(self):
-        state = SimulationState.start(NU0, DriftModel(seed=1))
+        state = _SimulationState.start(NU0, DriftModel(seed=1))
         other = ExperimentTimeline(shots_per_side=10)
         with pytest.raises(ValueError):
             run_measurement(NU0, state, CFG, other, DriftModel(seed=1))
 
     def test_centered_probe_estimates_near_zero(self):
-        state = SimulationState.start(NU0, DriftModel(seed=3))
+        state = _SimulationState.start(NU0, DriftModel(seed=3))
         c_plus, c_minus, true_mean = run_measurement(NU0, state, CFG, TIMELINE,
                                                      DriftModel(seed=3))
         assert abs(estimate_from_counts(c_plus, c_minus, CFG).delta) < 0.2 * RABI
@@ -74,7 +74,7 @@ class TestRunMeasurement:
         # detection_error_bright = 1 flips every bright event to dark, so
         # both sides count zero and the estimate has nothing to invert.
         broken = ExperimentTimeline(detection_error_bright=1.0)
-        state = SimulationState.start(NU0, DriftModel(seed=4))
+        state = _SimulationState.start(NU0, DriftModel(seed=4))
         c_plus, c_minus, _ = run_measurement(NU0, state, CFG, broken, DriftModel(seed=4))
         assert (c_plus, c_minus) == (0, 0)
         with pytest.raises(NoSignalError, match="no signal"):
@@ -102,7 +102,7 @@ class TestDeterminism:
         for drift in (DriftModel(seed=5),
                       DriftModel(linear_rate=TWO_PI * 8.2, seed=5),
                       DriftModel(random_walk=TWO_PI * 2.0, seed=5)):
-            state = SimulationState.start(NU0, drift)
+            state = _SimulationState.start(NU0, drift)
             run_measurement(NU0, state, CFG, TIMELINE, drift)
             streams.append(state.rng.standard_normal())
         assert streams[0] == streams[1] == streams[2]
@@ -172,8 +172,8 @@ class TestBatchedShots:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_per_shot_reference(self, timeline, seed):
         drift = replace(self.NOISY, seed=seed)
-        ours = SimulationState.start(NU0, drift)
-        ref = SimulationState.start(NU0, drift)
+        ours = _SimulationState.start(NU0, drift)
+        ref = _SimulationState.start(NU0, drift)
         for offset in (0.0, 0.05 * RABI, -0.15 * RABI):
             assert run_measurement(NU0 + offset, ours, CFG, timeline, drift) == \
                 _per_shot_counts(NU0 + offset, ref, CFG, timeline, drift)
