@@ -42,7 +42,7 @@ from .estimator import (
     g_slope,
     probe_probabilities,
 )
-from .lineshape import MotionalModel, excitation_profile, fwhm
+from .lineshape import MAX_PROFILE_ELEMENTS, MotionalModel, excitation_profile, fwhm
 from .simulator import CSV_HEADER, drift_correct, run_tracking, run_voltage_scan
 
 __all__ = ["main"]
@@ -179,7 +179,9 @@ def cmd_lineshape(cfg: RunConfig, out_dir: str, fmt: str) -> None:
 _SPECTRUM_HEADER = ["detuning_hz", "counts", "shots"]
 
 
-def _read_spectrum_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _read_spectrum_csv(path: str, motion: MotionalModel
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(detuning_hz, counts, shots) of a spectrum file to fit under `motion`."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -207,15 +209,20 @@ def _read_spectrum_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 f"{path}: line {lineno}: counts must lie in [0, shots], shots >= 1")
     if not detuning:
         raise UsageError(f"{path}: no data rows")
+    terms = motion.n_cutoff + 1
+    if len(detuning) * terms > MAX_PROFILE_ELEMENTS:
+        raise UsageError(f"{path}: data rows x Fock terms ({len(detuning)} x {terms}) "
+                         f"must be at most {MAX_PROFILE_ELEMENTS}")
     return (np.asarray(detuning), np.asarray(counts, dtype=int),
             np.asarray(shots, dtype=int))
 
 
 def cmd_fit_spectrum(cfg: RunConfig, input_path: str, out_dir: str, fmt: str) -> None:
-    detuning_hz, counts, shots = _read_spectrum_csv(input_path)
+    motion = cfg.motion()
+    detuning_hz, counts, shots = _read_spectrum_csv(input_path, motion)
     excitation = counts / shots
     try:
-        result = fit_spectrum(TWO_PI * detuning_hz, excitation, shots, cfg.motion())
+        result = fit_spectrum(TWO_PI * detuning_hz, excitation, shots, motion)
     except (SpectrumFitError, ValueError) as exc:
         raise NumericalError(f"spectrum fit: {exc}") from exc
     stderr = np.sqrt(np.diag(result.covariance))

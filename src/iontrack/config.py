@@ -22,7 +22,8 @@ from .atomphys import (
     transition_frequency,
 )
 from .estimator import TwoPointConfig
-from .lineshape import LINEWIDTH_CALIBRATED_ETA, MotionalModel, PulseSpec, compute_eta
+from .lineshape import (LINEWIDTH_CALIBRATED_ETA, MAX_PROFILE_ELEMENTS, MotionalModel,
+                        PulseSpec, compute_eta)
 from .simulator import DriftModel, ExperimentTimeline, VoltageSchedule
 
 __all__ = ["ConfigError", "RunConfig", "default_config", "loads", "load_config", "emit"]
@@ -37,8 +38,9 @@ MAX_CYCLES = 10 ** 6
 # A sensitivity cell holds about 70 B per seed (two count arrays, the
 # estimates as a list and as an array): 10^6 seeds hold about 70 MB.
 MAX_SEEDS = 10 ** 6
-# A lineshape profile holds a few points x Fock-terms arrays at once,
-# about 33 KB per point at nbar = 100: 10^4 points peak near 0.33 GB.
+# A lineshape profile holds about 32 B per point and Fock term: 10^4
+# points would take about 32 GB at nbar = 10^4 (cutoff 10^5), so
+# validation also bounds points x (cutoff + 1) by MAX_PROFILE_ELEMENTS.
 MAX_LINESHAPE_POINTS = 10 ** 4
 
 
@@ -207,8 +209,6 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self.variant not in BREIT_RABI_VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.shots_per_side < 1:
-            raise ConfigError("shots_per_side must be at least 1")
         for name, low, high in (("n_cycles", 1, MAX_CYCLES),
                                 ("n_seeds", 2, MAX_SEEDS),
                                 ("lineshape_n_points", 2, MAX_LINESHAPE_POINTS)):
@@ -225,9 +225,12 @@ class RunConfig:
             raise ConfigError("lineshape_nbar_values must not be empty")
         for nbar in self.lineshape_nbar_values:
             try:
-                replace(self.motion(), nbar=nbar)
+                terms = replace(self.motion(), nbar=nbar).n_cutoff + 1
             except ValueError as exc:
                 raise ConfigError(f"lineshape_nbar_values: {exc}") from exc
+            if self.lineshape_n_points * terms > MAX_PROFILE_ELEMENTS:
+                raise ConfigError(f"lineshape_n_points x {terms} Fock terms at nbar = "
+                                  f"{nbar!r} must be at most {MAX_PROFILE_ELEMENTS}")
         if any(v < 0.0 for v in self.offsets_rabi):
             raise ConfigError("offsets_rabi must be non-negative")
 

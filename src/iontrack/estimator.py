@@ -66,8 +66,8 @@ class TwoPointConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.kappa < 1.0:
             raise ValueError("kappa must be in (0, 1)")
-        if self.shots_per_side < 0:
-            raise ValueError("shots_per_side must be non-negative")
+        if self.shots_per_side < 1:
+            raise ValueError("shots_per_side must be at least 1")
 
     @property
     def window_halfwidth(self) -> float:
@@ -77,10 +77,9 @@ class TwoPointConfig:
 
 def probe_probabilities(delta: float, cfg: TwoPointConfig) -> tuple[float, float]:
     """Noise-free excitation (P+, P-) at the two probe points, truth at delta."""
-    rabi, duration = cfg.pulse.rabi, cfg.pulse.duration
-    off = cfg.kappa * rabi
-    return (thermal_excitation(PulseSpec(rabi, duration, delta - off), cfg.motion),
-            thermal_excitation(PulseSpec(rabi, duration, delta + off), cfg.motion))
+    off = cfg.kappa * cfg.pulse.rabi
+    return (thermal_excitation(delta - off, cfg.pulse, cfg.motion),
+            thermal_excitation(delta + off, cfg.pulse, cfg.motion))
 
 
 def g_forward(delta: float, cfg: TwoPointConfig) -> float:
@@ -145,7 +144,7 @@ def g_invert(g_value: float, cfg: TwoPointConfig) -> tuple[float, bool]:
         return w, g_value <= g_hi
     if g_value <= g_lo:
         return -w, g_value >= g_lo
-    table = _shot_table(cfg.pulse.rabi, cfg.pulse.duration, cfg.motion)
+    table = _shot_table(cfg.pulse, cfg.motion)
     if table is None or len(table.floats) < 5:    # the cubic needs 4 intervals
         read = None
     else:
@@ -208,8 +207,6 @@ def estimate_from_counts(counts_plus: int, counts_minus: int,
                          cfg: TwoPointConfig) -> EstimateResult:
     """Estimate the frequency offset from bright counts on each side."""
     n = cfg.shots_per_side
-    if n < 1:
-        raise ValueError("configuration has no shots per side")
     for c in (counts_plus, counts_minus):
         if not 0 <= c <= n:
             raise ValueError("counts must be between 0 and shots_per_side")

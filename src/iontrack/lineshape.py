@@ -7,13 +7,14 @@ Laguerre-polynomial factor L_n(eta^2) (normalised to the n = 0
 coupling), and a thermal state averages the Fock-state excitation
 probabilities with geometric weights.
 
-Detunings are angular (rad/s), durations are seconds.
+Detunings are angular (rad/s) and passed beside the pulse, not in it;
+durations are seconds.
 
 The shot-by-shot simulator asks for the thermal excitation at a new
 detuning on every shot.  For that path `_shot_table` tabulates p(|delta|)
-once per (Omega_0, duration, motion): p is even in delta, and the table
-spans [0, 2 Omega_0] with pitch h = 2 pi / (2048 tau) (about
-3.07e-3 / tau, 2049 points for a pi pulse).
+once per pulse and motion: p is even in delta, and the table spans
+[0, 2 Omega_0] with pitch h = 2 pi / (2048 tau) (about 3.07e-3 / tau,
+2049 points for a pi pulse).
 
 Its error bounds come from Bernstein's inequality for entire functions
 of exponential type (Boas, Entire Functions, 1954, Thm 11.1.2): if f is
@@ -46,7 +47,7 @@ the cubic bound (see `estimator`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -72,10 +73,12 @@ THERMAL_CUTOFF_FACTOR = 10
 MIN_THERMAL_CUTOFF = 30
 # Largest cutoff, so nbar <= 10^4, that a MotionalModel accepts.  At the
 # cap the cached weights and couplings hold 3.8 MB and a scalar thermal
-# sum peaks 2.3 MB above them (measured); a profile holds about 32 B per
-# point and Fock term (127 MB for 401 points at cutoff 10^4), so a
-# 401-point lineshape at the cap takes about 1.3 GB.
+# sum peaks 2.3 MB above them (measured).
 MAX_THERMAL_CUTOFF = 10 ** 5
+# Largest points x Fock terms (cutoff + 1) of a lineshape table or a
+# spectrum fit: at about 32 B per point and term (127 MB for 401 points
+# at cutoff 10^4), 2^24 elements peak near 0.54 GB.
+MAX_PROFILE_ELEMENTS = 1 << 24
 
 # Per-shot table (see the module docstring).  Building a table of N
 # points costs as much as 0.5 N to 1.7 N exact per-shot sums (measured
@@ -112,21 +115,18 @@ class PulseSpec:
     """A single square interrogation pulse.
 
     rabi is the bare (n = 0) Rabi frequency Omega_0 in rad/s, duration
-    is the pulse length in s, detuning is the probe offset from the
-    transition in rad/s (positive means the probe is above resonance).
+    is the pulse length in s.  The probe detuning is not part of the
+    pulse: each lineshape function takes it as an argument.
     """
 
     rabi: float
     duration: float
-    detuning: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rabi < math.inf:
             raise ValueError("Rabi frequency must be positive and finite")
         if not 0.0 < self.duration < math.inf:
             raise ValueError("pulse duration must be positive and finite")
-        if not math.isfinite(self.detuning):
-            raise ValueError("pulse detuning must be finite")
 
     @classmethod
     def pi_pulse(cls, rabi: float) -> "PulseSpec":
@@ -206,10 +206,12 @@ def _excitation(omega2, delta, duration):
     return np.where(total2 > 0.0, p, 0.0)
 
 
-def thermal_excitation(pulse: PulseSpec, motion: MotionalModel) -> float:
-    """Thermally averaged excitation probability after the pulse."""
+def thermal_excitation(detuning: float, pulse: PulseSpec, motion: MotionalModel) -> float:
+    """Thermal excitation probability after the pulse at a finite detuning (rad/s)."""
+    if not math.isfinite(detuning):
+        raise ValueError("pulse detuning must be finite")
     weights = _motional_arrays(motion)[0]
-    p = _excitation(_omega2(pulse.rabi, motion), pulse.detuning, pulse.duration)
+    p = _excitation(_omega2(pulse.rabi, motion), detuning, pulse.duration)
     return float(np.dot(weights, p))
 
 
@@ -233,7 +235,7 @@ class _ShotTable(NamedTuple):
 
 
 @lru_cache(maxsize=16)
-def _shot_table(rabi: float, duration: float, motion: MotionalModel) -> _ShotTable | None:
+def _shot_table(pulse: PulseSpec, motion: MotionalModel) -> _ShotTable | None:
     """The per-shot table for this pulse and motion, or None above TABLE_MAX_INTERVALS.
 
     Without a table, callers use the exact sum throughout.  `floats`
@@ -241,13 +243,12 @@ def _shot_table(rabi: float, duration: float, motion: MotionalModel) -> _ShotTab
     point: indexing the numpy array would box each one.  The rows are
     evaluated TABLE_CHUNK_ELEMENTS Fock terms at a time.
     """
-    area = rabi * duration
+    area = pulse.rabi * pulse.duration
     intervals = max(1, round(area / math.pi * TABLE_INTERVALS_PER_PI))
     if intervals > TABLE_MAX_INTERVALS:
         return None
-    pitch = 2.0 * rabi / intervals
+    pitch = 2.0 * pulse.rabi / intervals
     grid = np.arange(intervals + 1) * pitch
-    pulse = PulseSpec(rabi=rabi, duration=duration)
     rows = max(1, TABLE_CHUNK_ELEMENTS // (motion.n_cutoff + 1))
     values = np.concatenate([excitation_profile(grid[i:i + rows], pulse, motion)
                              for i in range(0, grid.size, rows)])
@@ -290,7 +291,7 @@ def _tabulated_excitation(detunings: np.ndarray, pulse: PulseSpec,
     a caller that recomputes every entry within its bound gets the
     exact thermal sum there.
     """
-    table = _shot_table(pulse.rabi, pulse.duration, motion)
+    table = _shot_table(pulse, motion)
     if table is None:
         return np.zeros(detunings.shape), np.full(detunings.shape, np.inf)
     magnitude = np.abs(detunings)
@@ -306,11 +307,7 @@ def fwhm(motion: MotionalModel, pulse: PulseSpec) -> float:
     times the bare Rabi frequency.
     """
     omega = pulse.rabi
-
-    def profile(deltas):
-        return excitation_profile(deltas, replace(pulse, detuning=0.0), motion)
-
-    peak = float(profile(np.array([0.0]))[0])
+    peak = float(excitation_profile(np.array([0.0]), pulse, motion)[0])
     if peak <= 0.0:
         raise ValueError("no excitation at zero detuning; not a usable line")
     half = 0.5 * peak
@@ -318,7 +315,7 @@ def fwhm(motion: MotionalModel, pulse: PulseSpec) -> float:
     grid = np.arange(1, 101) * step          # out to 5 Omega_0
     widths = []
     for side in (+1.0, -1.0):
-        values = profile(side * grid)
+        values = excitation_profile(side * grid, pulse, motion)
         if np.any(values > peak):
             raise ValueError("line peak is not at zero detuning")
         below = np.nonzero(values < half)[0]
@@ -329,7 +326,7 @@ def fwhm(motion: MotionalModel, pulse: PulseSpec) -> float:
         hi = grid[k]
         while hi - lo > FWHM_RESOLUTION * omega:
             mid = 0.5 * (lo + hi)
-            if float(profile(np.array([side * mid]))[0]) < half:
+            if float(excitation_profile(np.array([side * mid]), pulse, motion)[0]) < half:
                 hi = mid
             else:
                 lo = mid

@@ -9,7 +9,8 @@ anchor a linear drift correction.
 
 All randomness flows through one numpy Generator seeded from the drift
 model, so identical configurations and seeds give bit-identical
-records.  Every repetition tick consumes the same number of draws
+records.  The tracking loop holds it, the drifting resonance and the
+clock, and passes them through `run_measurement` cycle by cycle.  Every repetition tick consumes the same number of draws
 (two uniforms for the detection, then one Gaussian for the drift
 increment) regardless of which noise terms are enabled, so switching a
 term off does not shift the rest of the stream.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -90,8 +91,8 @@ class ExperimentTimeline:
     def __post_init__(self) -> None:
         if not 0.0 < self.rep_period < math.inf:
             raise ValueError("rep_period must be positive and finite")
-        if self.shots_per_side < 0:
-            raise ValueError("shots_per_side must be non-negative")
+        if self.shots_per_side < 1:
+            raise ValueError("shots_per_side must be at least 1")
         for err in (self.detection_error_bright, self.detection_error_dark):
             if not 0.0 <= err <= 1.0:
                 raise ValueError("detection errors must be probabilities")
@@ -102,20 +103,6 @@ class ExperimentTimeline:
     def measurement_duration(self) -> float:
         """Wall-clock time of one two-point measurement, s."""
         return 2.0 * self.shots_per_side * self.rep_period
-
-
-@dataclass
-class _SimulationState:
-    """Mutable truth carried between measurements."""
-
-    base_nu: float          # drifting resonance without the line term, rad/s
-    time: float
-    rng: np.random.Generator
-
-    @classmethod
-    def start(cls, initial_nu: float, drift: DriftModel) -> "_SimulationState":
-        return cls(base_nu=float(initial_nu), time=0.0,
-                   rng=np.random.default_rng(drift.seed))
 
 
 def _shot_sides(timeline: ExperimentTimeline) -> np.ndarray:
@@ -139,19 +126,21 @@ def _bright_shots(detunings: np.ndarray, uniforms: np.ndarray,
     """
     p, bound = _tabulated_excitation(detunings, pulse, motion)
     for i in np.flatnonzero(np.abs(uniforms - p) <= bound):
-        p[i] = thermal_excitation(replace(pulse, detuning=float(detunings[i])), motion)
+        p[i] = thermal_excitation(float(detunings[i]), pulse, motion)
     return uniforms < p
 
 
-def run_measurement(nu0: float, state: _SimulationState, cfg: TwoPointConfig,
+def run_measurement(nu0: float, rng: np.random.Generator, cfg: TwoPointConfig,
                     timeline: ExperimentTimeline, drift: DriftModel,
-                    resonance_offset: float = 0.0) -> tuple[int, int, float]:
-    """One two-point measurement around nu0; advances the state in place.
+                    base_nu: float, time: float, resonance_offset: float = 0.0
+                    ) -> tuple[int, int, float, float, float]:
+    """One two-point measurement around nu0 from `time` (s), drawing from rng.
 
-    Returns the bright counts on the + and - sides and the shot-averaged
-    true resonance over the measurement; turning the counts into an
-    estimate is left to the caller.  The state clock moves by exactly
-    2 * shots_per_side * rep_period.
+    base_nu is the drifting resonance without the line term and
+    resonance_offset (rad/s).  Returns the bright counts on the + and -
+    sides, the shot-averaged true resonance, and base_nu and time after
+    2 * shots_per_side ticks of rep_period; turning the counts into an
+    estimate is left to the caller.
 
     Each tick records the true resonance and draws, in this order, the
     flop uniform, the detection-error uniform and the drift Gaussian.
@@ -161,19 +150,16 @@ def run_measurement(nu0: float, state: _SimulationState, cfg: TwoPointConfig,
     """
     if timeline.shots_per_side != cfg.shots_per_side:
         raise ValueError("timeline and estimator disagree on shots_per_side")
-    if cfg.shots_per_side < 1:
-        raise ValueError("need at least one shot per side")
     sides = _shot_sides(timeline)
     ticks = sides.size
     truth = np.empty(ticks)
     flop = np.empty(ticks)
     flip = np.empty(ticks)
-    random, gauss = state.rng.random, state.rng.standard_normal
+    random, gauss = rng.random, rng.standard_normal
     dt = timeline.rep_period
     ramp = drift.linear_rate * dt
     kick = drift.random_walk * math.sqrt(dt)
     line_omega = 2.0 * math.pi * LINE_FREQUENCY_HZ
-    base_nu, time = state.base_nu, state.time
     true_sum = 0.0
     for i in range(ticks):
         tn = base_nu + drift.line_amplitude * math.sin(line_omega * time) + resonance_offset
@@ -183,7 +169,6 @@ def run_measurement(nu0: float, state: _SimulationState, cfg: TwoPointConfig,
         base_nu += ramp + kick * gauss()
         time += dt
         true_sum += tn
-    state.base_nu, state.time = base_nu, time
     # Bernoulli flop, then the detection-error channel
     bright = _bright_shots(truth - (nu0 + sides * (cfg.kappa * cfg.pulse.rabi)),
                            flop, cfg.pulse, cfg.motion)
@@ -191,7 +176,7 @@ def run_measurement(nu0: float, state: _SimulationState, cfg: TwoPointConfig,
                        flip < timeline.detection_error_dark)
     count_plus = int(np.count_nonzero(counted & (sides > 0)))
     count_minus = int(np.count_nonzero(counted & (sides < 0)))
-    return count_plus, count_minus, true_sum / (2.0 * cfg.shots_per_side)
+    return count_plus, count_minus, true_sum / (2.0 * cfg.shots_per_side), base_nu, time
 
 
 def _file_column(name: str, divisor: float | None):
@@ -293,7 +278,8 @@ def _run_cycles(cycle_voltages, initial_nu0: float, drift: DriftModel,
     no-signal pair (0, 0) is not kept, so each such cycle reaches
     `estimate_from_counts`.
     """
-    state = _SimulationState.start(initial_nu0, drift)
+    rng = np.random.default_rng(drift.seed)
+    base_nu, time = float(initial_nu0), 0.0
     rows = []
     estimates: dict[tuple[int, int], tuple[float, float, bool]] = {}
     base_estimate = float(initial_nu0)
@@ -302,9 +288,9 @@ def _run_cycles(cycle_voltages, initial_nu0: float, drift: DriftModel,
     for voltage in cycle_voltages:
         shift = shift_of_voltage(voltage)
         nu0 = base_estimate + shift
-        t_start = state.time
-        count_plus, count_minus, true_mean = run_measurement(
-            nu0, state, cfg, timeline, drift, resonance_offset=shift)
+        t_start = time
+        count_plus, count_minus, true_mean, base_nu, time = run_measurement(
+            nu0, rng, cfg, timeline, drift, base_nu, time, shift)
         estimate = estimates.get((count_plus, count_minus))
         if estimate is None:
             try:

@@ -10,7 +10,8 @@ import pytest
 
 from iontrack import atomphys, cli
 from iontrack.cli import NumericalError, _write_outputs, main
-from iontrack.lineshape import MotionalModel, PulseSpec, excitation_profile, fwhm
+from iontrack.lineshape import (MAX_PROFILE_ELEMENTS, MotionalModel, PulseSpec,
+                                excitation_profile, fwhm)
 from iontrack.simulator import TrackingRecord
 
 TWO_PI = 2.0 * math.pi
@@ -159,6 +160,22 @@ class TestFitSpectrum:
         assert main(["fit-spectrum", str(bad), "--out", str(tmp_path)]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_rows_times_fock_terms_bounded(self, tmp_path, capsys):
+        # at nbar = 10^4 every row costs 100001 Fock terms per model evaluation
+        motion = MotionalModel(nbar=1e4, eta=0.026)
+        fits = MAX_PROFILE_ELEMENTS // (motion.n_cutoff + 1)
+        spectrum = tmp_path / "long.csv"
+        spectrum.write_text("detuning_hz,counts,shots\n" + "0.0,5,100\n" * fits)
+        assert cli._read_spectrum_csv(str(spectrum), motion)[0].size == fits
+        spectrum.write_text("detuning_hz,counts,shots\n" + "0.0,5,100\n" * (fits + 1))
+        cfg = tmp_path / "hot.ini"
+        cfg.write_text("[motion]\nnbar = 10000\n")
+        out = tmp_path / "out"
+        assert main(["fit-spectrum", str(spectrum), "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert "must be at most" in capsys.readouterr().err
+        assert tree_bytes(out) == {}
+
     def test_missing_input_rejected(self, tmp_path):
         assert main(["fit-spectrum", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 1
@@ -263,6 +280,17 @@ class TestTrack:
         assert main(["track", "--config", str(cfg), "--out", str(out),
                      "--format", "json"]) == 1
         assert "initial_nu0_hz = 1e+308 overflows" in capsys.readouterr().err
+        assert tree_bytes(out) == {}
+
+    def test_infinite_truth_is_numerical_failure(self, tmp_path, capsys):
+        # a finite drift rate and period whose product overflows: the true
+        # resonance, and with it every shot's detuning, is infinite
+        cfg = tmp_path / "runaway.ini"
+        cfg.write_text("[drift]\nlinear_rate_hz_per_s = 1e307\n\n"
+                       "[timeline]\nrep_period_s = 1e300\n\n[tracking]\nn_cycles = 3\n")
+        out = tmp_path / "out"
+        assert main(["track", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "tracking: pulse detuning must be finite" in capsys.readouterr().err
         assert tree_bytes(out) == {}
 
     def test_runaway_drift_loses_lock(self, tmp_path):

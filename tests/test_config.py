@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from iontrack import config
+from iontrack import config, lineshape
 from iontrack.config import (ConfigError, RunConfig, default_config, emit,
                              load_config, loads)
 from iontrack.simulator import DriftModel, VoltageSchedule
@@ -107,7 +107,6 @@ class TestLoads:
 
     @pytest.mark.parametrize("builder, name, value", [
         ("pulse", "rabi", math.nan),
-        ("pulse", "detuning", math.nan),
         ("pulse", "duration", math.inf),
         ("trap", "gradient", math.nan),
         ("trap", "omega_z", math.inf),
@@ -127,6 +126,16 @@ class TestLoads:
     def test_thermal_cutoff_bounded(self, section, key):
         with pytest.raises(ConfigError, match="needs a thermal cutoff above"):
             loads(f"[{section}]\n{key} = 1e9\n")
+
+    def test_profile_size_bounded(self):
+        # points x Fock terms of every lineshape nbar: 100001 terms at nbar = 10^4
+        fits = lineshape.MAX_PROFILE_ELEMENTS // 100001
+        assert loads(f"[lineshape]\nn_points = {fits}\nnbar_values = 0 10000\n"
+                     ).lineshape_n_points == fits
+        for text in (f"[lineshape]\nn_points = {fits + 1}\nnbar_values = 0 10000\n",
+                     "[lineshape]\nn_points = 10000\nnbar_values = 10000\n"):
+            with pytest.raises(ConfigError, match="must be at most"):
+                loads(text)
 
     def test_seed_override(self):
         assert loads("", seed=777).seed == 777

@@ -37,6 +37,11 @@ class TestConfig:
             with pytest.raises(ValueError):
                 TwoPointConfig(pulse=PULSE, motion=GROUND.motion, kappa=bad)
 
+    @pytest.mark.parametrize("shots", [0, -1])
+    def test_shots_per_side_at_least_one(self, shots):
+        with pytest.raises(ValueError, match="shots_per_side must be at least 1"):
+            TwoPointConfig(pulse=PULSE, motion=GROUND.motion, shots_per_side=shots)
+
 
 class TestGMap:
     def test_zero_at_center(self):
@@ -62,10 +67,8 @@ class TestGMap:
         off = cfg.kappa * RABI
         for delta in (0.0, 0.0731 * RABI, -0.2 * RABI, 0.8 * RABI, 3.1 * RABI):
             assert probe_probabilities(delta, cfg) == (
-                thermal_excitation(PulseSpec(RABI, PULSE.duration, delta - off),
-                                   cfg.motion),
-                thermal_excitation(PulseSpec(RABI, PULSE.duration, delta + off),
-                                   cfg.motion))
+                thermal_excitation(delta - off, PULSE, cfg.motion),
+                thermal_excitation(delta + off, PULSE, cfg.motion))
 
     @pytest.mark.parametrize("cfg", [GROUND, HOT])
     def test_cached_window_edges_equal_g_forward(self, cfg):
@@ -257,7 +260,7 @@ class TestCertifiedDecisions:
     @pytest.mark.parametrize("area", [0.5, 1.0, 3.0, 5.0])
     def test_equals_plain_bisection(self, area, nbar, kappa):
         cfg = area_config(area, nbar, kappa)
-        table = lineshape._shot_table(RABI, cfg.pulse.duration, cfg.motion)
+        table = lineshape._shot_table(cfg.pulse, cfg.motion)
         assert (table is None) == (area == 5.0)
         w = cfg.window_halfwidth
         edges = g_forward(-w, cfg), g_forward(w, cfg)
@@ -283,7 +286,7 @@ class TestCertifiedDecisions:
     def test_tables_too_short_for_the_cubic_use_the_exact_sum(self):
         # a 1.6e-3 rad pulse: one table interval, fewer than the cubic's 4
         cfg = area_config(5e-4, 5.0, 0.8)
-        assert lineshape._shot_table(RABI, cfg.pulse.duration, cfg.motion).grid.size == 2
+        assert lineshape._shot_table(cfg.pulse, cfg.motion).grid.size == 2
         w = cfg.window_halfwidth
         for g in np.linspace(g_forward(-w, cfg), g_forward(w, cfg), 7)[1:-1]:
             assert g_invert(g, cfg) == plain_invert(g, cfg), g
@@ -298,7 +301,7 @@ class TestCertifiedDecisions:
         # than the table itself makes.  g values between g and this g~
         # must still go to g_forward.
         cfg = area_config(area, 80.0, 0.8)
-        table = lineshape._shot_table(RABI, cfg.pulse.duration, cfg.motion)
+        table = lineshape._shot_table(cfg.pulse, cfg.motion)
         off = cfg.kappa * RABI
         shift = 0.9 * lineshape.TABLE_ROUNDING_SLACK * np.sign(off - table.grid)
         skewed = table._replace(floats=tuple((table.values + shift).tolist()))

@@ -85,7 +85,7 @@ class TestThermalWeights:
 
 class TestExcitation:
     def test_resonant_pi_pulse_inverts(self):
-        assert thermal_excitation(PI_PULSE, motion(0.0, eta=0.0)) == \
+        assert thermal_excitation(0.0, PI_PULSE, motion(0.0, eta=0.0)) == \
             pytest.approx(1.0, abs=1e-12)
 
     def test_zero_where_coupling_and_detuning_vanish(self):
@@ -95,16 +95,19 @@ class TestExcitation:
         assert p[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_probe_point_value(self):
-        pulse = PulseSpec(RABI, PI_PULSE.duration, detuning=0.8 * RABI)
-        assert thermal_excitation(pulse, motion(0.0)) == \
+        assert thermal_excitation(0.8 * RABI, PI_PULSE, motion(0.0)) == \
             pytest.approx(0.4987531196801067, rel=1e-12)
+
+    @pytest.mark.parametrize("detuning", [math.nan, math.inf, -math.inf])
+    def test_non_finite_detuning_rejected(self, detuning):
+        with pytest.raises(ValueError, match="pulse detuning must be finite"):
+            thermal_excitation(detuning, PI_PULSE, motion(0.0))
 
     def test_profile_matches_scalar(self):
         m = motion(20.0)
         detunings = np.array([-0.7, 0.0, 0.4, 1.3]) * RABI
         profile = excitation_profile(detunings, PI_PULSE, m)
-        scalars = [thermal_excitation(
-            PulseSpec(RABI, PI_PULSE.duration, d), m) for d in detunings]
+        scalars = [thermal_excitation(d, PI_PULSE, m) for d in detunings]
         np.testing.assert_allclose(profile, scalars, rtol=1e-12)
 
     @given(st.floats(min_value=-5.0, max_value=5.0),
@@ -112,16 +115,14 @@ class TestExcitation:
     @settings(max_examples=60, deadline=None)
     def test_symmetry_and_bounds(self, frac, nbar):
         m = motion(nbar)
-        plus = thermal_excitation(
-            PulseSpec(RABI, PI_PULSE.duration, frac * RABI), m)
-        minus = thermal_excitation(
-            PulseSpec(RABI, PI_PULSE.duration, -frac * RABI), m)
+        plus = thermal_excitation(frac * RABI, PI_PULSE, m)
+        minus = thermal_excitation(-frac * RABI, PI_PULSE, m)
         assert plus == pytest.approx(minus, rel=1e-10, abs=1e-12)
         assert 0.0 <= plus <= 1.0
 
     def test_thermal_averaging_lowers_peak(self):
-        assert thermal_excitation(PI_PULSE, motion(100.0)) < \
-            thermal_excitation(PI_PULSE, motion(0.0))
+        assert thermal_excitation(0.0, PI_PULSE, motion(100.0)) < \
+            thermal_excitation(0.0, PI_PULSE, motion(0.0))
 
 
 def _table_case(area, nbar):
@@ -134,7 +135,7 @@ class TestShotTable:
     @pytest.mark.parametrize("nbar", [0.0, 20.0, 80.0])
     def test_matches_exact_sum_on_dense_grid(self, area, nbar):
         pulse, m = _table_case(area, nbar)
-        table = lineshape._shot_table(pulse.rabi, pulse.duration, m)
+        table = lineshape._shot_table(pulse, m)
         grid = table.grid
         # Bernstein: |p^(k)| <= tau^k / 2, with h tau = 2 area / intervals
         h_tau = 2.0 * area / (grid.size - 1)
@@ -147,8 +148,7 @@ class TestShotTable:
         beyond = np.linspace(1.01, 1.5, 9) * grid[-1]
         deltas = np.concatenate([mid, beyond, -beyond])
         linear, bounds = lineshape._tabulated_excitation(deltas, pulse, m)
-        exact = np.array([thermal_excitation(PulseSpec(RABI, pulse.duration, d), m)
-                          for d in mid])
+        exact = np.array([thermal_excitation(d, pulse, m) for d in mid])
         err = np.abs(linear[:mid.size] - exact)
         assert err.max() <= 5e-7
         assert err.max() <= table.linear_bound
@@ -163,8 +163,7 @@ class TestShotTable:
             size=grid.size - 2)
         u[0] = 0.3
         cubic = np.array([lineshape._cubic_read(table.floats, x) for x in u])
-        exact = np.array([thermal_excitation(PulseSpec(RABI, pulse.duration, x / table.scale), m)
-                          for x in u])
+        exact = np.array([thermal_excitation(x / table.scale, pulse, m) for x in u])
         err = np.abs(cubic - exact)
         assert err.max() <= table.cubic_bound
         # the truncation bound alone holds, with 1e-13 for the sums' rounding
@@ -176,7 +175,7 @@ class TestShotTable:
     def test_pitch_scales_with_inverse_duration(self):
         for area in (math.pi / 2, math.pi, 3 * math.pi):
             pulse, m = _table_case(area, 20.0)
-            table = lineshape._shot_table(pulse.rabi, pulse.duration, m)
+            table = lineshape._shot_table(pulse, m)
             assert table.grid[-1] == pytest.approx(2.0 * RABI, rel=1e-12)
             assert (table.grid[1] - table.grid[0]) * pulse.duration == \
                 pytest.approx(2.0 * math.pi / lineshape.TABLE_INTERVALS_PER_PI, rel=1e-12)
@@ -184,14 +183,14 @@ class TestShotTable:
             assert table.floats == tuple(table.values.tolist())
             assert table.scale == 1.0 / float(table.grid[1])
         pulse, m = _table_case(math.pi, 80.0)
-        assert lineshape._shot_table(pulse.rabi, pulse.duration, m).grid.size == 2049
+        assert lineshape._shot_table(pulse, m).grid.size == 2049
 
     def test_no_table_beyond_four_pi(self):
         pulse, m = _table_case(4 * math.pi, 20.0)
-        assert lineshape._shot_table(pulse.rabi, pulse.duration, m).grid.size == \
+        assert lineshape._shot_table(pulse, m).grid.size == \
             lineshape.TABLE_MAX_INTERVALS + 1
         pulse, m = _table_case(4.01 * math.pi, 20.0)
-        assert lineshape._shot_table(pulse.rabi, pulse.duration, m) is None
+        assert lineshape._shot_table(pulse, m) is None
         _, bounds = lineshape._tabulated_excitation(np.array([0.1, -0.7]) * RABI,
                                                     pulse, m)
         assert np.all(bounds == np.inf)

@@ -17,7 +17,6 @@ from iontrack.simulator import (
     DriftModel,
     ExperimentTimeline,
     CSV_HEADER,
-    _SimulationState,
     TrackingRecord,
     VoltageSchedule,
     drift_correct,
@@ -49,24 +48,26 @@ class TestTimeline:
             ExperimentTimeline(detection_error_bright=1.5)
         with pytest.raises(ValueError):
             ExperimentTimeline(shot_order="random")
+        for shots in (0, -1):
+            with pytest.raises(ValueError, match="shots_per_side must be at least 1"):
+                ExperimentTimeline(shots_per_side=shots)
 
 
 class TestRunMeasurement:
     def test_advances_clock_exactly(self):
-        state = _SimulationState.start(NU0, DriftModel(seed=1))
-        run_measurement(NU0, state, CFG, TIMELINE, DriftModel(seed=1))
-        assert state.time == pytest.approx(2.0, rel=1e-12)
+        *_, time = run_measurement(NU0, np.random.default_rng(1), CFG, TIMELINE,
+                                   DriftModel(seed=1), NU0, 0.0)
+        assert time == pytest.approx(2.0, rel=1e-12)
 
     def test_shots_per_side_mismatch_rejected(self):
-        state = _SimulationState.start(NU0, DriftModel(seed=1))
         other = ExperimentTimeline(shots_per_side=10)
         with pytest.raises(ValueError):
-            run_measurement(NU0, state, CFG, other, DriftModel(seed=1))
+            run_measurement(NU0, np.random.default_rng(1), CFG, other,
+                            DriftModel(seed=1), NU0, 0.0)
 
     def test_centered_probe_estimates_near_zero(self):
-        state = _SimulationState.start(NU0, DriftModel(seed=3))
-        c_plus, c_minus, true_mean = run_measurement(NU0, state, CFG, TIMELINE,
-                                                     DriftModel(seed=3))
+        c_plus, c_minus, true_mean, _, _ = run_measurement(
+            NU0, np.random.default_rng(3), CFG, TIMELINE, DriftModel(seed=3), NU0, 0.0)
         assert abs(estimate_from_counts(c_plus, c_minus, CFG).delta) < 0.2 * RABI
         assert true_mean == pytest.approx(NU0, rel=1e-12)
 
@@ -74,8 +75,8 @@ class TestRunMeasurement:
         # detection_error_bright = 1 flips every bright event to dark, so
         # both sides count zero and the estimate has nothing to invert.
         broken = ExperimentTimeline(detection_error_bright=1.0)
-        state = _SimulationState.start(NU0, DriftModel(seed=4))
-        c_plus, c_minus, _ = run_measurement(NU0, state, CFG, broken, DriftModel(seed=4))
+        c_plus, c_minus, *_ = run_measurement(NU0, np.random.default_rng(4), CFG, broken,
+                                              DriftModel(seed=4), NU0, 0.0)
         assert (c_plus, c_minus) == (0, 0)
         with pytest.raises(NoSignalError, match="no signal"):
             estimate_from_counts(c_plus, c_minus, CFG)
@@ -102,9 +103,9 @@ class TestDeterminism:
         for drift in (DriftModel(seed=5),
                       DriftModel(linear_rate=TWO_PI * 8.2, seed=5),
                       DriftModel(random_walk=TWO_PI * 2.0, seed=5)):
-            state = _SimulationState.start(NU0, drift)
-            run_measurement(NU0, state, CFG, TIMELINE, drift)
-            streams.append(state.rng.standard_normal())
+            rng = np.random.default_rng(drift.seed)
+            run_measurement(NU0, rng, CFG, TIMELINE, drift, NU0, 0.0)
+            streams.append(rng.standard_normal())
         assert streams[0] == streams[1] == streams[2]
 
     def test_mains_term_aliases_out_when_synchronised(self):
@@ -114,7 +115,7 @@ class TestDeterminism:
         np.testing.assert_allclose(mains.delta, quiet.delta, atol=1e-9)
 
 
-def _per_shot_counts(nu0, state, cfg, timeline, drift):
+def _per_shot_counts(nu0, rng, cfg, timeline, drift, base_nu, time):
     """Reference loop: one thermal_excitation call per shot, draws in
     tick order (flop uniform, detection uniform, drift Gaussian)."""
     n = timeline.shots_per_side
@@ -124,20 +125,19 @@ def _per_shot_counts(nu0, state, cfg, timeline, drift):
     dt = timeline.rep_period
     probe_offset = cfg.kappa * cfg.pulse.rabi
     for side in sides:
-        tn = state.base_nu + drift.line_amplitude * math.sin(
-            2.0 * math.pi * LINE_FREQUENCY_HZ * state.time)
-        p = thermal_excitation(
-            replace(cfg.pulse, detuning=tn - (nu0 + side * probe_offset)), cfg.motion)
-        bright = state.rng.random() < p
-        flip = state.rng.random()
+        tn = base_nu + drift.line_amplitude * math.sin(
+            2.0 * math.pi * LINE_FREQUENCY_HZ * time)
+        p = thermal_excitation(tn - (nu0 + side * probe_offset), cfg.pulse, cfg.motion)
+        bright = rng.random() < p
+        flip = rng.random()
         if (flip >= timeline.detection_error_bright if bright
                 else flip < timeline.detection_error_dark):
             counts[side] += 1
-        gauss = state.rng.standard_normal()
-        state.base_nu += drift.linear_rate * dt + drift.random_walk * math.sqrt(dt) * gauss
-        state.time += dt
+        gauss = rng.standard_normal()
+        base_nu += drift.linear_rate * dt + drift.random_walk * math.sqrt(dt) * gauss
+        time += dt
         true_sum += tn
-    return counts[+1], counts[-1], true_sum / (2.0 * n)
+    return counts[+1], counts[-1], true_sum / (2.0 * n), base_nu, time
 
 
 class TestBrightShots:
@@ -151,8 +151,7 @@ class TestBrightShots:
         motion = MotionalModel(nbar=80.0, eta=0.026)
         rng = np.random.default_rng(7)
         deltas = rng.uniform(-2.5, 2.5, 400) * RABI
-        exact = np.array([thermal_excitation(PulseSpec(RABI, pulse.duration, d), motion)
-                          for d in deltas])
+        exact = np.array([thermal_excitation(d, pulse, motion) for d in deltas])
         for uniforms in (rng.random(400), exact,
                          np.nextafter(exact, 0.0), np.nextafter(exact, 1.0),
                          exact + rng.uniform(-1e-6, 1e-6, 400)):
@@ -172,13 +171,15 @@ class TestBatchedShots:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_per_shot_reference(self, timeline, seed):
         drift = replace(self.NOISY, seed=seed)
-        ours = _SimulationState.start(NU0, drift)
-        ref = _SimulationState.start(NU0, drift)
+        ours_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ours = ref = (NU0, 0.0)
         for offset in (0.0, 0.05 * RABI, -0.15 * RABI):
-            assert run_measurement(NU0 + offset, ours, CFG, timeline, drift) == \
-                _per_shot_counts(NU0 + offset, ref, CFG, timeline, drift)
-            assert (ours.base_nu, ours.time) == (ref.base_nu, ref.time)
-        assert ours.rng.random() == ref.rng.random()
+            got = run_measurement(NU0 + offset, ours_rng, CFG, timeline, drift, *ours)
+            want = _per_shot_counts(NU0 + offset, ref_rng, CFG, timeline, drift, *ref)
+            # counts, true mean, and the base_nu and time the next one starts from
+            assert got == want
+            ours, ref = got[3:], want[3:]
+        assert ours_rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("seed", [4, 5, 6])
     def test_tracking_same_with_table_and_exact_sum(self, seed, monkeypatch):
