@@ -200,11 +200,18 @@ def fit_spectrum(detuning, excitation, shots,
     if np.ptp(y) == 0.0:
         raise ValueError("degenerate data: excitation is flat, no line to fit")
     sigma = np.sqrt([binomial_variance(p, int(s)) for p, s in zip(y, n_shots)])
+    # The last profile and its (centre, Rabi): a step that moves only
+    # amplitude or baseline, as a Jacobian column does, reuses it.
+    profile_key, profile = None, None
 
     def model(params: np.ndarray) -> np.ndarray:
+        nonlocal profile_key, profile
         center, rabi, amplitude, baseline = params
-        pulse = PulseSpec.pi_pulse(rabi)
-        return amplitude * excitation_profile(x - center, pulse, motion) + baseline
+        key = (float(center), float(rabi))
+        if key != profile_key:
+            profile_key = key
+            profile = excitation_profile(x - center, PulseSpec.pi_pulse(rabi), motion)
+        return amplitude * profile + baseline
 
     def residuals(params: np.ndarray) -> np.ndarray:
         return (model(params) - y) / sigma

@@ -223,7 +223,9 @@ class RunConfig:
                 raise ConfigError(f"{name} values must be positive")
         if not self.lineshape_nbar_values:
             raise ConfigError("lineshape_nbar_values must not be empty")
-        for nbar in self.lineshape_nbar_values:
+        for i, nbar in enumerate(self.lineshape_nbar_values):
+            if nbar in self.lineshape_nbar_values[:i]:
+                raise ConfigError(f"lineshape_nbar_values: {nbar!r} is repeated")
             try:
                 terms = replace(self.motion(), nbar=nbar).n_cutoff + 1
             except ValueError as exc:

@@ -198,12 +198,19 @@ def _excitation(omega2, delta, duration):
     """sin^2 Rabi flop written as om^2/(om^2+d^2) * sin^2(sqrt(om^2+d^2) t/2).
 
     Regular at om = 0 and at delta = 0; broadcasts over numpy inputs.
+    In place: no temporaries the size of the grid beyond total2, p and
+    the output.  The ufuncs and their order are those of
+    omega2 * sin(phase)^2 / total2, and so are the bits; where total2
+    overflows, sin(inf) is NaN without a warning.
     """
     total2 = omega2 + delta ** 2
-    phase = np.sqrt(total2) * (0.5 * duration)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = omega2 * np.sin(phase) ** 2 / total2
-    return np.where(total2 > 0.0, p, 0.0)
+    p = np.sqrt(total2)
+    p *= 0.5 * duration
+    with np.errstate(invalid="ignore"):
+        np.sin(p, out=p)
+    np.square(p, out=p)
+    p *= omega2
+    return np.divide(p, total2, out=np.zeros_like(p), where=total2 > 0.0)
 
 
 def thermal_excitation(detuning: float, pulse: PulseSpec, motion: MotionalModel) -> float:
@@ -302,9 +309,12 @@ def _tabulated_excitation(detunings: np.ndarray, pulse: PulseSpec,
 def fwhm(motion: MotionalModel, pulse: PulseSpec) -> float:
     """Full width at half maximum of the thermal line, rad/s.
 
-    Scans detuning about zero, checks the peak is at zero detuning, and
-    bisects the half-maximum crossing on each side to FWHM_RESOLUTION
-    times the bare Rabi frequency.
+    Scans positive detunings, checks the peak is at zero detuning, and
+    bisects the half-maximum crossing to FWHM_RESOLUTION times the bare
+    Rabi frequency.  One side suffices: p depends on delta only through
+    delta ** 2, and (-x) ** 2 == x ** 2 bit for bit, so the negative
+    side's scan and bisection would repeat these exactly, and the width
+    is lo + hi, twice the crossing.
     """
     omega = pulse.rabi
     peak = float(excitation_profile(np.array([0.0]), pulse, motion)[0])
@@ -313,25 +323,22 @@ def fwhm(motion: MotionalModel, pulse: PulseSpec) -> float:
     half = 0.5 * peak
     step = 0.05 * omega
     grid = np.arange(1, 101) * step          # out to 5 Omega_0
-    widths = []
-    for side in (+1.0, -1.0):
-        values = excitation_profile(side * grid, pulse, motion)
-        if np.any(values > peak):
-            raise ValueError("line peak is not at zero detuning")
-        below = np.nonzero(values < half)[0]
-        if below.size == 0:
-            raise ValueError("no half-maximum crossing within 5 Rabi widths")
-        k = below[0]
-        lo = grid[k - 1] if k > 0 else 0.0
-        hi = grid[k]
-        while hi - lo > FWHM_RESOLUTION * omega:
-            mid = 0.5 * (lo + hi)
-            if float(excitation_profile(np.array([side * mid]), pulse, motion)[0]) < half:
-                hi = mid
-            else:
-                lo = mid
-        widths.append(0.5 * (lo + hi))
-    return float(sum(widths))
+    values = excitation_profile(grid, pulse, motion)
+    if np.any(values > peak):
+        raise ValueError("line peak is not at zero detuning")
+    below = np.nonzero(values < half)[0]
+    if below.size == 0:
+        raise ValueError("no half-maximum crossing within 5 Rabi widths")
+    k = below[0]
+    lo = grid[k - 1] if k > 0 else 0.0
+    hi = grid[k]
+    while hi - lo > FWHM_RESOLUTION * omega:
+        mid = 0.5 * (lo + hi)
+        if float(excitation_profile(np.array([mid]), pulse, motion)[0]) < half:
+            hi = mid
+        else:
+            lo = mid
+    return float(lo + hi)
 
 
 def compute_eta(env: TrapEnvironment, species: IonSpecies, *,

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares, minimize
 
+from iontrack import analysis
 from iontrack.analysis import (
     FrequencySeries,
     allan_deviation,
@@ -13,7 +15,7 @@ from iontrack.analysis import (
     position_statistics,
 )
 from iontrack.atomphys import IonSpecies, TrapEnvironment
-from iontrack.estimator import TwoPointConfig
+from iontrack.estimator import TwoPointConfig, binomial_variance
 from iontrack.lineshape import MotionalModel, PulseSpec, excitation_profile
 from iontrack.simulator import (
     Displacements,
@@ -150,6 +152,96 @@ class TestFitSpectrum:
         shots = np.full(x.size, 200)
         fit = fit_spectrum(x, y, shots, motion)
         assert fit.amplitude == pytest.approx(0.9, rel=1e-5)
+
+
+def _fit_without_reuse(x, y, shots, motion):
+    """`fit_spectrum`'s solver calls with a fresh profile on every evaluation."""
+    sigma = np.sqrt([binomial_variance(p, int(s)) for p, s in
+                     zip(y, np.broadcast_to(shots, x.shape))])
+
+    def residuals(params):
+        center, rabi, amplitude, baseline = params
+        pulse = PulseSpec.pi_pulse(rabi)
+        return (amplitude * excitation_profile(x - center, pulse, motion)
+                + baseline - y) / sigma
+
+    span = float(x.max() - x.min())
+    lower = [x.min() - span, 1e-9, -np.inf, -np.inf]
+    upper = [x.max() + span, np.inf, np.inf, np.inf]
+    p0 = np.clip(analysis._guess_from_data(x, y), lower, upper)
+    fit = least_squares(residuals, p0, bounds=(lower, upper), xtol=1e-8, x_scale="jac")
+    if not fit.success:
+        simplex = minimize(lambda p: float(np.sum(residuals(p) ** 2)),
+                           fit.x, method="Nelder-Mead",
+                           options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20000})
+        fit = least_squares(residuals, np.clip(simplex.x, lower, upper),
+                            bounds=(lower, upper), xtol=1e-8, x_scale="jac")
+    return fit
+
+
+class TestFitProfileReuse:
+    """Reusing the profile across amplitude/baseline steps changes no bit."""
+
+    MOTION = MotionalModel(nbar=80.0, eta=0.026)
+
+    @staticmethod
+    def _criterion_10_spectra(n):
+        rabi = TWO_PI * 25e3
+        x = (np.arange(80) - 39.5) * TWO_PI * 1.5e3
+        p = excitation_profile(x, PulseSpec.pi_pulse(rabi), TestFitProfileReuse.MOTION)
+        rng = np.random.default_rng(5150)
+        return [(x, rng.binomial(100, p) / 100) for _ in range(n)]
+
+    @staticmethod
+    def _noise_spectrum():
+        # eight noise points with no line in them: least squares stops
+        # short and the simplex fallback runs
+        rng = np.random.default_rng(94)
+        n = int(rng.integers(8, 30))
+        x = np.sort(rng.uniform(-3, 3, n)) * TWO_PI * 1e3
+        y = rng.binomial(int(rng.integers(1, 20)), rng.uniform(0, 1, n)) / 20
+        return x, y
+
+    def _assert_equal_to_reference(self, x, y, shots):
+        fit = fit_spectrum(x, y, shots, self.MOTION)
+        reference = _fit_without_reuse(x, y, shots, self.MOTION)
+        assert reference.success
+        assert [fit.center, fit.rabi, fit.amplitude, fit.baseline] == list(reference.x)
+        assert fit.reduced_chisq == float(2.0 * reference.cost / max(x.size - 4, 1))
+        assert np.array_equal(fit.covariance, np.linalg.inv(reference.jac.T @ reference.jac))
+
+    def test_criterion_10_spectra(self):
+        for x, y in self._criterion_10_spectra(4):
+            self._assert_equal_to_reference(x, y, 100)
+
+    def test_simplex_fallback(self, monkeypatch):
+        simplex_runs = []
+
+        def counted(*args, **kwargs):
+            simplex_runs.append(1)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "minimize", counted)
+        x, y = self._noise_spectrum()
+        self._assert_equal_to_reference(x, y, 20)
+        assert simplex_runs == [1]
+
+    def test_no_two_consecutive_profiles_share_centre_and_rabi(self, monkeypatch):
+        calls = []
+
+        def recorded(detunings, pulse, motion):
+            calls.append((np.array(detunings), pulse))
+            return excitation_profile(detunings, pulse, motion)
+
+        monkeypatch.setattr(analysis, "excitation_profile", recorded)
+        spectra = [(x, y, 100) for x, y in self._criterion_10_spectra(2)]
+        spectra.append((*self._noise_spectrum(), 20))
+        for x, y, shots in spectra:
+            calls.clear()
+            fit_spectrum(x, y, shots, self.MOTION)
+            assert len(calls) > 10
+            for (d0, pulse0), (d1, pulse1) in zip(calls, calls[1:]):
+                assert pulse0 != pulse1 or not np.array_equal(d0, d1)
 
 
 class TestPositionStatistics:

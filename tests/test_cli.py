@@ -99,6 +99,16 @@ class TestLineshape:
                      "--out", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_repeated_nbar_is_usage_error(self, tmp_path, capsys):
+        # 20 and 20.0 share the column label p_nbar_20 and the width key "20"
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[lineshape]\nnbar_values = 20 20.0\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["lineshape", "--config", str(bad), "--out", str(out)]) == 1
+        assert "20.0 is repeated" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
 
 class TestFitSpectrum:
     def _write_spectrum(self, path, rabi_hz=640.0, shots=250, seed=424242):

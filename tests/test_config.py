@@ -137,6 +137,11 @@ class TestLoads:
             with pytest.raises(ConfigError, match="must be at most"):
                 loads(text)
 
+    @pytest.mark.parametrize("values", ["20 20.0", "0 5 -0", "1 2 3 2"])
+    def test_repeated_nbar_rejected(self, values):
+        with pytest.raises(ConfigError, match=r"lineshape_nbar_values: .* is repeated"):
+            loads(f"[lineshape]\nnbar_values = {values}\n")
+
     def test_seed_override(self):
         assert loads("", seed=777).seed == 777
         assert load_config(None, seed=777) == loads("", seed=777)

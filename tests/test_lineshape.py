@@ -1,5 +1,6 @@
 """Thermally averaged Rabi excitation profiles and their widths."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,78 @@ class TestExcitation:
             thermal_excitation(0.0, PI_PULSE, motion(0.0))
 
 
+def _out_of_place_excitation(omega2, delta, duration):
+    """The kernel as one expression: omega2 * sin(phase)^2 / total2, masked."""
+    total2 = omega2 + delta ** 2
+    phase = np.sqrt(total2) * (0.5 * duration)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = omega2 * np.sin(phase) ** 2 / total2
+    return np.where(total2 > 0.0, p, 0.0)
+
+
+def _warnings_of(kernel, *args):
+    """(result, messages of the warnings the kernel raised) under default errstate."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+        warnings.simplefilter("always")
+        out = kernel(*args)
+    return out, [str(w.message) for w in caught]
+
+
+class TestInPlaceKernel:
+    """`_excitation` gives the out-of-place expression's bits and warnings."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_broadcast_grids(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = rng.integers(1, 60, size=2)
+        omega2 = (RABI * rng.uniform(0.0, 2.0, (1, k))) ** 2
+        delta = rng.uniform(-6.0, 6.0, (n, 1)) * RABI
+        duration = rng.uniform(0.1, 6.0) * math.pi / RABI
+        assert np.array_equal(lineshape._excitation(omega2, delta, duration),
+                              _out_of_place_excitation(omega2, delta, duration),
+                              equal_nan=True)
+        scalar = float(delta[0, 0])
+        assert np.array_equal(lineshape._excitation(omega2[0], scalar, duration),
+                              _out_of_place_excitation(omega2[0], scalar, duration),
+                              equal_nan=True)
+
+    def test_zero_coupling_at_zero_detuning(self):
+        omega2 = np.array([[0.0, RABI ** 2, 0.0, 1e-300]])
+        delta = np.array([[0.0], [0.0], [RABI], [-0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = lineshape._excitation(omega2, delta, PI_PULSE.duration)
+        assert np.array_equal(p, _out_of_place_excitation(omega2, delta, PI_PULSE.duration),
+                              equal_nan=True)
+        assert p[0, 0] == 0.0 and p[3, 0] == 0.0 and p[3, 2] == 0.0
+
+    def test_overflowing_total_is_silent_nan(self):
+        # total2 = inf: sin(inf) is NaN, and neither form warns about it
+        omega2 = np.array([[RABI ** 2, 0.0, 1.7e308]])
+        delta = np.array([[1e200], [-1e160], [0.0], [1e154]])
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            p = lineshape._excitation(omega2, delta, PI_PULSE.duration)
+            reference = _out_of_place_excitation(omega2, delta, PI_PULSE.duration)
+        assert np.array_equal(p, reference, equal_nan=True)
+        assert np.isnan(p[0]).all() and np.isnan(p[3, 2])
+
+    @pytest.mark.parametrize("omega2, delta, duration", [
+        (np.array([RABI ** 2, 0.0]), np.float64(1e200), PI_PULSE.duration),
+        (np.array([1.7e308]), np.float64(1e154), PI_PULSE.duration),
+        (np.array([RABI ** 2]), np.array([[0.0], [1e300]]), 1e300),
+        (np.array([RABI ** 2]), np.array([[0.0], [1e150]]), 1e300),
+        (np.array([0.0, 1e-300]), np.float64(0.0), PI_PULSE.duration),
+        (np.array([RABI ** 2]), np.array([[np.nan], [0.0]]), PI_PULSE.duration),
+    ])
+    def test_warns_where_the_expression_warns(self, omega2, delta, duration):
+        p, messages = _warnings_of(lineshape._excitation, omega2, delta, duration)
+        reference, expected = _warnings_of(_out_of_place_excitation, omega2, delta,
+                                           duration)
+        assert np.array_equal(p, reference, equal_nan=True)
+        assert messages == expected
+
+
 def _table_case(area, nbar):
     pulse = PulseSpec(RABI, area / RABI)
     return pulse, motion(nbar)
@@ -216,6 +289,49 @@ class TestFwhm:
         two_pi_pulse = PulseSpec(RABI, 2.0 * math.pi / RABI)
         with pytest.raises(ValueError):
             fwhm(motion(0.0), two_pi_pulse)
+
+    @pytest.mark.parametrize("area", [0.5 * math.pi, math.pi, 3.0 * math.pi,
+                                      2.0 * math.pi])
+    @pytest.mark.parametrize("nbar", [0.0, 20.0, 100.0])
+    def test_equals_two_sided_scan(self, area, nbar):
+        pulse, m = PulseSpec(RABI, area / RABI), motion(nbar)
+        try:
+            expected = _two_sided_fwhm(m, pulse)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                fwhm(m, pulse)
+            assert str(raised.value) == str(exc)
+        else:
+            assert fwhm(m, pulse) == expected
+
+
+def _two_sided_fwhm(m, pulse):
+    """`fwhm` scanning and bisecting each side of the line in turn."""
+    omega = pulse.rabi
+    peak = float(excitation_profile(np.array([0.0]), pulse, m)[0])
+    if peak <= 0.0:
+        raise ValueError("no excitation at zero detuning; not a usable line")
+    half = 0.5 * peak
+    grid = np.arange(1, 101) * (0.05 * omega)
+    widths = []
+    for side in (+1.0, -1.0):
+        values = excitation_profile(side * grid, pulse, m)
+        if np.any(values > peak):
+            raise ValueError("line peak is not at zero detuning")
+        below = np.nonzero(values < half)[0]
+        if below.size == 0:
+            raise ValueError("no half-maximum crossing within 5 Rabi widths")
+        k = below[0]
+        lo = grid[k - 1] if k > 0 else 0.0
+        hi = grid[k]
+        while hi - lo > lineshape.FWHM_RESOLUTION * omega:
+            mid = 0.5 * (lo + hi)
+            if float(excitation_profile(np.array([side * mid]), pulse, m)[0]) < half:
+                hi = mid
+            else:
+                lo = mid
+        widths.append(0.5 * (lo + hi))
+    return float(sum(widths))
 
 
 class TestComputeEta:
