@@ -257,8 +257,7 @@ class PositionStatistics:
 
 
 def position_statistics(points: Displacements | TrackingRecord,
-                        env: TrapEnvironment, species: IonSpecies, *,
-                        variant: str = "standard") -> PositionStatistics:
+                        env: TrapEnvironment, species: IonSpecies) -> PositionStatistics:
     """Convert frequency offsets and errors to positions via the gradient.
 
     Accepts either the drift-corrected displacements of a voltage scan,
@@ -273,7 +272,7 @@ def position_statistics(points: Displacements | TrackingRecord,
     else:
         delta_nu = points.delta_nu
     sigma_nu = points.sigma_nu
-    slope = frequency_to_position_slope(env, species, variant=variant)
+    slope = frequency_to_position_slope(env, species)
     z = delta_nu / slope
     sigma_z = np.abs(sigma_nu / slope)
     return PositionStatistics(displacements=z, sigmas=sigma_z,

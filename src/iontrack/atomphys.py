@@ -53,6 +53,14 @@ class PhysicalConstants:
 
 CODATA = PhysicalConstants()
 
+# Radical conventions for the field dependence of the transition, as the
+# coefficient c of the xB cross term.  The "standard" stretch-state
+# radical is 1 + 2xB + (xB)^2; "single-cross" keeps a single xB cross
+# term, a form that appears in some references and whose low-field slope
+# is half the standard one.
+_CROSS_TERM = {"standard": 2.0, "single-cross": 1.0}
+BREIT_RABI_VARIANTS = tuple(_CROSS_TERM)
+
 
 @dataclass(frozen=True)
 class IonSpecies:
@@ -60,7 +68,9 @@ class IonSpecies:
 
     hyperfine_constant is the zero-field splitting as an angular
     frequency (rad/s).  g_electron and g_nucleus are dimensionless;
-    the nuclear moment couples through the nuclear magneton.
+    the nuclear moment couples through the nuclear magneton.  variant
+    names the Breit-Rabi radical convention, one of BREIT_RABI_VARIANTS,
+    that every field/frequency map of this module applies.
     """
 
     label: str
@@ -68,8 +78,11 @@ class IonSpecies:
     hyperfine_constant: float   # rad/s
     g_electron: float
     g_nucleus: float
+    variant: str = "standard"
 
     def __post_init__(self) -> None:
+        if self.variant not in _CROSS_TERM:
+            raise ValueError(f"unknown variant {self.variant!r}")
         if not all(map(math.isfinite, (self.mass, self.hyperfine_constant,
                                        self.g_electron, self.g_nucleus))):
             raise ValueError("species parameters must be finite")
@@ -126,12 +139,6 @@ class TrapEnvironment:
         )
 
 
-# Radical conventions for the field dependence of the transition.  The
-# "standard" stretch-state radical is 1 + 2xB + (xB)^2; "single-cross"
-# keeps a single xB cross term, a form that appears in some references
-# and whose low-field slope is half the standard one.
-BREIT_RABI_VARIANTS = ("standard", "single-cross")
-
 # Upper end of the field bracket that `field_from_frequency` searches.
 # 171Yb+ reaches 14.2 GHz there, and any trap's working field is
 # milliteslas, so a frequency past it is a bad input, not a strong field.
@@ -146,15 +153,7 @@ EQUILIBRIUM_MAX_ITER = 100
 EQUILIBRIUM_GRAD_TOL = 1e-12
 
 
-def _cross_term_coefficient(variant: str) -> float:
-    if variant == "standard":
-        return 2.0
-    if variant == "single-cross":
-        return 1.0
-    raise ValueError(f"unknown Breit-Rabi variant {variant!r}")
-
-
-def _breit_rabi_terms(species: IonSpecies, field_t: float, variant: str) -> tuple:
+def _breit_rabi_terms(species: IonSpecies, field_t: float) -> tuple:
     """(B, c, A, x, xB, r1, r2) of `transition_frequency`'s formula, B >= 0.
 
     Shared with the derivative; B is the field as a float.
@@ -162,7 +161,7 @@ def _breit_rabi_terms(species: IonSpecies, field_t: float, variant: str) -> tupl
     field_t = float(field_t)
     if field_t < 0.0:
         raise ValueError("field must be non-negative")
-    c = _cross_term_coefficient(variant)
+    c = _CROSS_TERM[species.variant]
     a_energy = CODATA.hbar * species.hyperfine_constant
     x = (species.g_electron * CODATA.bohr_magneton
          - species.g_nucleus * CODATA.nuclear_magneton) / a_energy
@@ -172,8 +171,7 @@ def _breit_rabi_terms(species: IonSpecies, field_t: float, variant: str) -> tupl
     return field_t, c, a_energy, x, xb, r1, r2
 
 
-def transition_frequency(species: IonSpecies, field_t: float, *,
-                         variant: str = "standard") -> float:
+def transition_frequency(species: IonSpecies, field_t: float) -> float:
     """Transition angular frequency (rad/s) at a static field (T).
 
     Evaluates
@@ -182,28 +180,26 @@ def transition_frequency(species: IonSpecies, field_t: float, *,
                            + (A/2) sqrt(1 + (xB)^2)] / hbar
 
     with A the zero-field splitting in energy units, the dimensionless
-    field ratio x = (g_e uB - g_n uN)/A, and c = 2 ("standard") or
-    c = 1 ("single-cross").  At B = 0 both radicals are 1 and the
-    result is the zero-field splitting.
+    field ratio x = (g_e uB - g_n uN)/A, and c = 2 or c = 1 as the
+    species' `variant` field is "standard" or "single-cross".  At B = 0
+    both radicals are 1 and the result is the zero-field splitting.
     """
-    field_t, _c, a_energy, _x, _xb, r1, r2 = _breit_rabi_terms(species, field_t, variant)
+    field_t, _c, a_energy, _x, _xb, r1, r2 = _breit_rabi_terms(species, field_t)
     energy = (species.g_nucleus * CODATA.nuclear_magneton * field_t
               + 0.5 * a_energy * (r1 + r2))
     return energy / CODATA.hbar
 
 
-def transition_frequency_derivative(species: IonSpecies, field_t: float, *,
-                                    variant: str = "standard") -> float:
+def transition_frequency_derivative(species: IonSpecies, field_t: float) -> float:
     """Analytic d(nu)/dB of `transition_frequency`, in (rad/s)/T."""
-    _b, c, a_energy, x, xb, r1, r2 = _breit_rabi_terms(species, field_t, variant)
+    _b, c, a_energy, x, xb, r1, r2 = _breit_rabi_terms(species, field_t)
     d_energy = (species.g_nucleus * CODATA.nuclear_magneton
                 + 0.25 * a_energy * x * (c + 2.0 * xb) / r1
                 + 0.5 * a_energy * x * xb / r2)
     return d_energy / CODATA.hbar
 
 
-def field_from_frequency(species: IonSpecies, nu: float, *,
-                         variant: str = "standard") -> float:
+def field_from_frequency(species: IonSpecies, nu: float) -> float:
     """Invert `transition_frequency`: field (T) for a frequency (rad/s).
 
     The forward map is strictly increasing in B, so the root is bracketed
@@ -211,20 +207,20 @@ def field_from_frequency(species: IonSpecies, nu: float, *,
     residual of 1e-12, then polished with one Newton step.
     """
     nu = float(nu)
-    nu_zero = transition_frequency(species, 0.0, variant=variant)
+    nu_zero = transition_frequency(species, 0.0)
     if nu < nu_zero:
         raise ValueError("frequency below the zero-field splitting")
     if nu == nu_zero:
         return 0.0
     lo, hi = 0.0, FIELD_BRACKET_MAX_T
-    f_hi = transition_frequency(species, hi, variant=variant) - nu
+    f_hi = transition_frequency(species, hi) - nu
     if f_hi < 0.0:
         raise ValueError(f"frequency above the field bracket: it needs more "
                          f"than {FIELD_BRACKET_MAX_T} T")
     mid = 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        f_mid = transition_frequency(species, mid, variant=variant) - nu
+        f_mid = transition_frequency(species, mid) - nu
         if abs(f_mid) <= 1e-12 * nu or (hi - lo) <= 1e-18:
             break
         if f_mid < 0.0:
@@ -232,20 +228,18 @@ def field_from_frequency(species: IonSpecies, nu: float, *,
         else:
             hi = mid
     b = mid
-    slope = transition_frequency_derivative(species, b, variant=variant)
-    b -= (transition_frequency(species, b, variant=variant) - nu) / slope
+    slope = transition_frequency_derivative(species, b)
+    b -= (transition_frequency(species, b) - nu) / slope
     return max(b, 0.0)
 
 
-def frequency_to_position_slope(env: TrapEnvironment, species: IonSpecies, *,
-                                variant: str = "standard") -> float:
+def frequency_to_position_slope(env: TrapEnvironment, species: IonSpecies) -> float:
     """d(nu)/dz at the working point, in (rad/s)/m.
 
     Chain rule through the static gradient: d(nu)/dz = d(nu)/dB * dB/dz,
     with the slope evaluated at the environment's offset field.
     """
-    return transition_frequency_derivative(
-        species, env.offset_field, variant=variant) * env.gradient
+    return transition_frequency_derivative(species, env.offset_field) * env.gradient
 
 
 def axial_stiffness(
@@ -339,8 +333,8 @@ class GradientCalibration:
     monotone: bool = True
 
 
-def calibrate_gradient(frequencies, env: TrapEnvironment, species: IonSpecies, *,
-                       variant: str = "standard") -> GradientCalibration:
+def calibrate_gradient(frequencies, env: TrapEnvironment,
+                       species: IonSpecies) -> GradientCalibration:
     """Fit B(z) = B0 + B' z through per-ion fields.
 
     Each transition frequency (rad/s, one per ion, ordered along the
@@ -354,7 +348,7 @@ def calibrate_gradient(frequencies, env: TrapEnvironment, species: IonSpecies, *
     if nu.ndim != 1 or nu.size < 2:
         raise ValueError("need at least two per-ion frequencies")
     n = nu.size
-    fields = np.array([field_from_frequency(species, v, variant=variant) for v in nu])
+    fields = np.array([field_from_frequency(species, v) for v in nu])
     z = equilibrium_positions(n, env, species)
     dz = z - z.mean()
     szz = float(np.dot(dz, dz))

@@ -134,7 +134,15 @@ def _strict_json(name: str, payload) -> str:
 
 
 def _table_text(name: str, header: list[str], rows: list[tuple | list]) -> str:
-    """The file text of a table: CSV, or JSON when `name` ends in .json."""
+    """The file text of a table: CSV, or JSON when `name` ends in .json.
+
+    A non-finite float cell is a numerical failure in either format.
+    """
+    for row in rows:
+        for column, value in zip(header, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise NumericalError(f"{name}: Out of range float values in "
+                                     f"column {column!r}")
     if name.endswith(".json"):
         return _strict_json(name, [dict(zip(header, row)) for row in rows])
     buffer = io.StringIO(newline="")
@@ -142,6 +150,14 @@ def _table_text(name: str, header: list[str], rows: list[tuple | list]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue()
+
+
+def _parse_hz(text: str) -> float:
+    """A value in Hz from an input file; it and 2*pi times it must be finite."""
+    value = float(text)
+    if not math.isfinite(TWO_PI * value):
+        raise ValueError(f"not finite as an angular frequency: {text.strip()!r}")
+    return value
 
 
 def _nbar_label(value: float) -> str:
@@ -199,7 +215,7 @@ def _read_spectrum_csv(path: str, motion: MotionalModel
         if len(row) != 3:
             raise UsageError(f"{path}: line {lineno}: expected 3 columns, got {len(row)}")
         try:
-            detuning.append(float(row[0]))
+            detuning.append(_parse_hz(row[0]))
             counts.append(int(row[1]))
             shots.append(int(row[2]))
         except ValueError as exc:
@@ -254,9 +270,8 @@ def cmd_track(cfg: RunConfig, out_dir: str, fmt: str) -> None:
                          "correction needs zero-voltage anchors")
     try:
         if cfg.scan_enabled:
-            record = run_voltage_scan(cfg.voltage_schedule(), env, species,
-                                      drift, two_point, timeline,
-                                      cfg.initial_nu0(), variant=cfg.variant)
+            record = run_voltage_scan(cfg.voltage_schedule(), env, species, drift,
+                                      two_point, timeline, cfg.initial_nu0())
         else:
             record = run_tracking(cfg.n_cycles, cfg.initial_nu0(), drift,
                                   two_point, timeline)
@@ -292,8 +307,7 @@ def cmd_track(cfg: RunConfig, out_dir: str, fmt: str) -> None:
         except ValueError as exc:
             raise NumericalError(f"drift correction: {exc}") from exc
     try:
-        stats = position_statistics(record if points is None else points,
-                                    env, species, variant=cfg.variant)
+        stats = position_statistics(record if points is None else points, env, species)
         force = force_report(stats.mean_sigma, env, species,
                              timeline.measurement_duration)
         distance = charge_detection_distance(force.sigma_force)
@@ -383,7 +397,7 @@ def _read_frequencies(path: str) -> list[float]:
         if not text:
             continue
         try:
-            values.append(float(text))
+            values.append(_parse_hz(text))
         except ValueError as exc:
             raise UsageError(f"{path}: line {lineno}: {exc}") from exc
     if len(values) < 2:
@@ -394,9 +408,8 @@ def _read_frequencies(path: str) -> list[float]:
 def cmd_calibrate(cfg: RunConfig, input_path: str, out_dir: str, fmt: str) -> None:
     frequencies_hz = _read_frequencies(input_path)
     try:
-        result = calibrate_gradient(
-            [TWO_PI * f for f in frequencies_hz], cfg.trap(), cfg.species(),
-            variant=cfg.variant)
+        result = calibrate_gradient([TWO_PI * f for f in frequencies_hz],
+                                    cfg.trap(), cfg.species())
     except EquilibriumConvergenceError as exc:
         raise NumericalError(f"chain equilibrium: {exc}") from exc
     except ValueError as exc:

@@ -14,13 +14,7 @@ import io
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .atomphys import (
-    BREIT_RABI_VARIANTS,
-    CODATA,
-    IonSpecies,
-    TrapEnvironment,
-    transition_frequency,
-)
+from .atomphys import CODATA, IonSpecies, TrapEnvironment, transition_frequency
 from .estimator import TwoPointConfig
 from .lineshape import (LINEWIDTH_CALIBRATED_ETA, MAX_PROFILE_ELEMENTS, MotionalModel,
                         PulseSpec, compute_eta)
@@ -112,6 +106,7 @@ class RunConfig:
             hyperfine_constant=TWO_PI * self.hyperfine_hz,
             g_electron=self.g_electron,
             g_nucleus=self.g_nucleus,
+            variant=self.variant,
         )
 
     def trap(self) -> TrapEnvironment:
@@ -172,19 +167,15 @@ class RunConfig:
     def resolved(self) -> "RunConfig":
         """Replace every `auto` with its computed value."""
         out = self
-        if out.variant not in BREIT_RABI_VARIANTS:
-            raise ConfigError(f"unknown variant {out.variant!r}")
         if out.rabi_hz <= 0.0:
             raise ConfigError("rabi_hz must be positive")
         try:
             if out.duration_s == "auto":
                 out = replace(out, duration_s=math.pi / (TWO_PI * out.rabi_hz))
             if out.eta == "auto":
-                out = replace(out, eta=compute_eta(out.trap(), out.species(),
-                                                   variant=out.variant))
+                out = replace(out, eta=compute_eta(out.trap(), out.species()))
             if out.initial_nu0_hz == "auto":
-                nu = transition_frequency(out.species(), out.offset_field_t,
-                                          variant=out.variant)
+                nu = transition_frequency(out.species(), out.offset_field_t)
                 out = replace(out, initial_nu0_hz=nu / TWO_PI)
         except ConfigError:
             raise
@@ -207,8 +198,6 @@ class RunConfig:
             raise
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.variant not in BREIT_RABI_VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
         for name, low, high in (("n_cycles", 1, MAX_CYCLES),
                                 ("n_seeds", 2, MAX_SEEDS),
                                 ("lineshape_n_points", 2, MAX_LINESHAPE_POINTS)):

@@ -341,15 +341,14 @@ def fwhm(motion: MotionalModel, pulse: PulseSpec) -> float:
     return float(lo + hi)
 
 
-def compute_eta(env: TrapEnvironment, species: IonSpecies, *,
-                variant: str = "standard") -> float:
+def compute_eta(env: TrapEnvironment, species: IonSpecies) -> float:
     """Lamb-Dicke parameter of the gradient coupling to the axial mode.
 
     eta = (d nu/d z) * z0 / omega_z with the ground-state extent
     z0 = sqrt(hbar / (2 m omega_z)); the frequency/position slope is
     evaluated at the environment's offset field.
     """
-    slope = frequency_to_position_slope(env, species, variant=variant)
+    slope = frequency_to_position_slope(env, species)
     z0 = math.sqrt(CODATA.hbar / (2.0 * species.mass * env.omega_z))
     eta = abs(slope) * z0 / env.omega_z
     if eta >= 1.0:

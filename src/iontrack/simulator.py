@@ -367,17 +367,16 @@ def voltage_displacement(voltage: float, env: TrapEnvironment,
 
 
 def voltage_frequency_shift(voltage: float, env: TrapEnvironment,
-                            species: IonSpecies, *, variant: str = "standard") -> float:
+                            species: IonSpecies) -> float:
     """Resonance shift (rad/s) caused by a control-voltage offset."""
     return voltage_displacement(voltage, env, species) * \
-        frequency_to_position_slope(env, species, variant=variant)
+        frequency_to_position_slope(env, species)
 
 
 def run_voltage_scan(schedule: VoltageSchedule, env: TrapEnvironment,
                      species: IonSpecies, drift: DriftModel,
                      cfg: TwoPointConfig, timeline: ExperimentTimeline,
-                     initial_nu0: float | None = None, *,
-                     variant: str = "standard") -> TrackingRecord:
+                     initial_nu0: float | None = None) -> TrackingRecord:
     """Track through a commanded voltage scan.
 
     The predicted voltage-induced shift is fed forward into the probe
@@ -385,10 +384,9 @@ def run_voltage_scan(schedule: VoltageSchedule, env: TrapEnvironment,
     experiment), so the estimator only has to absorb residual drift.
     """
     if initial_nu0 is None:
-        initial_nu0 = transition_frequency(species, env.offset_field, variant=variant)
+        initial_nu0 = transition_frequency(species, env.offset_field)
     voltages = schedule.cycle_voltages()
-    shifts = {v: voltage_frequency_shift(v, env, species, variant=variant)
-              for v in voltages}
+    shifts = {v: voltage_frequency_shift(v, env, species) for v in voltages}
     for voltage, shift in shifts.items():
         if not math.isfinite(shift):
             raise ValueError(f"voltage_frequency_shift at {voltage!r} V is not "

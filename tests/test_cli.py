@@ -109,6 +109,21 @@ class TestLineshape:
         assert "20.0 is repeated" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_cells_are_numerical_failure(self, tmp_path, capsys, fmt):
+        # (1e160 Rabi)^2 overflows, so every non-zero detuning gives a nan cell
+        cfg = tmp_path / "wide.ini"
+        cfg.write_text("[lineshape]\ndetuning_min_rabi = -1e160\n"
+                       "detuning_max_rabi = 1e160\nn_points = 5\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["lineshape", "--config", str(cfg), "--out", str(out),
+                         "--format", fmt]) == 2
+        assert f"lineshape.{fmt}: Out of range float values in column 'p_nbar_0'" \
+            in capsys.readouterr().err
+        assert tree_bytes(out) == {}
+
 
 class TestFitSpectrum:
     def _write_spectrum(self, path, rabi_hz=640.0, shots=250, seed=424242):
@@ -149,6 +164,16 @@ class TestFitSpectrum:
         bad.write_text("detuning_hz,counts,shots\n0.0,5,100\nx,5,100\n")
         assert main(["fit-spectrum", str(bad), "--out", str(tmp_path)]) == 1
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
+    def test_non_finite_detuning_names_line(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"detuning_hz,counts,shots\n0.0,5,100\n{value},5,100\n")
+        out = tmp_path / "out"
+        assert main(["fit-spectrum", str(bad), "--out", str(out)]) == 1
+        assert f"{bad}: line 3: not finite as an angular frequency: '{value}'" \
+            in capsys.readouterr().err
+        assert tree_bytes(out) == {}
 
     def test_counts_beyond_shots_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -478,6 +503,16 @@ class TestCalibrate:
         path.write_text("12.65e9\n12.66e9\nnot-a-number\n")
         assert main(["calibrate", str(path), "--out", str(tmp_path)]) == 1
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
+    def test_non_finite_frequency_names_line(self, tmp_path, capsys, value):
+        path = tmp_path / "freqs.txt"
+        path.write_text(f"12.65e9\n{value}  # ion 2\n12.66e9\n")
+        out = tmp_path / "out"
+        assert main(["calibrate", str(path), "--out", str(out)]) == 1
+        assert f"{path}: line 2: not finite as an angular frequency: '{value}'" \
+            in capsys.readouterr().err
+        assert tree_bytes(out) == {}
 
     def test_single_frequency_rejected(self, tmp_path, capsys):
         path = tmp_path / "freqs.txt"

@@ -151,6 +151,7 @@ class TestLoads:
     def test_single_cross_variant_accepted(self):
         cfg = loads("[tracking]\nvariant = single-cross\n")
         assert cfg.variant == "single-cross"
+        assert cfg.species().variant == "single-cross"
         assert cfg.initial_nu0_hz == pytest.approx(12645917580.737516,
                                                    rel=1e-13)
 

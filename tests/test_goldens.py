@@ -31,6 +31,9 @@ FREQUENCIES_TXT = """\
 """
 CALIBRATE_INI = "[trap]\noffset_field_t = 6e-4\n"
 SCAN_INI = "[voltage_scan]\nenabled = true\n"
+# The Breit-Rabi variant reaches the voltage shifts, eta and the position
+# slope of a scan, and the field inversion of a calibration.
+SINGLE_CROSS = "[tracking]\nvariant = single-cross\n"
 
 # case -> (argv, inputs the test writes); "{name}" in argv is that input's path
 CASES = {
@@ -47,6 +50,13 @@ CASES = {
     "calibrate": (["calibrate", "{freqs.txt}", "--seed", "777",
                    "--config", "{calib.ini}"],
                   {"freqs.txt": FREQUENCIES_TXT, "calib.ini": CALIBRATE_INI}),
+    "single-cross-scan": (["track", "--seed", "777", "--config", "{scan.ini}"],
+                          {"scan.ini": SCAN_INI + "[motion]\neta = auto\n"
+                           + SINGLE_CROSS}),
+    "single-cross-calibrate": (["calibrate", "{freqs.txt}", "--seed", "777",
+                                "--config", "{calib.ini}"],
+                               {"freqs.txt": FREQUENCIES_TXT,
+                                "calib.ini": CALIBRATE_INI + SINGLE_CROSS}),
 }
 
 # case -> {output file: SHA-256}
@@ -86,6 +96,20 @@ GOLDENS = {
             "1e476fc90ec54b201619bfcb4fd0b50b8c39f372b19a4686c0a1930d74815137",
         "sensitivity_summary.json":
             "e66818ee0186b59a0c8e8b949688d659625333597ecdd5c3c513e4d77a54d302",
+    },
+    "single-cross-calibrate": {
+        "calibrate.csv":
+            "f1d47e5ce48db9f9f3cfb6d331cfeaa1c32a0a6a7f52f77dcf34e48ff18791f2",
+        "calibrate_summary.json":
+            "dba04db9b3e9566887978e54662ba52f233acd56a791246bd2fc2c9a64320ea7",
+    },
+    "single-cross-scan": {
+        "track_displacements.csv":
+            "37fe08ffec5c1904a6c69dc8e900aac55ff72ad41f313d73aebeef2f513d9b80",
+        "track_record.csv":
+            "6254315491aa00709063d369a16a562edd6b0269b645bf48369d7808905ac745",
+        "track_summary.json":
+            "824e87ec8b6dc1b20ea0d4eaf20896b859380f3289e5e51ff22d45409a90bcb2",
     },
     "track-csv": {
         "track_record.csv":

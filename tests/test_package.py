@@ -49,3 +49,11 @@ def test_no_public_signature_names_a_private_type():
                 assert not PRIVATE_NAME.search(str(annotation)), (name, annotation)
                 checked += 1
     assert checked > 100
+
+
+def test_only_the_field_owners_take_a_variant():
+    # The Breit-Rabi variant is a field of IonSpecies, set from the
+    # [tracking] key of RunConfig; no function takes it as an argument.
+    takers = {name for name, fn in _public_callables()
+              if "variant" in inspect.signature(fn).parameters}
+    assert takers == {"IonSpecies.__init__", "RunConfig.__init__"}
