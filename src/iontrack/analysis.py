@@ -105,8 +105,9 @@ def _drift_model(tau: np.ndarray, white: float, drift: float) -> np.ndarray:
 def allan_deviation(series: FrequencySeries, taus) -> AllanResult:
     """Overlapping Allan deviation at the requested tau values.
 
-    Each tau snaps to the nearest positive multiple of the sample
-    period; taus with fewer than two averaging windows are dropped.
+    Each tau must be positive and finite, and snaps to the nearest
+    positive multiple of the sample period; taus with fewer than two
+    averaging windows are dropped.
     The (tau, adev) points are then fitted with the quadrature model
 
         adev(tau) = sqrt((a tau^-1/2)^2 + (d tau / sqrt(2))^2)
@@ -118,6 +119,9 @@ def allan_deviation(series: FrequencySeries, taus) -> AllanResult:
     requested = np.atleast_1d(np.asarray(taus, dtype=float))
     if requested.size == 0:
         raise ValueError("no tau values requested")
+    for tau in requested:
+        if not 0.0 < tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {float(tau)!r}")
     ms = sorted({max(int(round(t / tau0)), 1) for t in requested})
     rows = []
     for m in ms:
@@ -297,10 +301,10 @@ def force_report(sigma_z: float, env: TrapEnvironment, species: IonSpecies,
     sigma_F = k_z sigma_z with k_z = m omega_z^2, and the sensitivity
     is sigma_F sqrt(T) for a measurement of duration T.
     """
-    if sigma_z <= 0.0:
-        raise ValueError("sigma_z must be positive")
-    if measurement_time <= 0.0:
-        raise ValueError("measurement_time must be positive")
+    if not 0.0 < sigma_z < math.inf:
+        raise ValueError("sigma_z must be positive and finite")
+    if not 0.0 < measurement_time < math.inf:
+        raise ValueError("measurement_time must be positive and finite")
     k = axial_stiffness(env, species)
     sigma_f = k * sigma_z
     return ForceReport(
@@ -317,8 +321,8 @@ def charge_detection_distance(sigma_force: float) -> float:
 
     Inverts the bare Coulomb force: r = sqrt(e^2 / (4 pi eps0 sigma_F)).
     """
-    if sigma_force <= 0.0:
-        raise ValueError("sigma_force must be positive")
+    if not 0.0 < sigma_force < math.inf:
+        raise ValueError("sigma_force must be positive and finite")
     coulomb = CODATA.elementary_charge ** 2 / (
         4.0 * math.pi * CODATA.vacuum_permittivity)
     return math.sqrt(coulomb / sigma_force)

@@ -6,9 +6,10 @@ scanned spectrum file), `track` (drifting-resonance tracking or a
 commanded voltage scan, with Allan/drift analysis and the force
 report), `sensitivity` (Monte-Carlo noise-floor sweep over measurement
 time and offset), and `calibrate` (field gradient from per-ion
-frequencies).  Every run is deterministic given (config, seed); data
-tables are CSV or JSON, and each command writes a JSON summary that
-echoes the fully resolved config, the tool version and the seed.
+frequencies).  Each command returns its tables and summary, and `main`
+writes them.  Every run is deterministic given (config, seed); data
+tables are CSV or JSON, and each run writes a JSON summary that echoes
+the fully resolved config, the tool version and the seed.
 """
 from __future__ import annotations
 
@@ -73,22 +74,24 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", metavar="N", type=int, default=None,
                         help="override the configured random seed")
     common.add_argument("--out", metavar="DIR", default=".",
-                        help="output directory (created if missing)")
+                        help="output directory (created when the run succeeds)")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="data-table format (summaries are always JSON)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    sub.add_parser("lineshape", parents=[common],
-                   help="thermal resonance curves and their widths")
-    p_fit = sub.add_parser("fit-spectrum", parents=[common],
-                           help="fit a scanned line from a CSV file")
-    p_fit.add_argument("input", help="CSV of detuning_hz,counts,shots rows")
-    sub.add_parser("track", parents=[common],
-                   help="simulate resonance tracking or a voltage scan")
-    sub.add_parser("sensitivity", parents=[common],
-                   help="Monte-Carlo noise floor vs time and offset")
-    p_cal = sub.add_parser("calibrate", parents=[common],
-                           help="field gradient from per-ion frequencies")
-    p_cal.add_argument("input", help="text file, one frequency in Hz per line")
+    for name, run, help_text, input_help in [
+        ("lineshape", cmd_lineshape, "thermal resonance curves and their widths", None),
+        ("fit-spectrum", cmd_fit_spectrum, "fit a scanned line from a CSV file",
+         "CSV of detuning_hz,counts,shots rows"),
+        ("track", cmd_track, "simulate resonance tracking or a voltage scan", None),
+        ("sensitivity", cmd_sensitivity, "Monte-Carlo noise floor vs time and offset",
+         None),
+        ("calibrate", cmd_calibrate, "field gradient from per-ion frequencies",
+         "text file, one frequency in Hz per line"),
+    ]:
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        command.set_defaults(run=run)
+        if input_help:
+            command.add_argument("input", help=input_help)
     return parser
 
 
@@ -105,22 +108,20 @@ def _config_echo(cfg: RunConfig) -> dict:
     return echo
 
 
-def _summary_base(cfg: RunConfig) -> dict:
-    return {"version": __version__, "seed": cfg.seed, "config": _config_echo(cfg)}
-
-
 def _write_outputs(out_dir: str, fmt: str, command: str, tables: list[tuple],
                    summary: dict) -> None:
     """Write each (name, header, rows) table, then `<command>_summary.json`.
 
     The summary and the JSON tables must be strict JSON: a non-finite
-    value is a numerical failure.  Every file is serialised before any
-    is opened, so a run that fails, here or earlier, leaves no files.
+    value is a numerical failure.  Every file is serialised before
+    `out_dir` is created or any file opened, so a run that fails, here or
+    earlier, leaves no files and no directory.
     """
     files = [(f"{table}.{fmt}", _table_text(f"{table}.{fmt}", header, rows))
              for table, header, rows in tables]
     files.append((f"{command}_summary.json",
                   _strict_json(f"{command}_summary.json", summary)))
+    os.makedirs(out_dir, exist_ok=True)
     for name, text in files:
         with open(os.path.join(out_dir, name), "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
@@ -167,7 +168,7 @@ def _nbar_label(value: float) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_lineshape(cfg: RunConfig, out_dir: str, fmt: str) -> None:
+def cmd_lineshape(cfg: RunConfig, args: argparse.Namespace) -> tuple[list, dict]:
     pulse = cfg.pulse()
     fractions = np.linspace(cfg.lineshape_detuning_min_rabi,
                             cfg.lineshape_detuning_max_rabi,
@@ -186,10 +187,8 @@ def cmd_lineshape(cfg: RunConfig, out_dir: str, fmt: str) -> None:
         except ValueError as exc:
             raise NumericalError(f"FWHM at nbar={label}: {exc}") from exc
     rows = [list(row) for row in zip(*columns)]
-    summary = _summary_base(cfg)
-    summary["fwhm_over_rabi"] = widths
-    summary["table"] = f"lineshape.{fmt}"
-    _write_outputs(out_dir, fmt, "lineshape", [("lineshape", header, rows)], summary)
+    summary = {"fwhm_over_rabi": widths, "table": f"lineshape.{args.format}"}
+    return [("lineshape", header, rows)], summary
 
 
 _SPECTRUM_HEADER = ["detuning_hz", "counts", "shots"]
@@ -233,9 +232,9 @@ def _read_spectrum_csv(path: str, motion: MotionalModel
             np.asarray(shots, dtype=int))
 
 
-def cmd_fit_spectrum(cfg: RunConfig, input_path: str, out_dir: str, fmt: str) -> None:
+def cmd_fit_spectrum(cfg: RunConfig, args: argparse.Namespace) -> tuple[list, dict]:
     motion = cfg.motion()
-    detuning_hz, counts, shots = _read_spectrum_csv(input_path, motion)
+    detuning_hz, counts, shots = _read_spectrum_csv(args.input, motion)
     excitation = counts / shots
     try:
         result = fit_spectrum(TWO_PI * detuning_hz, excitation, shots, motion)
@@ -249,17 +248,14 @@ def cmd_fit_spectrum(cfg: RunConfig, input_path: str, out_dir: str, fmt: str) ->
         "baseline": (result.baseline, float(stderr[3])),
     }
     rows = [[name, value, err] for name, (value, err) in params.items()]
-    summary = _summary_base(cfg)
-    summary["fit"] = {name: {"value": value, "stderr": err}
-                      for name, (value, err) in params.items()}
-    summary["fit"]["reduced_chisq"] = result.reduced_chisq
-    summary["fit"]["n_points"] = result.n_points
-    summary["input"] = os.path.basename(input_path)
-    _write_outputs(out_dir, fmt, "fit_spectrum",
-                   [("fit_spectrum", ["parameter", "value", "stderr"], rows)], summary)
+    fit = {name: {"value": value, "stderr": err} for name, (value, err) in params.items()}
+    fit["reduced_chisq"] = result.reduced_chisq
+    fit["n_points"] = result.n_points
+    summary = {"fit": fit, "input": os.path.basename(args.input)}
+    return [("fit_spectrum", ["parameter", "value", "stderr"], rows)], summary
 
 
-def cmd_track(cfg: RunConfig, out_dir: str, fmt: str) -> None:
+def cmd_track(cfg: RunConfig, args: argparse.Namespace) -> tuple[list, dict]:
     species = cfg.species()
     env = cfg.trap()
     two_point = cfg.two_point()
@@ -278,10 +274,8 @@ def cmd_track(cfg: RunConfig, out_dir: str, fmt: str) -> None:
     except ValueError as exc:
         raise NumericalError(f"tracking: {exc}") from exc
 
-    summary = _summary_base(cfg)
-    summary["table"] = f"track_record.{fmt}"
-    summary["n_cycles"] = len(record)
-    summary["lost_lock"] = record.lost_lock
+    summary = {"table": f"track_record.{args.format}", "n_cycles": len(record),
+               "lost_lock": record.lost_lock}
 
     allan: dict | None = None
     if len(record) >= 3:
@@ -331,7 +325,7 @@ def cmd_track(cfg: RunConfig, out_dir: str, fmt: str) -> None:
         "sensitivity_n_per_rt_hz": force.sensitivity,
         "single_charge_distance_m": distance,
     }
-    _write_outputs(out_dir, fmt, "track", tables, summary)
+    return tables, summary
 
 
 def _sensitivity_cell(cfg: RunConfig, duration: float, offset_rabi: float,
@@ -369,7 +363,7 @@ def _sensitivity_cell(cfg: RunConfig, duration: float, offset_rabi: float,
     return mc, analytic, per_side
 
 
-def cmd_sensitivity(cfg: RunConfig, out_dir: str, fmt: str) -> None:
+def cmd_sensitivity(cfg: RunConfig, args: argparse.Namespace) -> tuple[list, dict]:
     cells = [(t, d) for t in cfg.durations_s for d in cfg.offsets_rabi]
     children = np.random.SeedSequence(cfg.seed).spawn(len(cells))
     rows = []
@@ -379,10 +373,9 @@ def cmd_sensitivity(cfg: RunConfig, out_dir: str, fmt: str) -> None:
         rows.append([duration, offset, per_side, mc, analytic])
     header = ["duration_s", "offset_rabi", "shots_per_side",
               "sigma_mc_over_rabi", "sigma_analytic_over_rabi"]
-    summary = _summary_base(cfg)
-    summary["n_seeds_per_cell"] = cfg.n_seeds
-    summary["cells"] = [dict(zip(header, row)) for row in rows]
-    _write_outputs(out_dir, fmt, "sensitivity", [("sensitivity", header, rows)], summary)
+    summary = {"n_seeds_per_cell": cfg.n_seeds,
+               "cells": [dict(zip(header, row)) for row in rows]}
+    return [("sensitivity", header, rows)], summary
 
 
 def _read_frequencies(path: str) -> list[float]:
@@ -405,8 +398,8 @@ def _read_frequencies(path: str) -> list[float]:
     return values
 
 
-def cmd_calibrate(cfg: RunConfig, input_path: str, out_dir: str, fmt: str) -> None:
-    frequencies_hz = _read_frequencies(input_path)
+def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> tuple[list, dict]:
+    frequencies_hz = _read_frequencies(args.input)
     try:
         result = calibrate_gradient([TWO_PI * f for f in frequencies_hz],
                                     cfg.trap(), cfg.species())
@@ -416,17 +409,15 @@ def cmd_calibrate(cfg: RunConfig, input_path: str, out_dir: str, fmt: str) -> No
         raise NumericalError(f"gradient calibration: {exc}") from exc
     rows = [[i, float(z), float(b)] for i, (z, b) in
             enumerate(zip(result.positions, result.fields))]
-    summary = _summary_base(cfg)
-    summary["gradient"] = {
+    summary = {"gradient": {
         "gradient_t_per_m": result.gradient,
         "gradient_stderr_t_per_m":
             None if math.isnan(result.gradient_stderr) else result.gradient_stderr,
         "field_intercept_t": result.field_intercept,
         "monotone": result.monotone,
         "n_ions": len(frequencies_hz),
-    }
-    _write_outputs(out_dir, fmt, "calibrate",
-                   [("calibrate", ["ion_index", "position_m", "field_t"], rows)], summary)
+    }}
+    return [("calibrate", ["ion_index", "position_m", "field_t"], rows)], summary
 
 
 # ---------------------------------------------------------------------------
@@ -440,17 +431,10 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = load_config(args.config, seed=args.seed)
-        os.makedirs(args.out, exist_ok=True)
-        if args.command == "lineshape":
-            cmd_lineshape(cfg, args.out, args.format)
-        elif args.command == "fit-spectrum":
-            cmd_fit_spectrum(cfg, args.input, args.out, args.format)
-        elif args.command == "track":
-            cmd_track(cfg, args.out, args.format)
-        elif args.command == "sensitivity":
-            cmd_sensitivity(cfg, args.out, args.format)
-        elif args.command == "calibrate":
-            cmd_calibrate(cfg, args.input, args.out, args.format)
+        tables, summary = args.run(cfg, args)
+        summary.update(version=__version__, seed=cfg.seed, config=_config_echo(cfg))
+        _write_outputs(args.out, args.format, args.command.replace("-", "_"),
+                       tables, summary)
     except (UsageError, ConfigError, OSError) as exc:
         print(f"iontrack: error: {exc}", file=sys.stderr)
         return 1

@@ -108,6 +108,12 @@ class TestAllanDeviation:
         with pytest.raises(ValueError):
             allan_deviation(series(np.arange(6.0)), [1000.0])
 
+    @pytest.mark.parametrize("tau", [-5.0, 0.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match=f"tau must be positive and finite, "
+                                             f"got {tau!r}"):
+            allan_deviation(series(np.arange(16.0)), [4.0, tau])
+
 
 class TestFitSpectrum:
     MOTION = MotionalModel(nbar=80.0, eta=0.026)
@@ -301,10 +307,10 @@ class TestForceReport:
             report.sigma_force * math.sqrt(7.0), rel=1e-15)
 
     def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            force_report(0.0, ENV, SPECIES, 2.0)
-        with pytest.raises(ValueError):
-            force_report(1e-10, ENV, SPECIES, 0.0)
+        for sigma_z, duration in [(0.0, 2.0), (math.nan, 2.0), (math.inf, 2.0),
+                                  (1e-10, 0.0), (1e-10, math.nan), (1e-10, math.inf)]:
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                force_report(sigma_z, ENV, SPECIES, duration)
 
 
 class TestChargeDetectionDistance:
@@ -324,5 +330,6 @@ class TestChargeDetectionDistance:
             pytest.approx(1.0, rel=1e-12)
 
     def test_non_positive_rejected(self):
-        with pytest.raises(ValueError):
-            charge_detection_distance(0.0)
+        for sigma_force in (0.0, -1e-23, math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                charge_detection_distance(sigma_force)

@@ -1,4 +1,5 @@
 """End-to-end command-line checks: outputs, formats, exit codes."""
+import argparse
 import csv
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 
 from iontrack import atomphys, cli
 from iontrack.cli import NumericalError, _write_outputs, main
+from iontrack.config import load_config
 from iontrack.lineshape import (MAX_PROFILE_ELEMENTS, MotionalModel, PulseSpec,
                                 excitation_profile, fwhm)
 from iontrack.simulator import TrackingRecord
@@ -91,6 +93,21 @@ class TestLineshape:
         assert set(rows[0]) == {"delta_over_rabi", "p_nbar_0", "p_nbar_20",
                                 "p_nbar_100"}
 
+    def test_command_returns_tables_and_writes_nothing(self, tmp_path, monkeypatch):
+        ini = tmp_path / "five.ini"
+        ini.write_text("[lineshape]\nn_points = 5\n")
+        cfg = load_config(str(ini))
+        ini.unlink()
+        monkeypatch.chdir(tmp_path)     # the default --out
+        tables, summary = cli.cmd_lineshape(cfg, argparse.Namespace(format="json"))
+        assert os.listdir(tmp_path) == []
+        [(name, header, rows)] = tables
+        assert name == "lineshape"
+        assert header == ["delta_over_rabi", "p_nbar_0", "p_nbar_20", "p_nbar_100"]
+        assert [row[0] for row in rows] == [-2.0, -1.0, 0.0, 1.0, 2.0]
+        assert summary["table"] == "lineshape.json"
+        assert set(summary) == {"fwhm_over_rabi", "table"}   # main adds the rest
+
     def test_empty_detuning_range_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[lineshape]\ndetuning_min_rabi = 1\n"
@@ -122,7 +139,7 @@ class TestLineshape:
                          "--format", fmt]) == 2
         assert f"lineshape.{fmt}: Out of range float values in column 'p_nbar_0'" \
             in capsys.readouterr().err
-        assert tree_bytes(out) == {}
+        assert not out.exists()
 
 
 class TestFitSpectrum:
@@ -173,7 +190,7 @@ class TestFitSpectrum:
         assert main(["fit-spectrum", str(bad), "--out", str(out)]) == 1
         assert f"{bad}: line 3: not finite as an angular frequency: '{value}'" \
             in capsys.readouterr().err
-        assert tree_bytes(out) == {}
+        assert not out.exists()
 
     def test_counts_beyond_shots_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -209,7 +226,7 @@ class TestFitSpectrum:
         assert main(["fit-spectrum", str(spectrum), "--config", str(cfg),
                      "--out", str(out)]) == 1
         assert "must be at most" in capsys.readouterr().err
-        assert tree_bytes(out) == {}
+        assert not out.exists()
 
     def test_missing_input_rejected(self, tmp_path):
         assert main(["fit-spectrum", str(tmp_path / "nope.csv"),
@@ -271,7 +288,7 @@ class TestTrack:
         out = tmp_path / "out"
         assert main(["track", "--config", str(cfg), "--out", str(out)]) == 1
         assert "interleave_zero" in capsys.readouterr().err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("ini", [
         "[voltage_scan]\nenabled = true\n",
@@ -305,7 +322,7 @@ class TestTrack:
         out = tmp_path / "out"
         assert main(["track", "--config", str(cfg), "--out", str(out)]) == 2
         assert "voltage_frequency_shift at 1.0 V is not finite" in capsys.readouterr().err
-        assert tree_bytes(out) == {}
+        assert not out.exists()
 
     def test_overflowing_probe_centre_is_usage_error(self, tmp_path, capsys):
         # finite in Hz, infinite once multiplied by 2 pi
@@ -315,7 +332,7 @@ class TestTrack:
         assert main(["track", "--config", str(cfg), "--out", str(out),
                      "--format", "json"]) == 1
         assert "initial_nu0_hz = 1e+308 overflows" in capsys.readouterr().err
-        assert tree_bytes(out) == {}
+        assert not out.exists()
 
     def test_infinite_truth_is_numerical_failure(self, tmp_path, capsys):
         # a finite drift rate and period whose product overflows: the true
@@ -326,7 +343,7 @@ class TestTrack:
         out = tmp_path / "out"
         assert main(["track", "--config", str(cfg), "--out", str(out)]) == 2
         assert "tracking: pulse detuning must be finite" in capsys.readouterr().err
-        assert tree_bytes(out) == {}
+        assert not out.exists()
 
     def test_runaway_drift_loses_lock(self, tmp_path):
         cfg = tmp_path / "fast.ini"
@@ -451,7 +468,7 @@ class TestSensitivity:
             assert main(["sensitivity", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"sensitivity cell duration 0.04 s, offset {offset} Rabi: no bright events" \
             in capsys.readouterr().err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
 
 class TestCalibrate:
@@ -512,7 +529,7 @@ class TestCalibrate:
         assert main(["calibrate", str(path), "--out", str(out)]) == 1
         assert f"{path}: line 2: not finite as an angular frequency: '{value}'" \
             in capsys.readouterr().err
-        assert tree_bytes(out) == {}
+        assert not out.exists()
 
     def test_single_frequency_rejected(self, tmp_path, capsys):
         path = tmp_path / "freqs.txt"
@@ -535,7 +552,7 @@ class TestCalibrate:
         assert main(["calibrate", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "above the field bracket" in err and "0.1 T" in err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_unconverged_chain_is_numerical_failure(self, tmp_path, capsys,
                                                     monkeypatch):
@@ -545,7 +562,7 @@ class TestCalibrate:
         assert main(["calibrate", str(freqs), "--config", str(cfg),
                      "--out", str(out)]) == 2
         assert "chain equilibrium" in capsys.readouterr().err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
 
 class TestTopLevel:
@@ -619,7 +636,17 @@ class TestTopLevel:
         out = tmp_path / "out"
         assert main(["lineshape", "--out", str(out), "--format", "json"]) == 2
         assert "lineshape.json: Out of range float values" in capsys.readouterr().err
-        assert tree_bytes(tmp_path) == {}
+        assert os.listdir(tmp_path) == []
+
+    def test_out_naming_a_file_is_io_error(self, tmp_path, capsys):
+        # the command runs; creating the output directory then fails
+        out = tmp_path / "taken"
+        out.write_bytes(b"not a directory\n")
+        assert main(["lineshape", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"iontrack: error: [Errno 17] File exists: '{out}'\n"
+        assert out.read_bytes() == b"not a directory\n"
+        assert os.listdir(tmp_path) == ["taken"]
 
     def test_non_finite_summary_is_numerical_failure(self, tmp_path):
         with pytest.raises(NumericalError, match="track_summary.json"):
@@ -639,7 +666,7 @@ class TestTopLevel:
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert "must be at most" in capsys.readouterr().err
-        assert tree_bytes(out) == {}
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, ini", [
         ("track", "[drift]\nlinear_rate_hz_per_s = 1e300\n\n[tracking]\nn_cycles = 3\n"),
@@ -652,4 +679,4 @@ class TestTopLevel:
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert "numerical failure: OverflowError" in capsys.readouterr().err
-        assert tree_bytes(out) == {}
+        assert not out.exists()
