@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -38,8 +39,8 @@ from .atomphys import EquilibriumConvergenceError, calibrate_gradient
 from .config import _SCHEMA, ConfigError, RunConfig, load_config
 from .estimator import (
     analytic_sigma,
-    estimate_from_counts,
     g_forward,
+    g_invert,
     g_slope,
     probe_probabilities,
 )
@@ -346,11 +347,14 @@ def _sensitivity_cell(cfg: RunConfig, duration: float, offset_rabi: float,
                              f"{offset_rabi} Rabi: no bright events on either side: "
                              "no signal to invert")
     if abs(delta) < cell_cfg.window_halfwidth:
-        # each distinct count pair is estimated once, then read back per seed
+        # Each distinct count pair is inverted once, then read back per
+        # seed.  g is estimate_from_counts' g, and the cell needs only its
+        # delta, not the sigma that would cost two more exact g_forward calls.
         pairs, seed_pair = np.unique(np.column_stack([c_plus, c_minus]), axis=0,
                                      return_inverse=True)
-        deltas = np.array([estimate_from_counts(int(cp), int(cm), cell_cfg).delta
-                           for cp, cm in pairs])
+        plus, minus = pairs.T / per_side
+        g_values = (plus - minus) / (plus + minus)
+        deltas = np.array([g_invert(g, cell_cfg)[0] for g in g_values.tolist()])
         estimates = deltas[seed_pair]
     else:
         # Outside the capture window the inversion clamps, so the cell
@@ -422,6 +426,11 @@ def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> tuple[list, dict]
 
 # ---------------------------------------------------------------------------
 
+def _report_warning(message, category, filename, lineno, file=None, line=None):
+    """`warnings.showwarning` for a run: the message alone, as the CLI's own line."""
+    print(f"iontrack: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -429,23 +438,25 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"iontrack: error: {exc}", file=sys.stderr)
         return 1
-    try:
-        cfg = load_config(args.config, seed=args.seed)
-        tables, summary = args.run(cfg, args)
-        summary.update(version=__version__, seed=cfg.seed, config=_config_echo(cfg))
-        _write_outputs(args.out, args.format, args.command.replace("-", "_"),
-                       tables, summary)
-    except (UsageError, ConfigError, OSError) as exc:
-        print(f"iontrack: error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"iontrack: numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:      # e.g. a float overflow deep in the physics
-        print(f"iontrack: numerical failure: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 2
-    return 0
+    with warnings.catch_warnings():   # restores showwarning on exit
+        warnings.showwarning = _report_warning
+        try:
+            cfg = load_config(args.config, seed=args.seed)
+            tables, summary = args.run(cfg, args)
+            summary.update(version=__version__, seed=cfg.seed, config=_config_echo(cfg))
+            _write_outputs(args.out, args.format, args.command.replace("-", "_"),
+                           tables, summary)
+        except (UsageError, ConfigError, OSError) as exc:
+            print(f"iontrack: error: {exc}", file=sys.stderr)
+            return 1
+        except NumericalError as exc:
+            print(f"iontrack: numerical failure: {exc}", file=sys.stderr)
+            return 2
+        except ArithmeticError as exc:      # e.g. a float overflow deep in the physics
+            print(f"iontrack: numerical failure: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return 2
+        return 0
 
 
 if __name__ == "__main__":

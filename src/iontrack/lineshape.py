@@ -198,10 +198,11 @@ def _excitation(omega2, delta, duration):
     """sin^2 Rabi flop written as om^2/(om^2+d^2) * sin^2(sqrt(om^2+d^2) t/2).
 
     Regular at om = 0 and at delta = 0; broadcasts over numpy inputs.
-    In place: no temporaries the size of the grid beyond total2, p and
-    the output.  The ufuncs and their order are those of
+    In place: no temporaries the size of the grid beyond total2, p (the
+    output) and one boolean mask.  The ufuncs and their order are those of
     omega2 * sin(phase)^2 / total2, and so are the bits; where total2
-    overflows, sin(inf) is NaN without a warning.
+    overflows, sin(inf) is NaN without a warning.  Where total2 is not
+    positive (0, or NaN from a NaN detuning) p is +0.0.
     """
     total2 = omega2 + delta ** 2
     p = np.sqrt(total2)
@@ -210,7 +211,10 @@ def _excitation(omega2, delta, duration):
         np.sin(p, out=p)
     np.square(p, out=p)
     p *= omega2
-    return np.divide(p, total2, out=np.zeros_like(p), where=total2 > 0.0)
+    positive = total2 > 0.0
+    np.divide(p, total2, out=p, where=positive)
+    np.copyto(p, 0.0, where=np.logical_not(positive, out=positive))
+    return p
 
 
 def thermal_excitation(detuning: float, pulse: PulseSpec, motion: MotionalModel) -> float:

@@ -141,6 +141,24 @@ class TestLineshape:
             in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflow_warning_is_one_cli_line(self, tmp_path, capsys, fmt):
+        # numpy's overflow warning comes out as iontrack's line, without
+        # the path and source line of the module that raised it
+        cfg = tmp_path / "wide.ini"
+        cfg.write_text("[lineshape]\ndetuning_min_rabi = -1e160\n"
+                       "detuning_max_rabi = 1e160\nn_points = 5\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            assert main(["lineshape", "--config", str(cfg), "--out", str(out),
+                         "--format", fmt]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert "iontrack: warning: overflow encountered in square" in lines
+        assert lines and all(line.startswith("iontrack:") for line in lines)
+        assert not any("lineshape.py" in line for line in lines)
+        assert not out.exists()
+
 
 class TestFitSpectrum:
     def _write_spectrum(self, path, rabi_hz=640.0, shots=250, seed=424242):
@@ -431,12 +449,19 @@ class TestSensitivity:
         cfg = tmp_path / "run.ini"
         cfg.write_text("[sensitivity]\ndurations_s = 2.0 4.0\noffsets_rabi = 0.0 0.7\n"
                        "n_seeds = 60\n")
-        calls = []
-        estimate = cli.estimate_from_counts
+        # Distinct count pairs can share g (2:1 and 4:2), so the pairs are
+        # counted where np.unique finds them.
+        calls, distinct = [], []
+        invert, unique = cli.g_invert, np.unique
 
-        def recorded(counts_plus, counts_minus, cell_cfg):
-            calls.append((counts_plus, counts_minus, cell_cfg))
-            return estimate(counts_plus, counts_minus, cell_cfg)
+        def recorded(g_value, cell_cfg):
+            calls.append((g_value, cell_cfg))
+            return invert(g_value, cell_cfg)
+
+        def counted(rows, axis, return_inverse):
+            pairs, seed_pair = unique(rows, axis=axis, return_inverse=return_inverse)
+            distinct.append(len(pairs))
+            return pairs, seed_pair
 
         def run(name):
             calls.clear()
@@ -445,10 +470,12 @@ class TestSensitivity:
                              "--out", str(tmp_path / name / fmt)]) == 0
             return tree_bytes(tmp_path / name)
 
-        monkeypatch.setattr(cli, "estimate_from_counts", recorded)
+        monkeypatch.setattr(cli, "g_invert", recorded)
+        monkeypatch.setattr(np, "unique", counted)
         shared = run("shared")
         # each run inverts a distinct pair of an in-window cell once
-        assert len(calls) == 2 * len(set(calls)) < 2 * 2 * 60
+        assert len(calls) == sum(distinct) < 2 * 2 * 60
+        assert calls[:len(calls) // 2] == calls[len(calls) // 2:]
         # every seed a pair of its own: per-seed estimation
         monkeypatch.setattr(np, "unique", lambda rows, axis, return_inverse:
                             (rows, np.arange(len(rows))))

@@ -218,6 +218,25 @@ class TestSharedInversions:
                 astuple(plain_estimate(a, b, cfg))
 
 
+class TestInversionWithoutSigma:
+    """The delta of an estimate is g_invert of its count asymmetry alone."""
+
+    @pytest.mark.parametrize("per_side", range(1, 7))
+    def test_every_count_pair(self, per_side):
+        cfg = replace(HOT, shots_per_side=per_side)
+        clamped = set()
+        for a in range(per_side + 1):
+            for b in range(per_side + 1):
+                if not (a or b):
+                    continue
+                p_plus, p_minus = a / per_side, b / per_side
+                delta = g_invert((p_plus - p_minus) / (p_plus + p_minus), cfg)[0]
+                assert delta == estimate_from_counts(a, b, cfg).delta, (a, b)
+                if abs(delta) == cfg.window_halfwidth:
+                    clamped.add(math.copysign(1.0, delta))
+        assert clamped == {-1.0, 1.0}
+
+
 def plain_invert(g, cfg, visited=None):
     """g_invert as a plain bisection on g_forward, appending each midpoint to visited."""
     w = cfg.window_halfwidth

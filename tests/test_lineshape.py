@@ -1,5 +1,6 @@
 """Thermally averaged Rabi excitation profiles and their widths."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -162,14 +163,29 @@ class TestInPlaceKernel:
                               equal_nan=True)
 
     def test_zero_coupling_at_zero_detuning(self):
+        # a zero or NaN total reads +0.0, bit for bit as the masked expression
         omega2 = np.array([[0.0, RABI ** 2, 0.0, 1e-300]])
-        delta = np.array([[0.0], [0.0], [RABI], [-0.0]])
+        delta = np.array([[0.0], [0.0], [RABI], [-0.0], [np.nan]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             p = lineshape._excitation(omega2, delta, PI_PULSE.duration)
-        assert np.array_equal(p, _out_of_place_excitation(omega2, delta, PI_PULSE.duration),
-                              equal_nan=True)
+        reference = _out_of_place_excitation(omega2, delta, PI_PULSE.duration)
+        assert p.tobytes() == reference.tobytes()
         assert p[0, 0] == 0.0 and p[3, 0] == 0.0 and p[3, 2] == 0.0
+        assert p[4].tobytes() == np.zeros(4).tobytes()
+
+    def test_profile_peak_below_two_and_a_half_grids(self):
+        # the kernel holds total2 and p, plus a boolean mask an eighth their size
+        detunings = np.linspace(-3.0, 3.0, 401) * RABI
+        m = motion(100.0)
+        excitation_profile(detunings[:1], PI_PULSE, m)      # fill the caches
+        tracemalloc.start()
+        try:
+            excitation_profile(detunings, PI_PULSE, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * detunings.size * (m.n_cutoff + 1) * 8
 
     def test_overflowing_total_is_silent_nan(self):
         # total2 = inf: sin(inf) is NaN, and neither form warns about it
