@@ -91,17 +91,6 @@ class IonSpecies:
         if self.hyperfine_constant <= 0.0:
             raise ValueError("hyperfine constant must be positive")
 
-    @classmethod
-    def ytterbium_171(cls) -> "IonSpecies":
-        """171Yb+ with the measured zero-field splitting near 12.64 GHz."""
-        return cls(
-            label="171Yb+",
-            mass=170.936323 * CODATA.atomic_mass_unit,
-            hyperfine_constant=2.0 * math.pi * 12_642_812_118.471,
-            g_electron=2.0025,
-            g_nucleus=0.9837,
-        )
-
 
 @dataclass(frozen=True)
 class TrapEnvironment:
@@ -128,15 +117,6 @@ class TrapEnvironment:
             raise ValueError("offset field must be non-negative")
         if self.gradient == 0.0:
             raise ValueError("field gradient must be non-zero")
-
-    @classmethod
-    def default(cls) -> "TrapEnvironment":
-        return cls(
-            omega_z=2.0 * math.pi * 108_104.0,
-            omega_r=2.0 * math.pi * 534_400.0,
-            offset_field=442.09e-6,
-            gradient=19.07,
-        )
 
 
 # Upper end of the field bracket that `field_from_frequency` searches.

@@ -39,7 +39,6 @@ from .atomphys import EquilibriumConvergenceError, calibrate_gradient
 from .config import _SCHEMA, ConfigError, RunConfig, load_config
 from .estimator import (
     analytic_sigma,
-    g_forward,
     g_invert,
     g_slope,
     probe_probabilities,
@@ -304,7 +303,7 @@ def cmd_track(cfg: RunConfig, args: argparse.Namespace) -> tuple[list, dict]:
     try:
         stats = position_statistics(record if points is None else points, env, species)
         force = force_report(stats.mean_sigma, env, species,
-                             timeline.measurement_duration)
+                             timeline.measurement_duration(two_point))
         distance = charge_detection_distance(force.sigma_force)
     except ValueError as exc:
         raise NumericalError(f"position and force: {exc}") from exc
@@ -358,12 +357,13 @@ def _sensitivity_cell(cfg: RunConfig, duration: float, offset_rabi: float,
         estimates = deltas[seed_pair]
     else:
         # Outside the capture window the inversion clamps, so the cell
-        # reports the locally linearised estimator's spread instead.
+        # reports the locally linearised estimator's spread instead, about
+        # g_forward(delta) formed from the probabilities drawn from.
         g_hat = (c_plus - c_minus) / (c_plus + c_minus)
-        estimates = delta + (g_hat - g_forward(delta, cell_cfg)) / \
-            g_slope(delta, cell_cfg)
+        g_true = (p_plus - p_minus) / (p_plus + p_minus)
+        estimates = delta + (g_hat - g_true) / g_slope(delta, cell_cfg)
     mc = float(estimates.std(ddof=1)) / rabi
-    analytic = analytic_sigma(cell_cfg, delta, per_side) / rabi
+    analytic = analytic_sigma(cell_cfg, delta) / rabi
     return mc, analytic, per_side
 
 

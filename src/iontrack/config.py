@@ -119,10 +119,9 @@ class RunConfig:
         )
 
     def pulse(self) -> PulseSpec:
-        rabi = TWO_PI * self.rabi_hz
         if self.duration_s == "auto":
-            return PulseSpec.pi_pulse(rabi)
-        return PulseSpec(rabi=rabi, duration=float(self.duration_s))
+            raise ConfigError("duration_s must be resolved before use")
+        return PulseSpec(rabi=TWO_PI * self.rabi_hz, duration=float(self.duration_s))
 
     def motion(self) -> MotionalModel:
         if self.eta == "auto":
@@ -136,7 +135,6 @@ class RunConfig:
     def timeline(self) -> ExperimentTimeline:
         return ExperimentTimeline(
             rep_period=self.rep_period_s,
-            shots_per_side=self.shots_per_side,
             detection_error_bright=self.detection_error_bright,
             detection_error_dark=self.detection_error_dark,
             shot_order=self.shot_order,
@@ -207,6 +205,12 @@ class RunConfig:
                 raise ConfigError(f"{name} must be at most {high}")
         if self.lineshape_detuning_min_rabi >= self.lineshape_detuning_max_rabi:
             raise ConfigError("empty lineshape detuning range")
+        for key in ("detuning_min_rabi", "detuning_max_rabi"):
+            fraction = getattr(self, f"lineshape_{key}")
+            detuning = fraction * (TWO_PI * self.rabi_hz)   # as cmd_lineshape forms it
+            if not math.isfinite(detuning * detuning):
+                raise ConfigError(f"[lineshape] {key} = {fraction!r}: the angular "
+                                  "detuning overflows when squared")
         for name in ("allan_taus_s", "durations_s"):
             if any(v <= 0.0 for v in getattr(self, name)):
                 raise ConfigError(f"{name} values must be positive")

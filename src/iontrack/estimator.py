@@ -233,7 +233,7 @@ def estimate_from_counts(counts_plus: int, counts_minus: int,
     )
 
 
-def analytic_sigma(cfg: TwoPointConfig, delta: float, shots_per_side: int) -> float:
+def analytic_sigma(cfg: TwoPointConfig, delta: float) -> float:
     """Projection-noise standard error of the offset estimate, rad/s.
 
     Uses the noise-free probe probabilities at the true offset, exact
@@ -241,15 +241,13 @@ def analytic_sigma(cfg: TwoPointConfig, delta: float, shots_per_side: int) -> fl
     offset where the slope is non-zero, including outside the capture
     window (there it describes the locally linearised estimate).
     """
-    if shots_per_side < 1:
-        raise ValueError("need at least one shot per side")
     p_plus, p_minus = probe_probabilities(float(delta), cfg)
     if p_plus + p_minus <= 0.0:
         raise ValueError("zero excitation at both probe points")
     sigma_g = _propagate_g_sigma(
         p_plus, p_minus,
-        p_plus * (1.0 - p_plus) / shots_per_side,
-        p_minus * (1.0 - p_minus) / shots_per_side,
+        p_plus * (1.0 - p_plus) / cfg.shots_per_side,
+        p_minus * (1.0 - p_minus) / cfg.shots_per_side,
     )
     return sigma_g / abs(g_slope(float(delta), cfg))
 

@@ -80,10 +80,9 @@ class DriftModel:
 
 @dataclass(frozen=True)
 class ExperimentTimeline:
-    """Repetition schedule and detection imperfections."""
+    """Repetition schedule and detection imperfections of each shot."""
 
     rep_period: float = 0.02       # s per shot (50 Hz line sync)
-    shots_per_side: int = 50
     detection_error_bright: float = 0.0   # P(read dark | bright)
     detection_error_dark: float = 0.0     # P(read bright | dark)
     shot_order: str = "interleaved"       # or "blocked"
@@ -91,25 +90,21 @@ class ExperimentTimeline:
     def __post_init__(self) -> None:
         if not 0.0 < self.rep_period < math.inf:
             raise ValueError("rep_period must be positive and finite")
-        if self.shots_per_side < 1:
-            raise ValueError("shots_per_side must be at least 1")
         for err in (self.detection_error_bright, self.detection_error_dark):
             if not 0.0 <= err <= 1.0:
                 raise ValueError("detection errors must be probabilities")
         if self.shot_order not in ("interleaved", "blocked"):
             raise ValueError("shot_order must be 'interleaved' or 'blocked'")
 
-    @property
-    def measurement_duration(self) -> float:
-        """Wall-clock time of one two-point measurement, s."""
-        return 2.0 * self.shots_per_side * self.rep_period
+    def measurement_duration(self, cfg: TwoPointConfig) -> float:
+        """Wall-clock time of one measurement, 2 cfg.shots_per_side shots, s."""
+        return 2.0 * cfg.shots_per_side * self.rep_period
 
 
-def _shot_sides(timeline: ExperimentTimeline) -> np.ndarray:
-    n = timeline.shots_per_side
+def _shot_sides(timeline: ExperimentTimeline, cfg: TwoPointConfig) -> np.ndarray:
     if timeline.shot_order == "blocked":
-        return np.repeat([+1, -1], n)
-    return np.tile([+1, -1], n)
+        return np.repeat([+1, -1], cfg.shots_per_side)
+    return np.tile([+1, -1], cfg.shots_per_side)
 
 
 def _bright_shots(detunings: np.ndarray, uniforms: np.ndarray,
@@ -139,7 +134,7 @@ def run_measurement(nu0: float, rng: np.random.Generator, cfg: TwoPointConfig,
     base_nu is the drifting resonance without the line term and
     resonance_offset (rad/s).  Returns the bright counts on the + and -
     sides, the shot-averaged true resonance, and base_nu and time after
-    2 * shots_per_side ticks of rep_period; turning the counts into an
+    2 * cfg.shots_per_side ticks of rep_period; turning the counts into an
     estimate is left to the caller.
 
     Each tick records the true resonance and draws, in this order, the
@@ -148,9 +143,7 @@ def run_measurement(nu0: float, rng: np.random.Generator, cfg: TwoPointConfig,
     the flop uniform lies below the thermal excitation at the shot's
     detuning.
     """
-    if timeline.shots_per_side != cfg.shots_per_side:
-        raise ValueError("timeline and estimator disagree on shots_per_side")
-    sides = _shot_sides(timeline)
+    sides = _shot_sides(timeline, cfg)
     ticks = sides.size
     truth = np.empty(ticks)
     flop = np.empty(ticks)

@@ -17,14 +17,13 @@ from iontrack.analysis import (
     position_statistics,
 )
 from iontrack.atomphys import (
-    IonSpecies,
-    TrapEnvironment,
     equilibrium_positions,
     field_from_frequency,
     frequency_to_position_slope,
     length_scale,
     transition_frequency,
 )
+from iontrack.config import default_config
 from iontrack.estimator import (
     TwoPointConfig,
     analytic_sigma,
@@ -44,8 +43,8 @@ from iontrack.simulator import (
 )
 
 TWO_PI = 2.0 * math.pi
-SPECIES = IonSpecies.ytterbium_171()
-ENV = TrapEnvironment.default()          # 442.09 uT offset, 19.07 T/m
+SPECIES = default_config().species()     # 171Yb+
+ENV = default_config().trap()            # 442.09 uT offset, 19.07 T/m
 RABI = TWO_PI * 640.0                    # tracking drive
 MOTION = MotionalModel(nbar=80.0, eta=0.026)   # calibrated coupling
 CFG = TwoPointConfig(pulse=PulseSpec.pi_pulse(RABI), motion=MOTION)
@@ -91,7 +90,7 @@ def test_criterion_03_estimator_noise_floor():
         for cp, cm in zip(c_plus, c_minus)
     ])
     mc = float(estimates.std(ddof=1)) / RABI
-    analytic = analytic_sigma(CFG, 0.0, CFG.shots_per_side) / RABI
+    analytic = analytic_sigma(CFG, 0.0) / RABI
     ratio = mc / analytic
     print(f"criterion 3: std/Omega = {mc:.5f} (target 0.05 +/- 0.01), "
           f"MC/analytic = {ratio:.4f}")
@@ -153,7 +152,7 @@ def test_criterion_05_drift_recovery():
 
 def test_criterion_06_endpoint_drift():
     """8.2 Hz/s over one 2 s measurement: 2pi x 16.4 Hz, i.e. 0.06 nm."""
-    duration = TIMELINE.measurement_duration
+    duration = TIMELINE.measurement_duration(CFG)
     accumulated = DRIFT_RATE * duration
     assert duration == pytest.approx(2.0, rel=1e-12)
     assert accumulated == pytest.approx(TWO_PI * 16.4, rel=1e-12)
@@ -199,10 +198,10 @@ def test_criterion_09_narrow_line_projection():
     """A 2pi x 30 Hz drive projects to ~1.5 Hz, ~6 pm and ~3.2e-25 N/rtHz."""
     narrow = TwoPointConfig(pulse=PulseSpec.pi_pulse(TWO_PI * 30.0),
                             motion=MOTION)
-    sigma_nu = analytic_sigma(narrow, 0.0, narrow.shots_per_side)
+    sigma_nu = analytic_sigma(narrow, 0.0)
     sigma_hz = sigma_nu / TWO_PI
     sigma_z = sigma_nu / frequency_to_position_slope(ENV, SPECIES)
-    duration = TIMELINE.measurement_duration
+    duration = TIMELINE.measurement_duration(narrow)
     sensitivity = 4e-14 * sigma_z * math.sqrt(duration)
     rel_nu = abs(sigma_hz / 1.5 - 1.0)
     rel_z = abs(sigma_z / 6e-12 - 1.0)

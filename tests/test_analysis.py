@@ -14,7 +14,7 @@ from iontrack.analysis import (
     force_report,
     position_statistics,
 )
-from iontrack.atomphys import IonSpecies, TrapEnvironment
+from iontrack.config import default_config
 from iontrack.estimator import TwoPointConfig, binomial_variance
 from iontrack.lineshape import MotionalModel, PulseSpec, excitation_profile
 from iontrack.simulator import (
@@ -25,8 +25,8 @@ from iontrack.simulator import (
 )
 
 TWO_PI = 2.0 * math.pi
-SPECIES = IonSpecies.ytterbium_171()
-ENV = TrapEnvironment.default()
+SPECIES = default_config().species()
+ENV = default_config().trap()
 SLOPE = TWO_PI * 267.5752951468019 * 1e9  # rad/s per metre, frozen above
 
 

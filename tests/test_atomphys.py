@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from iontrack.atomphys import (
     BREIT_RABI_VARIANTS,
-    IonSpecies,
     TrapEnvironment,
     axial_stiffness,
     calibrate_gradient,
@@ -21,11 +20,12 @@ from iontrack.atomphys import (
     transition_frequency_derivative,
 )
 from iontrack.analysis import position_statistics
+from iontrack.config import default_config
 from iontrack.simulator import Displacements
 
 TWO_PI = 2.0 * math.pi
-SPECIES = IonSpecies.ytterbium_171()
-ENV = TrapEnvironment.default()
+SPECIES = default_config().species()
+ENV = default_config().trap()
 
 
 def shift_to_position(delta_nu):

@@ -53,6 +53,11 @@ def sensitivity_dir(tmp_path_factory):
     return out
 
 
+# a drive so strong that Omega^2 + (2 Omega)^2 overflows at the default
+# detuning range's edges, although each square is finite
+HUGE_RABI_INI = "[pulse]\nrabi_hz = 1e153\n[lineshape]\nn_points = 5\n"
+
+
 class TestLineshape:
     def test_summary_widths_match_library(self, tmp_path):
         assert main(["lineshape", "--out", str(tmp_path)]) == 0
@@ -128,10 +133,10 @@ class TestLineshape:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_cells_are_numerical_failure(self, tmp_path, capsys, fmt):
-        # (1e160 Rabi)^2 overflows, so every non-zero detuning gives a nan cell
+        # at 2 Rabi of a 1e153 Hz drive, Omega^2 + delta^2 overflows, so the
+        # edge detunings give nan cells
         cfg = tmp_path / "wide.ini"
-        cfg.write_text("[lineshape]\ndetuning_min_rabi = -1e160\n"
-                       "detuning_max_rabi = 1e160\nn_points = 5\n")
+        cfg.write_text(HUGE_RABI_INI)
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -146,18 +151,37 @@ class TestLineshape:
         # numpy's overflow warning comes out as iontrack's line, without
         # the path and source line of the module that raised it
         cfg = tmp_path / "wide.ini"
-        cfg.write_text("[lineshape]\ndetuning_min_rabi = -1e160\n"
-                       "detuning_max_rabi = 1e160\nn_points = 5\n")
+        cfg.write_text(HUGE_RABI_INI)
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("default")
             assert main(["lineshape", "--config", str(cfg), "--out", str(out),
                          "--format", fmt]) == 2
         lines = capsys.readouterr().err.splitlines()
-        assert "iontrack: warning: overflow encountered in square" in lines
+        assert "iontrack: warning: overflow encountered in add" in lines
         assert lines and all(line.startswith("iontrack:") for line in lines)
         assert not any("lineshape.py" in line for line in lines)
         assert not out.exists()
+
+    def test_overflowing_detuning_range_is_usage_error(self, tmp_path, capsys):
+        # (1e160 x 2pi x 640 Hz)^2 overflows: rejected at load, naming the
+        # key, before numpy can warn; 1e150 Rabi widths still run
+        cfg = tmp_path / "wide.ini"
+        out = tmp_path / "out"
+
+        def run(bound):
+            cfg.write_text(f"[lineshape]\ndetuning_min_rabi = -{bound}\n"
+                           f"detuning_max_rabi = {bound}\nn_points = 5\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("default")
+                code = main(["lineshape", "--config", str(cfg), "--out", str(out)])
+            return code, capsys.readouterr().err
+
+        assert run("1e160") == (1, "iontrack: error: [lineshape] detuning_min_rabi = "
+                                   "-1e+160: the angular detuning overflows when squared\n")
+        assert not out.exists()
+        assert run("1e150") == (0, "")
+        assert sorted(os.listdir(out)) == ["lineshape.csv", "lineshape_summary.json"]
 
 
 class TestFitSpectrum:
@@ -502,14 +526,10 @@ class TestCalibrate:
     CALIB_INI = "[trap]\noffset_field_t = 6e-4\n"
 
     def _write_frequencies(self, tmp_path, n_ions):
-        from iontrack.atomphys import (IonSpecies, TrapEnvironment,
-                                       equilibrium_positions,
-                                       transition_frequency)
-        species = IonSpecies.ytterbium_171()
-        env = TrapEnvironment(omega_z=TWO_PI * 108104.0,
-                              omega_r=TWO_PI * 534400.0,
-                              offset_field=6e-4, gradient=19.07,
-                              voltage_to_field=8.2e-4)
+        from iontrack.atomphys import equilibrium_positions, transition_frequency
+        from iontrack.config import loads
+        run = loads(self.CALIB_INI)
+        species, env = run.species(), run.trap()
         z = equilibrium_positions(n_ions, env, species)
         path = tmp_path / "freqs.txt"
         lines = ["# per-ion transition frequencies, ordinary Hz"]

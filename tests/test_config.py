@@ -1,5 +1,6 @@
 """INI configuration: parsing, resolution, validation, round-trips."""
 import math
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -141,6 +142,22 @@ class TestLoads:
     def test_repeated_nbar_rejected(self, values):
         with pytest.raises(ConfigError, match=r"lineshape_nbar_values: .* is repeated"):
             loads(f"[lineshape]\nnbar_values = {values}\n")
+
+    def test_overflowing_detuning_range_rejected(self):
+        # the angular detuning fraction x 2pi x 640 Hz must square to a float
+        for key, value in (("detuning_min_rabi", -1e160), ("detuning_max_rabi", 1e160)):
+            message = f"[lineshape] {key} = {value!r}: the angular detuning overflows"
+            with pytest.raises(ConfigError, match="^" + re.escape(message)):
+                loads(f"[lineshape]\n{key} = {value!r}\n")
+        cfg = loads("[lineshape]\ndetuning_min_rabi = -1e150\ndetuning_max_rabi = 1e150\n")
+        assert cfg.lineshape_detuning_max_rabi == 1e150
+
+    @pytest.mark.parametrize("builder, name", [("pulse", "duration_s"), ("motion", "eta"),
+                                               ("initial_nu0", "initial_nu0_hz")])
+    def test_builders_reject_unresolved_auto(self, builder, name):
+        unresolved = replace(default_config(), **{name: "auto"})
+        with pytest.raises(ConfigError, match=f"^{name} must be resolved before use$"):
+            getattr(unresolved, builder)()
 
     def test_seed_override(self):
         assert loads("", seed=777).seed == 777

@@ -142,20 +142,20 @@ class TestAnalyticSigma:
         (HOT, 0.05405998199187886),
     ])
     def test_center_noise_floor(self, cfg, expected):
-        assert analytic_sigma(cfg, 0.0, 50) / RABI == \
+        assert analytic_sigma(cfg, 0.0) / RABI == \
             pytest.approx(expected, rel=1e-10)
 
     def test_larger_offset_is_noisier(self):
-        s0 = analytic_sigma(GROUND, 0.0, 50)
-        s3 = analytic_sigma(GROUND, 0.3 * RABI, 50)
-        s7 = analytic_sigma(GROUND, 0.7 * RABI, 50)
+        s0 = analytic_sigma(GROUND, 0.0)
+        s3 = analytic_sigma(GROUND, 0.3 * RABI)
+        s7 = analytic_sigma(GROUND, 0.7 * RABI)
         assert s3 / RABI == pytest.approx(0.062017217329217555, rel=1e-10)
         assert s7 / RABI == pytest.approx(0.08873972642383583, rel=1e-10)
         assert s0 < s3 < s7
 
     def test_scales_inverse_root_shots(self):
-        a = analytic_sigma(HOT, 0.0, 50)
-        b = analytic_sigma(HOT, 0.0, 200)
+        a = analytic_sigma(HOT, 0.0)
+        b = analytic_sigma(replace(HOT, shots_per_side=200), 0.0)
         assert a / b == pytest.approx(2.0, rel=1e-12)
 
     def test_monte_carlo_agreement(self):
@@ -166,7 +166,7 @@ class TestAnalyticSigma:
         deltas = [estimate_from_counts(int(a), int(b), HOT).delta
                   for a, b in zip(c_plus, c_minus)]
         mc = float(np.std(deltas, ddof=1))
-        assert mc == pytest.approx(analytic_sigma(HOT, 0.0, 50), rel=0.10)
+        assert mc == pytest.approx(analytic_sigma(HOT, 0.0), rel=0.10)
 
 
 def plain_estimate(counts_plus, counts_minus, cfg):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iontrack import lineshape
-from iontrack.atomphys import IonSpecies, TrapEnvironment
+from iontrack.atomphys import TrapEnvironment
+from iontrack.config import default_config
 from iontrack.lineshape import (
     LINEWIDTH_CALIBRATED_ETA,
     MIN_THERMAL_CUTOFF,
@@ -352,14 +353,14 @@ def _two_sided_fwhm(m, pulse):
 
 class TestComputeEta:
     def test_trap_derived_value(self):
-        eta = compute_eta(TrapEnvironment.default(), IonSpecies.ytterbium_171())
+        eta = compute_eta(default_config().trap(), default_config().species())
         assert eta == pytest.approx(0.04093311432836127, rel=1e-10)
 
     def test_outside_lamb_dicke_rejected(self):
-        env = TrapEnvironment.default()
+        env = default_config().trap()
         strong = TrapEnvironment(omega_z=env.omega_z, omega_r=env.omega_r,
                                  offset_field=env.offset_field,
                                  gradient=1e6 * env.gradient,
                                  voltage_to_field=env.voltage_to_field)
         with pytest.raises(ValueError):
-            compute_eta(strong, IonSpecies.ytterbium_171())
+            compute_eta(strong, default_config().species())

@@ -1,6 +1,7 @@
 """The top-level package re-exports each module's public names."""
 import inspect
 import re
+from pathlib import Path
 
 import iontrack
 from iontrack import analysis, atomphys, config, estimator, lineshape, simulator
@@ -57,3 +58,24 @@ def test_only_the_field_owners_take_a_variant():
     takers = {name for name, fn in _public_callables()
               if "variant" in inspect.signature(fn).parameters}
     assert takers == {"IonSpecies.__init__", "RunConfig.__init__"}
+
+
+def test_only_the_run_configs_take_a_shot_count():
+    # The shots per side are a field of TwoPointConfig, set from the
+    # [two_point] key of RunConfig; the timeline and analytic_sigma read it
+    # from the TwoPointConfig they are given.
+    takers = {name for name, fn in _public_callables()
+              if "shots_per_side" in inspect.signature(fn).parameters}
+    assert takers == {"TwoPointConfig.__init__", "RunConfig.__init__"}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    drift, position = capsys.readouterr().out.splitlines()
+    assert drift.startswith("drift: ") and position.startswith("sigma_z = ")

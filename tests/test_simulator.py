@@ -7,7 +7,8 @@ import pytest
 
 from iontrack import estimator, lineshape, simulator
 from iontrack.cli import _table_text, main
-from iontrack.atomphys import IonSpecies, TrapEnvironment, transition_frequency
+from iontrack.atomphys import transition_frequency
+from iontrack.config import default_config
 from iontrack.estimator import NoSignalError, TwoPointConfig, estimate_from_counts
 from iontrack.lineshape import MotionalModel, PulseSpec, thermal_excitation
 from iontrack.simulator import (
@@ -28,8 +29,8 @@ from iontrack.simulator import (
 )
 
 TWO_PI = 2.0 * math.pi
-SPECIES = IonSpecies.ytterbium_171()
-ENV = TrapEnvironment.default()
+SPECIES = default_config().species()
+ENV = default_config().trap()
 RABI = TWO_PI * 640.0
 CFG = TwoPointConfig(pulse=PulseSpec.pi_pulse(RABI),
                      motion=MotionalModel(nbar=80.0, eta=0.026))
@@ -39,7 +40,7 @@ NU0 = transition_frequency(SPECIES, ENV.offset_field)
 
 class TestTimeline:
     def test_measurement_duration(self):
-        assert TIMELINE.measurement_duration == pytest.approx(2.0)
+        assert TIMELINE.measurement_duration(CFG) == pytest.approx(2.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -48,22 +49,15 @@ class TestTimeline:
             ExperimentTimeline(detection_error_bright=1.5)
         with pytest.raises(ValueError):
             ExperimentTimeline(shot_order="random")
-        for shots in (0, -1):
-            with pytest.raises(ValueError, match="shots_per_side must be at least 1"):
-                ExperimentTimeline(shots_per_side=shots)
 
 
 class TestRunMeasurement:
-    def test_advances_clock_exactly(self):
-        *_, time = run_measurement(NU0, np.random.default_rng(1), CFG, TIMELINE,
+    @pytest.mark.parametrize("shots", [10, 50])
+    def test_advances_clock_exactly(self, shots):
+        cfg = replace(CFG, shots_per_side=shots)
+        *_, time = run_measurement(NU0, np.random.default_rng(1), cfg, TIMELINE,
                                    DriftModel(seed=1), NU0, 0.0)
-        assert time == pytest.approx(2.0, rel=1e-12)
-
-    def test_shots_per_side_mismatch_rejected(self):
-        other = ExperimentTimeline(shots_per_side=10)
-        with pytest.raises(ValueError):
-            run_measurement(NU0, np.random.default_rng(1), CFG, other,
-                            DriftModel(seed=1), NU0, 0.0)
+        assert time == pytest.approx(TIMELINE.measurement_duration(cfg), rel=1e-12)
 
     def test_centered_probe_estimates_near_zero(self):
         c_plus, c_minus, true_mean, _, _ = run_measurement(
@@ -118,7 +112,7 @@ class TestDeterminism:
 def _per_shot_counts(nu0, rng, cfg, timeline, drift, base_nu, time):
     """Reference loop: one thermal_excitation call per shot, draws in
     tick order (flop uniform, detection uniform, drift Gaussian)."""
-    n = timeline.shots_per_side
+    n = cfg.shots_per_side
     sides = [+1] * n + [-1] * n if timeline.shot_order == "blocked" else [+1, -1] * n
     counts = {+1: 0, -1: 0}
     true_sum = 0.0
@@ -244,8 +238,8 @@ class TestSharedInversions:
 
     # ten shots per side, so that count pairs repeat within a run
     CFG = replace(CFG, shots_per_side=10)
-    TIMELINE = ExperimentTimeline(shots_per_side=10, detection_error_bright=0.05,
-                                  detection_error_dark=0.03, shot_order="blocked")
+    TIMELINE = ExperimentTimeline(detection_error_bright=0.05, detection_error_dark=0.03,
+                                  shot_order="blocked")
 
     def runs(self, seed):
         drift = replace(TestBatchedShots.NOISY, seed=seed)
