@@ -205,12 +205,19 @@ class RunConfig:
                 raise ConfigError(f"{name} must be at most {high}")
         if self.lineshape_detuning_min_rabi >= self.lineshape_detuning_max_rabi:
             raise ConfigError("empty lineshape detuning range")
+        rabi = TWO_PI * self.rabi_hz
         for key in ("detuning_min_rabi", "detuning_max_rabi"):
             fraction = getattr(self, f"lineshape_{key}")
-            detuning = fraction * (TWO_PI * self.rabi_hz)   # as cmd_lineshape forms it
-            if not math.isfinite(detuning * detuning):
-                raise ConfigError(f"[lineshape] {key} = {fraction!r}: the angular "
-                                  "detuning overflows when squared")
+            detuning = fraction * rabi          # as cmd_lineshape forms it
+            # _excitation's Omega_n^2 + delta^2, with Omega_n <= Omega_0
+            if math.isfinite(rabi * rabi + detuning * detuning):
+                continue
+            if self.rabi_hz > abs(fraction):
+                raise ConfigError(f"[pulse] rabi_hz = {self.rabi_hz!r}: Omega^2 + "
+                                  f"delta^2 overflows at [lineshape] {key} = "
+                                  f"{fraction!r}")
+            raise ConfigError(f"[lineshape] {key} = {fraction!r}: the angular "
+                              "detuning overflows when squared")
         for name in ("allan_taus_s", "durations_s"):
             if any(v <= 0.0 for v in getattr(self, name)):
                 raise ConfigError(f"{name} values must be positive")

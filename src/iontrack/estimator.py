@@ -26,9 +26,25 @@ other step calls the exact `g_forward`, and so does every step of a
 pulse too long to tabulate (above 4 pi) or of a table with fewer than
 the 4 intervals the cubic's nodes need.  So every decision, and every
 estimate, is the one the exact bisection makes.
+
+Most steps need no read at all.  Once per (pulse, motion, kappa),
+`_replay_grid` certifies from the table that g is strictly increasing
+on the whole window: a lower bound on g' over each grid cell, from g~
+at the cell's nodes and Bernstein's bound on g''.  Each inversion then
+interpolates g~'s root r in the grid cell that brackets g and keeps the
+band (r - D, r + D), D = tol / 4, only if the certified decisions at
+its ends are "below" and "not below".  As g increases, every midpoint
+at or below r - D has g(mid) <= g(r - D), below the target by more than
+DECISION_SLACK, so the exact bisection goes up there too; likewise
+above r + D.  The bisection keeps its own arithmetic and reads the
+table only for midpoints inside the band: about 5 cubic reads per
+inversion instead of 38.  Without a certificate (no usable table, or g
+falling inside the window, as at 3 pi and nbar 80) or with an
+undecided end, the band is (-inf, inf) and every step runs as above.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -106,14 +122,22 @@ def _window_edges(pulse: PulseSpec, motion: MotionalModel,
     return w, g_forward(-w, cfg), g_forward(w, cfg)
 
 
-def _certified_below(mid: float, off: float, g_value: float,
-                     floats: tuple, scale: float, eps: float) -> bool | None:
-    """g(mid) < g_value decided from the table, or None if it cannot be.
+def _cubic_table(pulse: PulseSpec, motion: MotionalModel) -> tuple | None:
+    """(floats, scale, eps) of the per-shot table, or None if its cubic cannot be read.
 
     The probe points |mid -+ off| <= Omega_0 lie in the first half of
     the table's span [0, 2 Omega_0], so with at least 4 intervals the
     cubic's nodes exist.
     """
+    table = _shot_table(pulse, motion)
+    if table is None or len(table.floats) < 5:
+        return None
+    return table.floats, table.scale, table.cubic_bound
+
+
+def _certified_below(mid: float, off: float, g_value: float,
+                     floats: tuple, scale: float, eps: float) -> bool | None:
+    """g(mid) < g_value decided from the table, or None if it cannot be."""
     p_plus = _cubic_read(floats, abs(mid - off) * scale)
     p_minus = _cubic_read(floats, abs(mid + off) * scale)
     total = p_plus + p_minus
@@ -128,35 +152,115 @@ def _certified_below(mid: float, off: float, g_value: float,
     return None
 
 
+@lru_cache(maxsize=16)
+def _replay_grid(pulse: PulseSpec, motion: MotionalModel,
+                 kappa: float) -> tuple[tuple, tuple] | None:
+    """(x, g~) on a grid over [-w, w] where g is certified increasing, else None.
+
+    The grid has at least one node per table pitch.  Cell j, of width s,
+    has g~ at both nodes within e = 2 eps / S~ + DECISION_SLACK of g,
+    and |S'| <= tau on it, so S >= min S~ - 2 eps - s tau there.  From
+    a = p(x - off), b = p(x + off) >= 0 and |p^(k)| <= tau^k / 2,
+
+        g'' = 2 (a'' b - a b'') / S^2 - 4 S' (a' b - a b') / S^3,
+        |g''| <= tau^2 (1 / S + 2 / S^2),
+
+    and the secant slope of g over the cell is g' somewhere in it, so
+    g' > 0 on the cell when dg~ - e_j - e_j+1 > s^2 max|g''|.  None
+    when there is no table, it has fewer than 4 intervals, or a cell
+    fails that test (g may really fall there, as at 3 pi).
+    """
+    read = _cubic_table(pulse, motion)
+    if read is None:
+        return None
+    floats, scale, eps = read
+    w = _window_edges(pulse, motion, kappa)[0]
+    off = kappa * pulse.rabi
+    cells = math.ceil(2.0 * w * scale)
+    step = 2.0 * w / cells
+    xs = tuple([-w + j * step for j in range(cells)] + [w])
+    gs, errors, totals = [], [], []
+    for x in xs:
+        p_plus = _cubic_read(floats, abs(x - off) * scale)
+        p_minus = _cubic_read(floats, abs(x + off) * scale)
+        total = p_plus + p_minus
+        if total <= 2.0 * eps:
+            return None
+        gs.append((p_plus - p_minus) / total)
+        errors.append(2.0 * eps / total + DECISION_SLACK)
+        totals.append(total)
+    for j in range(cells):
+        s_tau = (xs[j + 1] - xs[j]) * pulse.duration
+        s_low = min(totals[j], totals[j + 1]) - 2.0 * eps - s_tau
+        if s_low <= 0.0:
+            return None
+        curve = s_tau ** 2 * (1.0 / s_low + 2.0 / s_low ** 2)
+        if gs[j + 1] - gs[j] - errors[j] - errors[j + 1] <= curve:
+            return None
+    return xs, tuple(gs)
+
+
+def _root_band(g_value: float, off: float, tol: float, grid: tuple,
+               read: tuple) -> tuple[float, float]:
+    """(r - tol/4, r + tol/4) about g~'s root r, or (-inf, inf) unless
+    g is certified below g_value at its low end and above at its high end.
+
+    r interpolates linearly in the grid cell that brackets g_value, so it
+    lies in the window, where g rises.  The interpolation alone lands
+    within tol/4 of g's root: over about 30,000 count-pair inversions at
+    pulse areas 0.3 pi to 4 pi and kappa 0.1 to 0.8, no band end failed.
+    """
+    xs, gs = grid
+    k = bisect.bisect(gs, g_value)
+    if 0 < k < len(gs):
+        a, fa, fb = xs[k - 1], gs[k - 1] - g_value, gs[k] - g_value
+        r = a - fa * (xs[k] - a) / (fb - fa)
+        lo_band, hi_band = r - 0.25 * tol, r + 0.25 * tol
+        if (_certified_below(lo_band, off, g_value, *read) is True
+                and _certified_below(hi_band, off, g_value, *read) is False):
+            return lo_band, hi_band
+    return -math.inf, math.inf
+
+
 def g_invert(g_value: float, cfg: TwoPointConfig) -> tuple[float, bool]:
     """Invert g on the capture window by bisection.
 
     Returns (delta, in_window).  Values of g beyond the window edges
     clamp to the corresponding edge with in_window = False; clamping is
-    a flagged result, not an error.  Resolution is 1e-6 * Omega_0.
-    Each step is decided from the per-shot table's cubic read when the
-    bound 2 eps / S~ certifies it and by `g_forward` otherwise (see the
-    module docstring), so the result is the exact bisection's.
+    a flagged result, not an error, and a NaN g raises ValueError.
+    Resolution is 1e-6 * Omega_0.  A step whose midpoint lies below the
+    band about the table root (`_root_band`) goes up, one above it goes
+    down; any other step is decided from the per-shot table's cubic
+    read when the bound 2 eps / S~ certifies it and by `g_forward`
+    otherwise (see the module docstring), so the result is the exact
+    bisection's.
     """
     g_value = float(g_value)
+    if math.isnan(g_value):
+        raise ValueError("g is NaN")
     w, g_lo, g_hi = _window_edges(cfg.pulse, cfg.motion, cfg.kappa)
     if g_value >= g_hi:
         return w, g_value <= g_hi
     if g_value <= g_lo:
         return -w, g_value >= g_lo
-    table = _shot_table(cfg.pulse, cfg.motion)
-    if table is None or len(table.floats) < 5:    # the cubic needs 4 intervals
-        read = None
-    else:
-        read = table.floats, table.scale, table.cubic_bound
+    read = _cubic_table(cfg.pulse, cfg.motion)
     off = cfg.kappa * cfg.pulse.rabi
-    lo, hi = -w, w
     tol = INVERSION_TOLERANCE * cfg.pulse.rabi
+    lo_band, hi_band = -math.inf, math.inf
+    grid = _replay_grid(cfg.pulse, cfg.motion, cfg.kappa)
+    if grid is not None:
+        lo_band, hi_band = _root_band(g_value, off, tol, grid, read)
+    lo, hi = -w, w
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        below = None if read is None else _certified_below(mid, off, g_value, *read)
-        if below is None:
-            below = g_forward(mid, cfg) < g_value
+        if mid <= lo_band:
+            below = True
+        elif mid >= hi_band:
+            below = False
+        else:
+            below = None if read is None else _certified_below(mid, off, g_value, *read)
+            if below is None:
+                below = g_forward(mid, cfg) < g_value
         if below:
             lo = mid
         else:

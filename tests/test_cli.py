@@ -5,6 +5,7 @@ import json
 import math
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,9 +54,23 @@ def sensitivity_dir(tmp_path_factory):
     return out
 
 
-# a drive so strong that Omega^2 + (2 Omega)^2 overflows at the default
-# detuning range's edges, although each square is finite
-HUGE_RABI_INI = "[pulse]\nrabi_hz = 1e153\n[lineshape]\nn_points = 5\n"
+FIVE_POINT_INI = "[lineshape]\nn_points = 5\n"
+
+
+@pytest.fixture
+def overflowing_lineshape(monkeypatch):
+    """cmd_lineshape's profiles as at a 1e153 Hz drive, which the loader rejects.
+
+    At 2 Rabi of such a drive Omega^2 + delta^2 overflows in _excitation,
+    so the edge detunings give nan cells after numpy's overflow warning.
+    """
+    exact = cli.excitation_profile
+
+    def huge(detunings, pulse, motion):
+        rabi = TWO_PI * 1e153
+        return exact(detunings * (rabi / pulse.rabi), replace(pulse, rabi=rabi), motion)
+
+    monkeypatch.setattr(cli, "excitation_profile", huge)
 
 
 class TestLineshape:
@@ -132,11 +147,10 @@ class TestLineshape:
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_non_finite_cells_are_numerical_failure(self, tmp_path, capsys, fmt):
-        # at 2 Rabi of a 1e153 Hz drive, Omega^2 + delta^2 overflows, so the
-        # edge detunings give nan cells
+    def test_non_finite_cells_are_numerical_failure(self, tmp_path, capsys, fmt,
+                                                    overflowing_lineshape):
         cfg = tmp_path / "wide.ini"
-        cfg.write_text(HUGE_RABI_INI)
+        cfg.write_text(FIVE_POINT_INI)
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -147,11 +161,12 @@ class TestLineshape:
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_overflow_warning_is_one_cli_line(self, tmp_path, capsys, fmt):
+    def test_overflow_warning_is_one_cli_line(self, tmp_path, capsys, fmt,
+                                              overflowing_lineshape):
         # numpy's overflow warning comes out as iontrack's line, without
         # the path and source line of the module that raised it
         cfg = tmp_path / "wide.ini"
-        cfg.write_text(HUGE_RABI_INI)
+        cfg.write_text(FIVE_POINT_INI)
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("default")
@@ -161,6 +176,22 @@ class TestLineshape:
         assert "iontrack: warning: overflow encountered in add" in lines
         assert lines and all(line.startswith("iontrack:") for line in lines)
         assert not any("lineshape.py" in line for line in lines)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rabi_hz", ["1e+153", "2e+153"])
+    def test_overflowing_rabi_frequency_is_usage_error(self, tmp_path, capsys, rabi_hz):
+        # at the default +-2 Rabi edges, (2pi 1e153 Hz)^2 (1 + 2^2) overflows
+        # in the sum and 2 (2pi 2e153 Hz) already when squared: both are
+        # rejected at load, naming rabi_hz, before numpy can warn
+        cfg = tmp_path / "fast.ini"
+        cfg.write_text(f"[pulse]\nrabi_hz = {rabi_hz}\n[lineshape]\nn_points = 5\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            code = main(["lineshape", "--config", str(cfg), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (
+            1, f"iontrack: error: [pulse] rabi_hz = {rabi_hz}: Omega^2 + delta^2 "
+               "overflows at [lineshape] detuning_min_rabi = -2.0\n")
         assert not out.exists()
 
     def test_overflowing_detuning_range_is_usage_error(self, tmp_path, capsys):

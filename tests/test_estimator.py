@@ -96,6 +96,13 @@ class TestGMap:
         assert not in_window
         assert delta == pytest.approx(-0.2 * RABI, rel=1e-12)
 
+    def test_infinite_g_clamps_and_nan_is_rejected(self):
+        w = HOT.window_halfwidth
+        assert g_invert(math.inf, HOT) == (w, False)
+        assert g_invert(-math.inf, HOT) == (-w, False)
+        with pytest.raises(ValueError, match="NaN"):
+            g_invert(math.nan, HOT)
+
 
 class TestBinomialVariance:
     def test_interior_value(self):
@@ -312,7 +319,7 @@ class TestCertifiedDecisions:
 
     @pytest.mark.parametrize("area", [0.5, 1.0, 3.0])
     def test_table_off_by_its_rounding_allowance_still_decides_exactly(
-            self, area, monkeypatch):
+            self, area, monkeypatch, fresh_replay_grids):
         # Each tabulated sum may be off by TABLE_ROUNDING_SLACK.  Shift the
         # table by 0.9 of that, up below the probe offset and down above
         # it, so that away from delta = 0 one probe reads high and the
@@ -325,6 +332,7 @@ class TestCertifiedDecisions:
         shift = 0.9 * lineshape.TABLE_ROUNDING_SLACK * np.sign(off - table.grid)
         skewed = table._replace(floats=tuple((table.values + shift).tolist()))
         monkeypatch.setattr(estimator, "_shot_table", lambda *args: skewed)
+        bands = spy_on_root_bands(monkeypatch)
         visited = []
         plain_invert(g_forward(0.37 * cfg.window_halfwidth, cfg), cfg, visited)
         tested = 0
@@ -339,6 +347,11 @@ class TestCertifiedDecisions:
                 assert g_invert(g, cfg) == plain_invert(g, cfg), g
             tested += 1
         assert tested >= 15
+        if area == 3.0:     # g falls inside the window: no certificate, no band
+            assert estimator._replay_grid(cfg.pulse, cfg.motion, cfg.kappa) is None
+            assert bands == []
+        else:               # the replay ran on the skewed table
+            assert bands and all(math.isfinite(lo) for lo, _ in bands)
 
     def test_most_steps_are_decided_by_the_table(self, monkeypatch):
         # the criterion-5 configuration (nbar 80, kappa 0.8, 50 shots) at a
@@ -363,3 +376,105 @@ class TestCertifiedDecisions:
             monkeypatch.undo()
             # two of them are g_slope's central difference
             assert calls[0] / len(pairs) <= 2.2, area
+
+    def test_replay_makes_few_table_reads(self, monkeypatch):
+        # the criterion-5 configuration at a pi pulse: the band's two
+        # certified ends and the steps inside it, where the bisection
+        # alone makes about 38 reads per inversion
+        reads = [0]
+        exact = lineshape._cubic_read
+
+        def counted(*args):
+            reads[0] += 1
+            return exact(*args)
+
+        rng = np.random.default_rng(5)
+        p_plus, p_minus = probe_probabilities(0.0, HOT)
+        pairs = zip(rng.binomial(50, p_plus, 300), rng.binomial(50, p_minus, 300))
+        g_values = [(a - b) / (a + b) for a, b in pairs]
+        assert estimator._replay_grid(HOT.pulse, HOT.motion, HOT.kappa) is not None
+        monkeypatch.setattr(estimator, "_cubic_read", counted)
+        in_window = sum(g_invert(g, HOT)[1] for g in g_values)
+        monkeypatch.undo()
+        assert in_window == len(g_values)
+        assert reads[0] / in_window <= 14
+
+
+@pytest.fixture
+def fresh_replay_grids():
+    """An empty _replay_grid cache, so a patched table is certified anew, then cleared again."""
+    estimator._replay_grid.cache_clear()
+    yield
+    estimator._replay_grid.cache_clear()
+
+
+def spy_on_root_bands(monkeypatch):
+    """The list that collects each (r - tol/4, r + tol/4) band g_invert finds."""
+    bands = []
+    exact = estimator._root_band
+
+    def spy(*args):
+        bands.append(exact(*args))
+        return bands[-1]
+
+    monkeypatch.setattr(estimator, "_root_band", spy)
+    return bands
+
+
+def count_pair_g_values(max_per_side):
+    """Each distinct g of estimate_from_counts at 1 .. max_per_side shots per side."""
+    return sorted({(a / n - b / n) / (a / n + b / n) for n in range(1, max_per_side + 1)
+                   for a in range(n + 1) for b in range(n + 1) if a or b})
+
+
+class TestReplay:
+    """g_invert's replay from the table root makes the bisection's every decision."""
+
+    @pytest.mark.parametrize("area, nbar, max_per_side", [
+        (1.0, 0.0, 60), (1.0, 80.0, 60), (0.5, 80.0, 25), (3.0, 80.0, 25),
+        (4.0, 80.0, 25)])
+    def test_every_count_pair_equals_the_bisection_without_replay(
+            self, area, nbar, max_per_side, monkeypatch):
+        cfg = area_config(area, nbar, 0.8)
+        g_values = count_pair_g_values(max_per_side)
+        replayed = [g_invert(g, cfg) for g in g_values]
+        monkeypatch.setattr(estimator, "_replay_grid", lambda *args: None)
+        assert replayed == [g_invert(g, cfg) for g in g_values]
+
+    def test_three_pi_is_not_certified_and_falls_back(self, monkeypatch):
+        # g really falls inside the window here (nbar 80), so no certificate
+        # exists, and every step is the certified bisection's
+        cfg = area_config(3.0, 80.0, 0.8)
+        assert estimator._replay_grid(cfg.pulse, cfg.motion, cfg.kappa) is None
+        bands = spy_on_root_bands(monkeypatch)
+        w = cfg.window_halfwidth
+        for g in np.linspace(g_forward(-w, cfg), g_forward(w, cfg), 9)[1:-1]:
+            assert g_invert(g, cfg) == plain_invert(g, cfg), g
+        assert bands == []
+
+    @pytest.mark.parametrize("shift", [-3.0, 3.0])
+    def test_a_wrong_root_fails_its_certified_ends(self, shift, monkeypatch):
+        # a root a few tolerances off puts one end of its band on the wrong
+        # side of g; the band is then dropped and every step is the
+        # bisection's
+        cfg = replace(HOT, shots_per_side=20)
+        w = cfg.window_halfwidth
+        g_values = [g for g in count_pair_g_values(20) if abs(g_invert(g, cfg)[0]) < w]
+        expected = [g_invert(g, cfg) for g in g_values]
+        xs, gs = estimator._replay_grid(cfg.pulse, cfg.motion, cfg.kappa)
+        tol = estimator.INVERSION_TOLERANCE * RABI
+        shifted = tuple(x + shift * tol for x in xs), gs
+        monkeypatch.setattr(estimator, "_replay_grid", lambda *args: shifted)
+        bands = spy_on_root_bands(monkeypatch)
+        assert [g_invert(g, cfg) for g in g_values] == expected
+        assert len(bands) == len(g_values) > 100
+        assert bands == [(-math.inf, math.inf)] * len(bands)
+
+    @pytest.mark.parametrize("area", [0.5, 1.0, 4.0])
+    def test_certified_windows_really_rise(self, area):
+        cfg = area_config(area, 80.0, 0.8)
+        xs, gs = estimator._replay_grid(cfg.pulse, cfg.motion, cfg.kappa)
+        assert xs[0] == -cfg.window_halfwidth and xs[-1] == cfg.window_halfwidth
+        exact = [g_forward(x, cfg) for x in xs[::37]]
+        assert exact == sorted(exact)
+        assert max(abs(a - b) for a, b in zip(exact, gs[::37])) < 1e-9
