@@ -5,6 +5,14 @@ plus linear-drift model fit, weighted least-squares fitting of scanned
 resonance lines, conversion of frequency records to positions, and the
 force metrology chain (stiffness, force resolution, sensitivity,
 single-charge detection range).
+
+Both fits are small numpy solvers built on one damped Gauss-Newton
+(Levenberg-Marquardt) loop, `_levenberg_marquardt`, which refuses any
+step that would reach a parameter bound.  The Allan fit enumerates the
+cases of its two bounds a >= 0, d >= 0 (each face in closed form, the
+interior by the loop) and keeps the cheapest; the spectrum fit projects
+out its two linear parameters (variable projection) and runs the loop
+on centre and Rabi frequency alone.  Neither has a fallback solver.
 """
 from __future__ import annotations
 
@@ -12,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from .atomphys import (
     CODATA,
@@ -102,6 +109,106 @@ def _drift_model(tau: np.ndarray, white: float, drift: float) -> np.ndarray:
     return np.sqrt(white ** 2 / tau + (drift * tau) ** 2 / 2.0)
 
 
+# Steps the damped Gauss-Newton loop may try before it gives up.
+LM_MAX_STEPS = 100
+
+
+def _levenberg_marquardt(evaluate, jacobian, p, inside, rtol):
+    """Damped Gauss-Newton descent of the cost 0.5 |r|^2 from p.
+
+    `evaluate(p)` gives the residuals r and an auxiliary value that
+    `jacobian(p, aux)` takes to form the Jacobian at p.  The Jacobian may
+    carry extra columns after the first len(p): parameters that are
+    linear in the model and that `evaluate` solves for itself.  They are
+    eliminated from each step and left undamped; the other diagonal
+    entries are damped by Marquardt's scaling.  A step that lowers the
+    cost is taken and the damping divided by ten.  A step that does not,
+    or that would leave the open region `inside` where the parameters
+    are strictly within their bounds, is refused and the damping
+    multiplied by ten; so no residual is evaluated on or past a bound.
+
+    The loop stops with status "converged" when the Gauss-Newton step
+    from p would lower the cost by at most `rtol` times the cost, as the
+    linearised model predicts it, or when a step moves no parameter in
+    floating point; "singular" when a normal matrix cannot be solved;
+    and "cap" after LM_MAX_STEPS steps tried.  Returns
+    (p, r, aux, J, status), with r, aux and J at the returned p.
+    """
+    p = np.asarray(p, dtype=float)
+    r, aux = evaluate(p)
+    cost = 0.5 * float(r @ r)
+    n = p.size
+    damping = 1e-3
+    steps = 0
+    while True:
+        jac = jacobian(p, aux)
+        normal = jac.T @ jac
+        gradient = jac.T @ r
+        scaling = np.maximum(np.diag(normal)[:n], np.finfo(float).eps * normal.max())
+        try:
+            decrement = 0.5 * float(gradient @ np.linalg.solve(normal, gradient))
+        except np.linalg.LinAlgError:
+            return p, r, aux, jac, "singular"
+        if decrement <= rtol * cost:
+            return p, r, aux, jac, "converged"
+        while True:
+            if steps == LM_MAX_STEPS:
+                return p, r, aux, jac, "cap"
+            damped = normal.copy()
+            damped[range(n), range(n)] += damping * scaling
+            try:
+                trial = p - np.linalg.solve(damped, gradient)[:n]
+            except np.linalg.LinAlgError:
+                return p, r, aux, jac, "singular"
+            if np.all(trial == p):
+                return p, r, aux, jac, "converged"
+            steps += 1
+            if inside(trial):
+                trial_r, trial_aux = evaluate(trial)
+                trial_cost = 0.5 * float(trial_r @ trial_r)
+                if trial_cost < cost:
+                    p, r, aux, cost = trial, trial_r, trial_aux, trial_cost
+                    damping *= 0.1
+                    break
+            damping *= 10.0
+
+
+def _allan_fit(tau: np.ndarray, adev: np.ndarray,
+               sigma: np.ndarray) -> tuple[float, float, float]:
+    """(white, drift, cost) of the bounded drift-model fit; see allan_deviation."""
+    if tau.size == 1:
+        return float(adev[0] * math.sqrt(tau[0])), 0.0, 0.0
+
+    def evaluate(p):
+        model = _drift_model(tau, p[0], p[1])
+        return (model - adev) / sigma, model
+
+    def cost(p):
+        r, _ = evaluate(p)
+        return 0.5 * float(r @ r)
+
+    def jacobian(p, model):
+        return np.column_stack((p[0] / (tau * model),
+                                p[1] * tau ** 2 / (2.0 * model))) / sigma[:, None]
+
+    # On each face the model is linear in the free parameter.
+    target = adev / sigma
+    white_col = 1.0 / (np.sqrt(tau) * sigma)
+    drift_col = tau / (math.sqrt(2.0) * sigma)
+    white = max(float(white_col @ target / (white_col @ white_col)), 0.0)
+    drift = max(float(drift_col @ target / (drift_col @ drift_col)), 0.0)
+    candidates = [np.array([white, 0.0]), np.array([0.0, drift])]
+    x0 = np.array([adev[0] * math.sqrt(tau[0]), adev[-1] * math.sqrt(2.0) / tau[-1]])
+    x0 = np.where(x0 > 0.0, x0, [white, drift])     # a zero end takes its face's value
+    if np.all(x0 > 0.0):
+        interior, *_ = _levenberg_marquardt(
+            evaluate, jacobian, x0, inside=lambda p: bool(np.all(p > 0.0)), rtol=0.0)
+        candidates.append(interior)
+    costs = [cost(p) for p in candidates]
+    best = int(np.argmin(costs))
+    return float(candidates[best][0]), float(candidates[best][1]), costs[best]
+
+
 def allan_deviation(series: FrequencySeries, taus) -> AllanResult:
     """Overlapping Allan deviation at the requested tau values.
 
@@ -112,8 +219,19 @@ def allan_deviation(series: FrequencySeries, taus) -> AllanResult:
 
         adev(tau) = sqrt((a tau^-1/2)^2 + (d tau / sqrt(2))^2)
 
-    weighted by adev/sqrt(n_pairs), and the linear drift rate d is
-    reported.  A pure linear drift gives adev = d tau / sqrt(2) exactly.
+    weighted by adev/sqrt(n_pairs), with a >= 0 and d >= 0, and the
+    linear drift rate d is reported.  A pure linear drift gives
+    adev = d tau / sqrt(2) exactly.
+
+    The fit takes the cheapest of three candidates (its KKT cases): the
+    face d = 0 and the face a = 0, each a weighted linear fit in closed
+    form, and an interior point from damped Gauss-Newton started at
+    a = adev_0 sqrt(tau_0), d = sqrt(2) adev_last / tau_last, which
+    refuses steps onto a bound (the faces cover that case) and runs
+    until no step lowers the cost in floating point.  A single tau
+    cannot separate a from d: it is read as white noise, d = 0 and
+    a = adev sqrt(tau), a zero-cost fit.  The fit itself never raises;
+    a deviation that overflows raises ValueError before it.
     """
     tau0 = series.sample_period
     requested = np.atleast_1d(np.asarray(taus, dtype=float))
@@ -134,20 +252,15 @@ def allan_deviation(series: FrequencySeries, taus) -> AllanResult:
     adev = np.array([r[1] for r in rows])
     pairs = np.array([r[2] for r in rows])
 
+    if not np.all(np.isfinite(adev)):
+        raise ValueError("Allan deviation overflows")
     if np.all(adev == 0.0):
         return AllanResult(tau, adev, pairs, 0.0, 0.0, 0.0)
 
     sigma = np.where(adev > 0.0, adev, adev[adev > 0.0].min()) / np.sqrt(pairs)
-    x0 = np.array([adev[0] * math.sqrt(tau[0]),
-                   adev[-1] * math.sqrt(2.0) / tau[-1]])
-    fit = least_squares(
-        lambda p: (_drift_model(tau, p[0], p[1]) - adev) / sigma,
-        x0, bounds=([0.0, 0.0], [np.inf, np.inf]), xtol=1e-12,
-    )
+    white, drift, cost = _allan_fit(tau, adev, sigma)
     dof = max(tau.size - 2, 1)
-    residual = 2.0 * fit.cost / dof
-    return AllanResult(tau, adev, pairs, float(fit.x[1]), float(fit.x[0]),
-                       float(residual))
+    return AllanResult(tau, adev, pairs, drift, white, 2.0 * cost / dof)
 
 
 class SpectrumFitError(RuntimeError):
@@ -183,6 +296,16 @@ def _guess_from_data(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([center, rabi, amplitude, baseline])
 
 
+# Forward-difference step of the centre and Rabi Jacobian columns,
+# relative to max(1, |parameter|), as for a two-point derivative.
+FD_RELATIVE_STEP = math.sqrt(np.finfo(float).eps)
+
+# The spectrum fit converges when a Gauss-Newton step would lower its
+# cost by no more than this fraction.  A step predicted to gain
+# 1e-10 of a cost near n/2 is about 1e-5 standard errors long.
+SPECTRUM_RTOL = 1e-10
+
+
 def fit_spectrum(detuning, excitation, shots,
                  motion: MotionalModel) -> SpectrumFitResult:
     """Weighted least-squares fit of a scanned resonance line.
@@ -191,8 +314,21 @@ def fit_spectrum(detuning, excitation, shots,
     the thermal lineshape P evaluated for a self-consistent pi pulse
     (duration pi/Omega) and the motional state held fixed.  Points are
     weighted by binomial standard errors from their shot counts, with
-    the saturated-count variance floor.  Damped least squares, with a
-    simplex fallback, converged at relative parameter change 1e-8.
+    the saturated-count variance floor.
+
+    Amplitude and baseline enter linearly, so each (centre, Rabi) has
+    them by weighted linear least squares (variable projection), and
+    damped Gauss-Newton runs on centre and Rabi alone from the data's
+    peak and half-width, with a forward-difference Jacobian whose step
+    turns back at the upper centre bound.  Centre is bounded to a span
+    beyond the data on each side and Rabi to above 1e-9 rad/s; steps
+    onto a bound are refused.  The fit converges when a Gauss-Newton
+    step would lower the cost by at most SPECTRUM_RTOL of it.  There is
+    no fallback: a fit that tries LM_MAX_STEPS steps, or whose normal
+    matrix is singular, raises SpectrumFitError with the best parameters
+    found.  The covariance is (J^T J)^-1 of the four-column Jacobian at
+    the optimum (pseudo-inverse if singular): centre and Rabi columns by
+    forward differences, amplitude and baseline columns analytic.
     """
     x = np.asarray(detuning, dtype=float)
     y = np.asarray(excitation, dtype=float)
@@ -203,51 +339,54 @@ def fit_spectrum(detuning, excitation, shots,
         raise ValueError("need at least eight points across the line")
     if np.ptp(y) == 0.0:
         raise ValueError("degenerate data: excitation is flat, no line to fit")
-    sigma = np.sqrt([binomial_variance(p, int(s)) for p, s in zip(y, n_shots)])
-    # The last profile and its (centre, Rabi): a step that moves only
-    # amplitude or baseline, as a Jacobian column does, reuses it.
-    profile_key, profile = None, None
-
-    def model(params: np.ndarray) -> np.ndarray:
-        nonlocal profile_key, profile
-        center, rabi, amplitude, baseline = params
-        key = (float(center), float(rabi))
-        if key != profile_key:
-            profile_key = key
-            profile = excitation_profile(x - center, PulseSpec.pi_pulse(rabi), motion)
-        return amplitude * profile + baseline
-
-    def residuals(params: np.ndarray) -> np.ndarray:
-        return (model(params) - y) / sigma
-
     span = float(x.max() - x.min())
-    lower = [x.min() - span, 1e-9, -np.inf, -np.inf]
-    upper = [x.max() + span, np.inf, np.inf, np.inf]
-    p0 = np.clip(_guess_from_data(x, y), lower, upper)
+    if span == 0.0:
+        raise ValueError("degenerate data: every point has the same detuning")
+    weight = 1.0 / np.sqrt([binomial_variance(p, int(s)) for p, s in zip(y, n_shots)])
+    target = y * weight
+    lower = np.array([x.min() - span, 1e-9])
+    upper = np.array([x.max() + span, np.inf])
 
-    fit = least_squares(residuals, p0, bounds=(lower, upper),
-                        xtol=1e-8, x_scale="jac")
-    if not fit.success:
-        simplex = minimize(lambda p: float(np.sum(residuals(p) ** 2)),
-                           fit.x, method="Nelder-Mead",
-                           options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20000})
-        fit = least_squares(residuals, np.clip(simplex.x, lower, upper),
-                            bounds=(lower, upper), xtol=1e-8, x_scale="jac")
-        if not fit.success:
-            raise SpectrumFitError("spectrum fit did not converge", fit.x)
+    def profile_at(p: np.ndarray) -> np.ndarray:
+        return excitation_profile(x - p[0], PulseSpec.pi_pulse(p[1]), motion)
 
-    jac = fit.jac
+    def evaluate(p):
+        design = np.column_stack((profile_at(p), np.ones_like(x))) * weight[:, None]
+        linear = np.linalg.lstsq(design, target, rcond=None)[0]
+        return design @ linear - target, (design, linear)
+
+    def jacobian(p, aux):
+        design, linear = aux
+        columns = []
+        for i in range(2):
+            h = FD_RELATIVE_STEP * max(1.0, abs(p[i]))
+            if p[i] + h >= upper[i]:
+                h = -h
+            shifted = p.copy()
+            shifted[i] += h
+            h = shifted[i] - p[i]
+            columns.append(linear[0] * (profile_at(shifted) * weight - design[:, 0]) / h)
+        return np.column_stack((*columns, design))
+
+    # the data's peak and half-width lie strictly inside the bounds
+    p, r, (_design, linear), jac, status = _levenberg_marquardt(
+        evaluate, jacobian, _guess_from_data(x, y)[:2],
+        inside=lambda p: bool(np.all((lower < p) & (p < upper))),
+        rtol=SPECTRUM_RTOL)
+    if status != "converged":
+        raise SpectrumFitError(f"spectrum fit did not converge ({status})",
+                               np.concatenate((p, linear)))
     try:
         covariance = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         covariance = np.linalg.pinv(jac.T @ jac)
     dof = max(x.size - 4, 1)
-    reduced = float(2.0 * fit.cost / dof)
-    center, rabi, amplitude, baseline = fit.x
+    center, rabi = p
+    amplitude, baseline = linear
     return SpectrumFitResult(
         center=float(center), rabi=float(rabi), amplitude=float(amplitude),
         baseline=float(baseline), covariance=covariance,
-        reduced_chisq=reduced, n_points=int(x.size),
+        reduced_chisq=float(r @ r) / dof, n_points=int(x.size),
     )
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, fields, replace
 
 from .atomphys import CODATA, IonSpecies, TrapEnvironment, transition_frequency
 from .estimator import TwoPointConfig
-from .lineshape import (LINEWIDTH_CALIBRATED_ETA, MAX_PROFILE_ELEMENTS, MotionalModel,
-                        PulseSpec, compute_eta)
+from .lineshape import (FWHM_SCAN_RABI, LINEWIDTH_CALIBRATED_ETA, MAX_PROFILE_ELEMENTS,
+                        MotionalModel, PulseSpec, compute_eta)
 from .simulator import DriftModel, ExperimentTimeline, VoltageSchedule
 
 __all__ = ["ConfigError", "RunConfig", "default_config", "loads", "load_config", "emit"]
@@ -206,18 +206,20 @@ class RunConfig:
         if self.lineshape_detuning_min_rabi >= self.lineshape_detuning_max_rabi:
             raise ConfigError("empty lineshape detuning range")
         rabi = TWO_PI * self.rabi_hz
-        for key in ("detuning_min_rabi", "detuning_max_rabi"):
-            fraction = getattr(self, f"lineshape_{key}")
-            detuning = fraction * rabi          # as cmd_lineshape forms it
-            # _excitation's Omega_n^2 + delta^2, with Omega_n <= Omega_0
+        # _excitation's Omega_n^2 + delta^2, with Omega_n <= Omega_0, at the
+        # range edges as cmd_lineshape forms them and at the reach of fwhm's scan
+        edges = [(f"[lineshape] {key} = {fraction!r}", fraction) for key, fraction in (
+            ("detuning_min_rabi", self.lineshape_detuning_min_rabi),
+            ("detuning_max_rabi", self.lineshape_detuning_max_rabi))]
+        edges.append((f"fwhm's scan to {FWHM_SCAN_RABI!r} Rabi widths", FWHM_SCAN_RABI))
+        for where, fraction in edges:
+            detuning = fraction * rabi
             if math.isfinite(rabi * rabi + detuning * detuning):
                 continue
             if self.rabi_hz > abs(fraction):
                 raise ConfigError(f"[pulse] rabi_hz = {self.rabi_hz!r}: Omega^2 + "
-                                  f"delta^2 overflows at [lineshape] {key} = "
-                                  f"{fraction!r}")
-            raise ConfigError(f"[lineshape] {key} = {fraction!r}: the angular "
-                              "detuning overflows when squared")
+                                  f"delta^2 overflows at {where}")
+            raise ConfigError(f"{where}: the angular detuning overflows when squared")
         for name in ("allan_taus_s", "durations_s"):
             if any(v <= 0.0 for v in getattr(self, name)):
                 raise ConfigError(f"{name} values must be positive")

@@ -102,6 +102,10 @@ TABLE_ROUNDING_SLACK = 1e-10
 # must meet the reference linewidth endpoints.
 FWHM_RESOLUTION = 1e-6
 
+# `fwhm` scans detunings out to this many bare Rabi frequencies, in 100
+# steps; `RunConfig.validate` checks that Omega^2 + delta^2 holds there.
+FWHM_SCAN_RABI = 5.0
+
 # Effective Lamb-Dicke parameter calibrated against the reference
 # linewidth endpoints (FWHM 1.602 Omega_0 at nbar = 20, 1.62 Omega_0 at
 # nbar = 100).  The trap-derived value from compute_eta (~0.041)
@@ -325,14 +329,14 @@ def fwhm(motion: MotionalModel, pulse: PulseSpec) -> float:
     if peak <= 0.0:
         raise ValueError("no excitation at zero detuning; not a usable line")
     half = 0.5 * peak
-    step = 0.05 * omega
-    grid = np.arange(1, 101) * step          # out to 5 Omega_0
+    step = FWHM_SCAN_RABI / 100 * omega
+    grid = np.arange(1, 101) * step
     values = excitation_profile(grid, pulse, motion)
     if np.any(values > peak):
         raise ValueError("line peak is not at zero detuning")
     below = np.nonzero(values < half)[0]
     if below.size == 0:
-        raise ValueError("no half-maximum crossing within 5 Rabi widths")
+        raise ValueError(f"no half-maximum crossing within {FWHM_SCAN_RABI:g} Rabi widths")
     k = below[0]
     lo = grid[k - 1] if k > 0 else 0.0
     hi = grid[k]

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it here, not in a run's first draw
 
 from .atomphys import CODATA, IonSpecies, TrapEnvironment
 from .atomphys import frequency_to_position_slope, transition_frequency

@@ -194,6 +194,21 @@ class TestLineshape:
                "overflows at [lineshape] detuning_min_rabi = -2.0\n")
         assert not out.exists()
 
+    def test_rabi_frequency_overflowing_in_the_fwhm_scan_is_usage_error(self, tmp_path,
+                                                                        capsys):
+        # 6e152 Hz holds at the +-2 range edges but not at fwhm's scan to
+        # 5 Rabi widths: rejected at load, naming rabi_hz, before numpy warns
+        cfg = tmp_path / "fast.ini"
+        cfg.write_text("[pulse]\nrabi_hz = 6e152\n[lineshape]\nn_points = 5\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            code = main(["lineshape", "--config", str(cfg), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (
+            1, "iontrack: error: [pulse] rabi_hz = 6e+152: Omega^2 + delta^2 "
+               "overflows at fwhm's scan to 5.0 Rabi widths\n")
+        assert not out.exists()
+
     def test_overflowing_detuning_range_is_usage_error(self, tmp_path, capsys):
         # (1e160 x 2pi x 640 Hz)^2 overflows: rejected at load, naming the
         # key, before numpy can warn; 1e150 Rabi widths still run

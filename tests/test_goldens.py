@@ -60,6 +60,11 @@ CASES = {
 }
 
 # case -> {output file: SHA-256}
+# The track summaries' Allan fields (drift rate, white level, fit
+# residual) and both fit-spectrum files moved when the scipy fits were
+# replaced by numpy solvers: each now stops at the optimum, where scipy
+# stopped within its tolerances of it, and a drift rate on its bound is
+# exactly 0.0.  The records, displacements and other commands are as before.
 GOLDENS = {
     "calibrate": {
         "calibrate.csv":
@@ -69,9 +74,9 @@ GOLDENS = {
     },
     "fit-spectrum": {
         "fit_spectrum.csv":
-            "2be15885bceb48c4da0d78e5413163e2826dad3ae88715952b1ee573b2de7b96",
+            "ab39e46f4a87f32809583ae475afca2eadf6d05860d81c4e1b26be6e66c810dc",
         "fit_spectrum_summary.json":
-            "396ac19b6a37f2b84c27ebd9d8a8b7d8144dcc3f728a4bc13e079d3614ea6769",
+            "3041294ffc42171c36d028787ff7956527b9294a46b27dd1dceb176a7f95233c",
     },
     "lineshape-csv": {
         "lineshape.csv":
@@ -109,19 +114,19 @@ GOLDENS = {
         "track_record.csv":
             "6254315491aa00709063d369a16a562edd6b0269b645bf48369d7808905ac745",
         "track_summary.json":
-            "824e87ec8b6dc1b20ea0d4eaf20896b859380f3289e5e51ff22d45409a90bcb2",
+            "796fcb0df28337cb4434cd69e0d7520d66f870c316a5248e68b06a6cf74743f2",
     },
     "track-csv": {
         "track_record.csv":
             "bd887c1bf059be112bf4c7c09b22b36895080751bbe9563d25320f3bd7fb4e23",
         "track_summary.json":
-            "ed91138401137e3f3bbd612cfb9363c5cc9b8d4cd9ef9be322a48d6df918f350",
+            "92e28281f7bb7364edbd8b317b8df79d35ace59549b7c5c3ab160d94092af5b1",
     },
     "track-json": {
         "track_record.json":
             "9c376dd46c6619606b921d62c73985cdc6ce82b64d5f05c50505941301e9ef7e",
         "track_summary.json":
-            "a7cce0b1501c44be6f173cb18bef14a2fbcb005a87d4f2ed9b59c059cc2627d4",
+            "2be6e3be8d1757a162303f130e21a8d239e2be15075ed2947afc4245366e8133",
     },
     "voltage-scan": {
         "track_displacements.csv":
@@ -129,7 +134,7 @@ GOLDENS = {
         "track_record.csv":
             "9e02af845bf33857117c6439f251b1bc958cc27a92d26fda2b49566967987024",
         "track_summary.json":
-            "932ed5bb945cac1c2068f56bddf2407e544940effb6b8e82d7352747d555c238",
+            "ffd7075d60692471ee5bc8b2ca3863ab29029c19740a369be34c1644312d1885",
     },
 }
 

@@ -1,10 +1,16 @@
-"""The top-level package re-exports each module's public names."""
+"""The top-level package re-exports each module's public names and
+loads nothing beyond numpy."""
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import iontrack
 from iontrack import analysis, atomphys, config, estimator, lineshape, simulator
+
+from test_goldens import CALIBRATE_INI, FREQUENCIES_TXT, SCAN_INI, SPECTRUM_CSV
 
 
 def test_all_is_the_module_lists():
@@ -79,3 +85,52 @@ def test_readme_library_example_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {})
     drift, position = capsys.readouterr().out.splitlines()
     assert drift.startswith("drift: ") and position.startswith("sigma_z = ")
+
+
+PACKAGE = Path(iontrack.__file__).resolve().parent
+
+
+def test_no_source_file_names_scipy():
+    sources = [path for path in PACKAGE.rglob("*")
+               if path.is_file() and "__pycache__" not in path.parts]
+    assert sources
+    for path in sources:
+        assert "scipy" not in path.read_text(encoding="utf-8"), path
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # each command, and a voltage scan, on small inputs in a fresh interpreter
+    inputs = {
+        "lineshape.ini": "[lineshape]\nn_points = 21\n",
+        "track.ini": "[tracking]\nn_cycles = 32\n",
+        "sensitivity.ini": "[sensitivity]\ndurations_s = 2.0\noffsets_rabi = 0.0 0.3\n"
+                           "n_seeds = 4\n",
+        "spectrum.csv": SPECTRUM_CSV,
+        "freqs.txt": FREQUENCIES_TXT,
+        "calib.ini": CALIBRATE_INI,
+        "scan.ini": SCAN_INI,
+    }
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    runs = [["lineshape", "--config", "lineshape.ini"],
+            ["track", "--config", "track.ini"],
+            ["sensitivity", "--config", "sensitivity.ini"],
+            ["fit-spectrum", "spectrum.csv"],
+            ["calibrate", "freqs.txt", "--config", "calib.ini"],
+            ["track", "--config", "scan.ini"]]
+    runs = [argv + ["--out", f"out{i}"] for i, argv in enumerate(runs)]
+    script = (
+        "import sys\n"
+        "import iontrack\n"
+        "assert 'scipy' not in sys.modules, 'import iontrack'\n"
+        "from iontrack.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'scipy' not in sys.modules, argv\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(tmp_path / "out5")) == [
+        "track_displacements.csv", "track_record.csv", "track_summary.json"]
