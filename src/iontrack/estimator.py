@@ -28,19 +28,19 @@ the 4 intervals the cubic's nodes need.  So every decision, and every
 estimate, is the one the exact bisection makes.
 
 Most steps need no read at all.  Once per (pulse, motion, kappa),
-`_replay_grid` certifies from the table that g is strictly increasing
-on the whole window: a lower bound on g' over each grid cell, from g~
-at the cell's nodes and Bernstein's bound on g''.  Each inversion then
-interpolates g~'s root r in the grid cell that brackets g and keeps the
-band (r - D, r + D), D = tol / 4, only if the certified decisions at
-its ends are "below" and "not below".  As g increases, every midpoint
-at or below r - D has g(mid) <= g(r - D), below the target by more than
-DECISION_SLACK, so the exact bisection goes up there too; likewise
-above r + D.  The bisection keeps its own arithmetic and reads the
-table only for midpoints inside the band: about 5 cubic reads per
-inversion instead of 38.  Without a certificate (no usable table, or g
-falling inside the window, as at 3 pi and nbar 80) or with an
-undecided end, the band is (-inf, inf) and every step runs as above.
+`_plan` derives all an inversion needs from them and certifies from the
+table that g is strictly increasing on the whole window: a lower bound
+on g' over each grid cell, from g~ at the cell's nodes and Bernstein's
+bound on g''.  Each inversion then interpolates g~'s root r in the grid
+cell that brackets g and keeps the band (r - D, r + D), D = tol / 4,
+only if the certified decisions at its ends are "below" and "not below".
+As g increases, every midpoint at or below r - D has g(mid) <= g(r - D),
+below the target by more than DECISION_SLACK, so the exact bisection
+goes up there too; likewise above r + D.  The bisection keeps its own
+arithmetic and reads the table only for midpoints inside the band: about
+5 cubic reads per inversion instead of 38.  Without a certificate (no
+usable table, or g falling in the window, as at 3 pi and nbar 80) or
+with an undecided end, the band is (-inf, inf) and every step runs as above.
 """
 from __future__ import annotations
 
@@ -113,52 +113,45 @@ def g_slope(delta: float, cfg: TwoPointConfig) -> float:
     return (g_forward(delta + h, cfg) - g_forward(delta - h, cfg)) / (2.0 * h)
 
 
-@lru_cache(maxsize=64)
-def _window_edges(pulse: PulseSpec, motion: MotionalModel,
-                  kappa: float) -> tuple[float, float, float]:
-    """(w, g(-w), g(w)) at the capture-window edges w = (1 - kappa) Omega_0."""
-    cfg = TwoPointConfig(pulse=pulse, motion=motion, kappa=kappa)
-    w = cfg.window_halfwidth
-    return w, g_forward(-w, cfg), g_forward(w, cfg)
-
-
-def _cubic_table(pulse: PulseSpec, motion: MotionalModel) -> tuple | None:
-    """(floats, scale, eps) of the per-shot table, or None if its cubic cannot be read.
-
-    The probe points |mid -+ off| <= Omega_0 lie in the first half of
-    the table's span [0, 2 Omega_0], so with at least 4 intervals the
-    cubic's nodes exist.
-    """
-    table = _shot_table(pulse, motion)
-    if table is None or len(table.floats) < 5:
-        return None
-    return table.floats, table.scale, table.cubic_bound
-
-
-def _certified_below(mid: float, off: float, g_value: float,
-                     floats: tuple, scale: float, eps: float) -> bool | None:
-    """g(mid) < g_value decided from the table, or None if it cannot be."""
-    p_plus = _cubic_read(floats, abs(mid - off) * scale)
-    p_minus = _cubic_read(floats, abs(mid + off) * scale)
+def _table_g(x: float, off: float, read: tuple) -> tuple[float, float, float] | None:
+    """(g~, e, S~) at x from the table's cubic reads, with |g~ - g(x)| <= e,
+    or None where S~ <= 2 eps leaves S > 0 unproven."""
+    floats, scale, eps = read
+    p_plus = _cubic_read(floats, abs(x - off) * scale)
+    p_minus = _cubic_read(floats, abs(x + off) * scale)
     total = p_plus + p_minus
     if total <= 2.0 * eps:
         return None
-    gap = (p_plus - p_minus) / total - g_value
-    margin = 2.0 * eps / total + DECISION_SLACK
-    if gap < -margin:
-        return True
-    if gap > margin:
-        return False
+    return (p_plus - p_minus) / total, 2.0 * eps / total + DECISION_SLACK, total
+
+
+def _certified_below(mid: float, off: float, g_value: float, read: tuple) -> bool | None:
+    """g(mid) < g_value decided from the table, or None if it cannot be."""
+    table_g = _table_g(mid, off, read)
+    if table_g is not None:
+        gap, margin = table_g[0] - g_value, table_g[1]
+        if gap < -margin:
+            return True
+        if gap > margin:
+            return False
     return None
 
 
 @lru_cache(maxsize=16)
-def _replay_grid(pulse: PulseSpec, motion: MotionalModel,
-                 kappa: float) -> tuple[tuple, tuple] | None:
-    """(x, g~) on a grid over [-w, w] where g is certified increasing, else None.
+def _plan(pulse: PulseSpec, motion: MotionalModel, kappa: float) -> tuple:
+    """(w, g(-w), g(w), off, tol, read, grid): what `g_invert` takes from its config.
 
-    The grid has at least one node per table pitch.  Cell j, of width s,
-    has g~ at both nodes within e = 2 eps / S~ + DECISION_SLACK of g,
+    w = (1 - kappa) Omega_0 is the capture-window edge, off = kappa Omega_0
+    the probe offset and tol the bisection's resolution.  read is the
+    per-shot table's (floats, scale, eps), or None without a table or
+    with fewer than the 4 intervals the cubic's nodes need: the probe
+    points |mid -+ off| <= Omega_0 lie in the first half of its span
+    [0, 2 Omega_0].  Each plan holds its table's floats, so the cache is
+    `_shot_table`'s size: a larger one could keep dropped tables alive.
+
+    grid is (x, g~) on a grid over [-w, w] where g is certified
+    increasing, else None.  It has at least one node per table pitch.
+    Cell j, of width s, has g~ at both nodes within e (`_table_g`) of g,
     and |S'| <= tau on it, so S >= min S~ - 2 eps - s tau there.  From
     a = p(x - off), b = p(x + off) >= 0 and |p^(k)| <= tau^k / 2,
 
@@ -166,38 +159,32 @@ def _replay_grid(pulse: PulseSpec, motion: MotionalModel,
         |g''| <= tau^2 (1 / S + 2 / S^2),
 
     and the secant slope of g over the cell is g' somewhere in it, so
-    g' > 0 on the cell when dg~ - e_j - e_j+1 > s^2 max|g''|.  None
-    when there is no table, it has fewer than 4 intervals, or a cell
-    fails that test (g may really fall there, as at 3 pi).
+    g' > 0 on the cell when dg~ - e_j - e_j+1 > s^2 max|g''|.  grid is
+    None without read or when a cell fails that test (g may really fall
+    there, as at 3 pi).
     """
-    read = _cubic_table(pulse, motion)
-    if read is None:
-        return None
-    floats, scale, eps = read
-    w = _window_edges(pulse, motion, kappa)[0]
+    cfg = TwoPointConfig(pulse=pulse, motion=motion, kappa=kappa)
+    w = cfg.window_halfwidth
     off = kappa * pulse.rabi
-    cells = math.ceil(2.0 * w * scale)
+    plan = w, g_forward(-w, cfg), g_forward(w, cfg), off, INVERSION_TOLERANCE * pulse.rabi
+    table = _shot_table(pulse, motion)
+    if table is None or len(table.floats) < 5:
+        return *plan, None, None
+    read = table.floats, table.scale, table.cubic_bound
+    cells = math.ceil(2.0 * w * table.scale)
     step = 2.0 * w / cells
     xs = tuple([-w + j * step for j in range(cells)] + [w])
-    gs, errors, totals = [], [], []
-    for x in xs:
-        p_plus = _cubic_read(floats, abs(x - off) * scale)
-        p_minus = _cubic_read(floats, abs(x + off) * scale)
-        total = p_plus + p_minus
-        if total <= 2.0 * eps:
-            return None
-        gs.append((p_plus - p_minus) / total)
-        errors.append(2.0 * eps / total + DECISION_SLACK)
-        totals.append(total)
+    nodes = [_table_g(x, off, read) for x in xs]
+    if None in nodes:
+        return *plan, read, None
     for j in range(cells):
+        (g_a, e_a, total_a), (g_b, e_b, total_b) = nodes[j:j + 2]
         s_tau = (xs[j + 1] - xs[j]) * pulse.duration
-        s_low = min(totals[j], totals[j + 1]) - 2.0 * eps - s_tau
-        if s_low <= 0.0:
-            return None
-        curve = s_tau ** 2 * (1.0 / s_low + 2.0 / s_low ** 2)
-        if gs[j + 1] - gs[j] - errors[j] - errors[j + 1] <= curve:
-            return None
-    return xs, tuple(gs)
+        s_low = min(total_a, total_b) - 2.0 * table.cubic_bound - s_tau
+        if s_low <= 0.0 or (g_b - g_a - e_a - e_b
+                            <= s_tau ** 2 * (1.0 / s_low + 2.0 / s_low ** 2)):
+            return *plan, read, None
+    return *plan, read, (xs, tuple(node[0] for node in nodes))
 
 
 def _root_band(g_value: float, off: float, tol: float, grid: tuple,
@@ -216,8 +203,8 @@ def _root_band(g_value: float, off: float, tol: float, grid: tuple,
         a, fa, fb = xs[k - 1], gs[k - 1] - g_value, gs[k] - g_value
         r = a - fa * (xs[k] - a) / (fb - fa)
         lo_band, hi_band = r - 0.25 * tol, r + 0.25 * tol
-        if (_certified_below(lo_band, off, g_value, *read) is True
-                and _certified_below(hi_band, off, g_value, *read) is False):
+        if (_certified_below(lo_band, off, g_value, read) is True
+                and _certified_below(hi_band, off, g_value, read) is False):
             return lo_band, hi_band
     return -math.inf, math.inf
 
@@ -238,16 +225,12 @@ def g_invert(g_value: float, cfg: TwoPointConfig) -> tuple[float, bool]:
     g_value = float(g_value)
     if math.isnan(g_value):
         raise ValueError("g is NaN")
-    w, g_lo, g_hi = _window_edges(cfg.pulse, cfg.motion, cfg.kappa)
+    w, g_lo, g_hi, off, tol, read, grid = _plan(cfg.pulse, cfg.motion, cfg.kappa)
     if g_value >= g_hi:
         return w, g_value <= g_hi
     if g_value <= g_lo:
         return -w, g_value >= g_lo
-    read = _cubic_table(cfg.pulse, cfg.motion)
-    off = cfg.kappa * cfg.pulse.rabi
-    tol = INVERSION_TOLERANCE * cfg.pulse.rabi
     lo_band, hi_band = -math.inf, math.inf
-    grid = _replay_grid(cfg.pulse, cfg.motion, cfg.kappa)
     if grid is not None:
         lo_band, hi_band = _root_band(g_value, off, tol, grid, read)
     lo, hi = -w, w
@@ -258,7 +241,7 @@ def g_invert(g_value: float, cfg: TwoPointConfig) -> tuple[float, bool]:
         elif mid >= hi_band:
             below = False
         else:
-            below = None if read is None else _certified_below(mid, off, g_value, *read)
+            below = None if read is None else _certified_below(mid, off, g_value, read)
             if below is None:
                 below = g_forward(mid, cfg) < g_value
         if below:

@@ -73,8 +73,8 @@ class TestGMap:
     @pytest.mark.parametrize("cfg", [GROUND, HOT])
     def test_cached_window_edges_equal_g_forward(self, cfg):
         w = cfg.window_halfwidth
-        assert estimator._window_edges(cfg.pulse, cfg.motion, cfg.kappa) == \
-            (w, g_forward(-w, cfg), g_forward(w, cfg))
+        assert plan_of(cfg)[:5] == (w, g_forward(-w, cfg), g_forward(w, cfg), cfg.kappa * RABI,
+                                    estimator.INVERSION_TOLERANCE * RABI)
 
     def test_slope_positive_at_center(self):
         assert g_slope(0.0, GROUND) > 0.0
@@ -319,7 +319,7 @@ class TestCertifiedDecisions:
 
     @pytest.mark.parametrize("area", [0.5, 1.0, 3.0])
     def test_table_off_by_its_rounding_allowance_still_decides_exactly(
-            self, area, monkeypatch, fresh_replay_grids):
+            self, area, monkeypatch, fresh_plans):
         # Each tabulated sum may be off by TABLE_ROUNDING_SLACK.  Shift the
         # table by 0.9 of that, up below the probe offset and down above
         # it, so that away from delta = 0 one probe reads high and the
@@ -348,7 +348,7 @@ class TestCertifiedDecisions:
             tested += 1
         assert tested >= 15
         if area == 3.0:     # g falls inside the window: no certificate, no band
-            assert estimator._replay_grid(cfg.pulse, cfg.motion, cfg.kappa) is None
+            assert plan_of(cfg)[-1] is None
             assert bands == []
         else:               # the replay ran on the skewed table
             assert bands and all(math.isfinite(lo) for lo, _ in bands)
@@ -368,7 +368,7 @@ class TestCertifiedDecisions:
             rng = np.random.default_rng(5)
             p_plus, p_minus = probe_probabilities(0.0, cfg)
             pairs = list(zip(rng.binomial(50, p_plus, 300), rng.binomial(50, p_minus, 300)))
-            estimator._window_edges(cfg.pulse, cfg.motion, cfg.kappa)
+            plan_of(cfg)
             calls[0] = 0
             monkeypatch.setattr(estimator, "g_forward", counted)
             for a, b in pairs:
@@ -392,7 +392,7 @@ class TestCertifiedDecisions:
         p_plus, p_minus = probe_probabilities(0.0, HOT)
         pairs = zip(rng.binomial(50, p_plus, 300), rng.binomial(50, p_minus, 300))
         g_values = [(a - b) / (a + b) for a, b in pairs]
-        assert estimator._replay_grid(HOT.pulse, HOT.motion, HOT.kappa) is not None
+        assert plan_of(HOT)[-1] is not None
         monkeypatch.setattr(estimator, "_cubic_read", counted)
         in_window = sum(g_invert(g, HOT)[1] for g in g_values)
         monkeypatch.undo()
@@ -401,11 +401,22 @@ class TestCertifiedDecisions:
 
 
 @pytest.fixture
-def fresh_replay_grids():
-    """An empty _replay_grid cache, so a patched table is certified anew, then cleared again."""
-    estimator._replay_grid.cache_clear()
+def fresh_plans():
+    """An empty _plan cache, so a patched table is planned anew, then cleared again."""
+    estimator._plan.cache_clear()
     yield
-    estimator._replay_grid.cache_clear()
+    estimator._plan.cache_clear()
+
+
+def plan_of(cfg):
+    """g_invert's cached plan for cfg: (w, g(-w), g(w), off, tol, read, grid)."""
+    return estimator._plan(cfg.pulse, cfg.motion, cfg.kappa)
+
+
+def patch_grid(monkeypatch, cfg, grid):
+    """Make g_invert at cfg's pulse, motion and kappa use grid as its certified grid."""
+    plan = plan_of(cfg)[:-1] + (grid,)
+    monkeypatch.setattr(estimator, "_plan", lambda *args: plan)
 
 
 def spy_on_root_bands(monkeypatch):
@@ -438,14 +449,14 @@ class TestReplay:
         cfg = area_config(area, nbar, 0.8)
         g_values = count_pair_g_values(max_per_side)
         replayed = [g_invert(g, cfg) for g in g_values]
-        monkeypatch.setattr(estimator, "_replay_grid", lambda *args: None)
+        patch_grid(monkeypatch, cfg, None)
         assert replayed == [g_invert(g, cfg) for g in g_values]
 
     def test_three_pi_is_not_certified_and_falls_back(self, monkeypatch):
         # g really falls inside the window here (nbar 80), so no certificate
         # exists, and every step is the certified bisection's
         cfg = area_config(3.0, 80.0, 0.8)
-        assert estimator._replay_grid(cfg.pulse, cfg.motion, cfg.kappa) is None
+        assert plan_of(cfg)[-1] is None
         bands = spy_on_root_bands(monkeypatch)
         w = cfg.window_halfwidth
         for g in np.linspace(g_forward(-w, cfg), g_forward(w, cfg), 9)[1:-1]:
@@ -461,10 +472,9 @@ class TestReplay:
         w = cfg.window_halfwidth
         g_values = [g for g in count_pair_g_values(20) if abs(g_invert(g, cfg)[0]) < w]
         expected = [g_invert(g, cfg) for g in g_values]
-        xs, gs = estimator._replay_grid(cfg.pulse, cfg.motion, cfg.kappa)
+        xs, gs = plan_of(cfg)[-1]
         tol = estimator.INVERSION_TOLERANCE * RABI
-        shifted = tuple(x + shift * tol for x in xs), gs
-        monkeypatch.setattr(estimator, "_replay_grid", lambda *args: shifted)
+        patch_grid(monkeypatch, cfg, (tuple(x + shift * tol for x in xs), gs))
         bands = spy_on_root_bands(monkeypatch)
         assert [g_invert(g, cfg) for g in g_values] == expected
         assert len(bands) == len(g_values) > 100
@@ -473,8 +483,36 @@ class TestReplay:
     @pytest.mark.parametrize("area", [0.5, 1.0, 4.0])
     def test_certified_windows_really_rise(self, area):
         cfg = area_config(area, 80.0, 0.8)
-        xs, gs = estimator._replay_grid(cfg.pulse, cfg.motion, cfg.kappa)
+        xs, gs = plan_of(cfg)[-1]
         assert xs[0] == -cfg.window_halfwidth and xs[-1] == cfg.window_halfwidth
         exact = [g_forward(x, cfg) for x in xs[::37]]
         assert exact == sorted(exact)
         assert max(abs(a - b) for a, b in zip(exact, gs[::37])) < 1e-9
+
+
+class TestPlan:
+    """g_invert takes all it derives from its configuration from one cache."""
+
+    @pytest.mark.parametrize("g", [0.1, -0.3, math.inf])
+    def test_a_warm_inversion_is_one_plan_hit(self, g):
+        g_invert(g, HOT)
+        before = estimator._plan.cache_info()
+        g_invert(g, HOT)
+        after = estimator._plan.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+    def test_shots_per_side_share_one_plan(self, fresh_plans):
+        # sensitivity cells differ only in their shots per side
+        for shots in (20, 50, 200):
+            g_invert(0.1, replace(HOT, shots_per_side=shots))
+        info = estimator._plan.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+
+    def test_the_plan_is_the_only_cache(self):
+        cached = [name for name, value in vars(estimator).items()
+                  if hasattr(value, "cache_info")
+                  and value.__module__ == estimator.__name__]
+        assert cached == ["_plan"]
+        # each plan holds its table's floats: keep no more plans than tables
+        assert estimator._plan.cache_parameters()["maxsize"] == \
+            lineshape._shot_table.cache_parameters()["maxsize"]

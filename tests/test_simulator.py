@@ -292,8 +292,8 @@ class TestSharedInversions:
 
     def test_memo_lasts_one_run(self, g_forward_calls):
         drift = DriftModel(linear_rate=TWO_PI * 8.2, seed=7)
-        # the window edges are cached for the process: fill that cache first
-        estimator._window_edges(CFG.pulse, CFG.motion, CFG.kappa)
+        # the inversion plan is cached for the process: fill that cache first
+        estimator._plan(CFG.pulse, CFG.motion, CFG.kappa)
         per_run = []
         for _ in range(2):
             before = g_forward_calls[0]
