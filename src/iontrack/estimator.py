@@ -11,8 +11,9 @@ and is inverted numerically to give the frequency estimate.  Binomial
 counting noise is propagated through g and the local slope dg/ddelta.
 
 Each bisection step of `g_invert` only asks whether g(mid) < g.  The
-probe points |mid -+ kappa Omega_0| <= Omega_0 lie inside the span of
-the per-shot table of `lineshape`, and `lineshape._cubic_read` gives
+probe points |mid -+ kappa Omega_0|, in [(2 kappa - 1) Omega_0, Omega_0],
+lie inside the span of the per-shot table of `lineshape` for kappa, and
+`lineshape._cubic_read` gives
 each P from the four nodes around it within the table's cubic bound
 eps = 3 (h tau)^4 / 256 + 2.25 TABLE_ROUNDING_SLACK, about 2.3e-10 at
 every pulse area (Bernstein's inequality, |P''''| <= tau^4 / 2; see
@@ -116,9 +117,9 @@ def g_slope(delta: float, cfg: TwoPointConfig) -> float:
 def _table_g(x: float, off: float, read: tuple) -> tuple[float, float, float] | None:
     """(g~, e, S~) at x from the table's cubic reads, with |g~ - g(x)| <= e,
     or None where S~ <= 2 eps leaves S > 0 unproven."""
-    floats, scale, eps = read
-    p_plus = _cubic_read(floats, abs(x - off) * scale)
-    p_minus = _cubic_read(floats, abs(x + off) * scale)
+    floats, scale, eps, origin = read
+    p_plus = _cubic_read(floats, abs(x - off) * scale - origin)
+    p_minus = _cubic_read(floats, abs(x + off) * scale - origin)
     total = p_plus + p_minus
     if total <= 2.0 * eps:
         return None
@@ -143,11 +144,14 @@ def _plan(pulse: PulseSpec, motion: MotionalModel, kappa: float) -> tuple:
 
     w = (1 - kappa) Omega_0 is the capture-window edge, off = kappa Omega_0
     the probe offset and tol the bisection's resolution.  read is the
-    per-shot table's (floats, scale, eps), or None without a table or
-    with fewer than the 4 intervals the cubic's nodes need: the probe
-    points |mid -+ off| <= Omega_0 lie in the first half of its span
-    [0, 2 Omega_0].  Each plan holds its table's floats, so the cache is
-    `_shot_table`'s size: a larger one could keep dropped tables alive.
+    per-shot table's (floats, scale, eps, origin), or None without a
+    table or with fewer than the 4 intervals the cubic's nodes need: the
+    probe points |mid -+ off| <= Omega_0 lie in the first half of the
+    table's grid over [0, 2 Omega_0].  The table holds that grid's nodes
+    from origin on, so a read at u pitches takes its floats at u - origin,
+    which is exact: origin is an integer <= u < 2^53.  Each plan holds its
+    table's floats, so the cache is `_shot_table`'s size: a larger one
+    could keep dropped tables alive.
 
     grid is (x, g~) on a grid over [-w, w] where g is certified
     increasing, else None.  It has at least one node per table pitch.
@@ -167,10 +171,10 @@ def _plan(pulse: PulseSpec, motion: MotionalModel, kappa: float) -> tuple:
     w = cfg.window_halfwidth
     off = kappa * pulse.rabi
     plan = w, g_forward(-w, cfg), g_forward(w, cfg), off, INVERSION_TOLERANCE * pulse.rabi
-    table = _shot_table(pulse, motion)
+    table = _shot_table(pulse, motion, kappa)
     if table is None or len(table.floats) < 5:
         return *plan, None, None
-    read = table.floats, table.scale, table.cubic_bound
+    read = table.floats, table.scale, table.cubic_bound, table.origin
     cells = math.ceil(2.0 * w * table.scale)
     step = 2.0 * w / cells
     xs = tuple([-w + j * step for j in range(cells)] + [w])

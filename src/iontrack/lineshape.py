@@ -12,9 +12,15 @@ durations are seconds.
 
 The shot-by-shot simulator asks for the thermal excitation at a new
 detuning on every shot.  For that path `_shot_table` tabulates p(|delta|)
-once per pulse and motion: p is even in delta, and the table spans
-[0, 2 Omega_0] with pitch h = 2 pi / (2048 tau) (about 3.07e-3 / tau,
-2049 points for a pi pulse).
+once per pulse, motion and probe offset kappa: p is even in delta, and
+the table's nodes are those of a grid over [0, 2 Omega_0] with pitch
+h = 2 pi / (2048 tau) (about 3.07e-3 / tau, 2049 nodes for a pi pulse)
+that cover the span a two-point run reads.  The estimator reads p at
+|delta| in [(2 kappa - 1) Omega_0, Omega_0] (see `estimator`), and a
+tracked shot lies within the capture half-window w = (1 - kappa) Omega_0
+of that range, so the table spans |delta| in
+[max(0, 3 kappa - 2) Omega_0, (2 - kappa) Omega_0] and the cubic's
+neighbour nodes: 840 nodes for a pi pulse at kappa 0.8.
 
 Its error bounds come from Bernstein's inequality for entire functions
 of exponential type (Boas, Entire Functions, 1954, Thm 11.1.2): if f is
@@ -38,7 +44,7 @@ h tau = 2 area / intervals, about 2 pi / 2048 at every tabulated area:
   = 3 (h tau)^4 / 256, 1.0e-12 (the maximum 9/16 is at t = 1/2).
 
 `_tabulated_excitation` reads p and the linear bound off the table, with
-an infinite bound beyond the span and for pulses too long to tabulate
+an infinite bound outside the span and for pulses too long to tabulate
 (area above 4 pi), so that the simulator can fall back to
 `thermal_excitation` for every shot the table cannot decide.  The
 estimator's bisection reads its probe points with `_cubic_read` under
@@ -239,32 +245,43 @@ def excitation_profile(detunings, pulse: PulseSpec, motion: MotionalModel) -> np
 
 
 class _ShotTable(NamedTuple):
-    """The per-shot table of p(|delta|) over [0, 2 Omega_0] and its read bounds."""
+    """The per-shot table of p(|delta|) over its span and its read bounds."""
 
     grid: np.ndarray      # |delta| at the nodes, rad/s
     values: np.ndarray    # p at the nodes
     floats: tuple         # the same p as Python floats, for scalar reads
     scale: float          # 1 / pitch
+    origin: int           # index of grid[0] in the grid over [0, 2 Omega_0]
     linear_bound: float   # on |linear read - thermal_excitation|
     cubic_bound: float    # on |_cubic_read - thermal_excitation|
 
 
 @lru_cache(maxsize=16)
-def _shot_table(pulse: PulseSpec, motion: MotionalModel) -> _ShotTable | None:
-    """The per-shot table for this pulse and motion, or None above TABLE_MAX_INTERVALS.
+def _shot_table(pulse: PulseSpec, motion: MotionalModel, kappa: float) -> _ShotTable | None:
+    """The per-shot table for this pulse, motion and kappa, or None above TABLE_MAX_INTERVALS.
 
-    Without a table, callers use the exact sum throughout.  `floats`
+    Without a table, callers use the exact sum throughout.  The table
+    holds nodes origin, origin + 1, ... of the grid over [0, 2 Omega_0]:
+    those covering |delta| in [(2 kappa - 1) Omega_0, Omega_0] widened on
+    each side by w = (1 - kappa) Omega_0, or by one pitch where w is less
+    (the estimator reads up to tol / 4 = 2.5e-7 Omega_0 outside that
+    range), plus the cubic's neighbour nodes.  The rows are evaluated
+    TABLE_CHUNK_ELEMENTS Fock terms at a time in the full grid's chunks,
+    so each node's p has the bits the full grid gives it.  `floats`
     serves the estimator's bisection, which reads four entries a probe
-    point: indexing the numpy array would box each one.  The rows are
-    evaluated TABLE_CHUNK_ELEMENTS Fock terms at a time.
+    point: indexing the numpy array would box each one.
     """
     area = pulse.rabi * pulse.duration
     intervals = max(1, round(area / math.pi * TABLE_INTERVALS_PER_PI))
     if intervals > TABLE_MAX_INTERVALS:
         return None
     pitch = 2.0 * pulse.rabi / intervals
-    grid = np.arange(intervals + 1) * pitch
     rows = max(1, TABLE_CHUNK_ELEMENTS // (motion.n_cutoff + 1))
+    w = (1.0 - kappa) * pulse.rabi
+    off, reach = kappa * pulse.rabi, w + max(w, pitch)
+    first = max(0, math.floor((off - reach) / pitch) - 1) // rows * rows
+    last = min(intervals, (math.floor((off + reach) / pitch) + 2) // rows * rows + rows - 1)
+    grid = np.arange(first, last + 1) * pitch
     values = np.concatenate([excitation_profile(grid[i:i + rows], pulse, motion)
                              for i in range(0, grid.size, rows)])
     grid.flags.writeable = False
@@ -275,7 +292,7 @@ def _shot_table(pulse: PulseSpec, motion: MotionalModel) -> _ShotTable | None:
     # (linear) or 1 + t (1 - t) <= 1.25 (cubic), and the scalar sum it
     # stands for rounds by one slack more.
     h_tau = 2.0 * area / intervals
-    return _ShotTable(grid, values, tuple(values.tolist()), 1.0 / pitch,
+    return _ShotTable(grid, values, tuple(values.tolist()), 1.0 / pitch, first,
                       h_tau ** 2 / 16.0 + 2.0 * TABLE_ROUNDING_SLACK,
                       3.0 * h_tau ** 4 / 256.0 + 2.25 * TABLE_ROUNDING_SLACK)
 
@@ -283,7 +300,8 @@ def _shot_table(pulse: PulseSpec, motion: MotionalModel) -> _ShotTable | None:
 def _cubic_read(floats: tuple, u: float) -> float:
     """p at u >= 0 pitches by the Lagrange cubic through nodes i-1 .. i+2, i = int(u).
 
-    Node i + 2 must exist.  p is even, so at i = 0 node -1 is node 1.
+    u counts from floats[0].  Node i + 2 must exist, and node i - 1
+    unless floats[0] is p(0): p is even, so at i = 0 node -1 is node 1.
     Written as the linear read plus t (t - 1) / 6 times the second
     differences at nodes i and i+1 weighted (2 - t, t + 1), t = u - i.
     """
@@ -297,21 +315,22 @@ def _cubic_read(floats: tuple, u: float) -> float:
         (2.0 - t) * (a - 2.0 * b + c) + (t + 1.0) * (b - 2.0 * c + d))
 
 
-def _tabulated_excitation(detunings: np.ndarray, pulse: PulseSpec,
-                          motion: MotionalModel) -> tuple[np.ndarray, np.ndarray]:
+def _tabulated_excitation(detunings: np.ndarray, pulse: PulseSpec, motion: MotionalModel,
+                          kappa: float) -> tuple[np.ndarray, np.ndarray]:
     """(p, bound on |p - thermal_excitation|) at each detuning.
 
-    p is interpolated in the per-shot table; the bound is infinite
-    beyond the table's span and everywhere when no table is built, so
-    a caller that recomputes every entry within its bound gets the
-    exact thermal sum there.
+    p is interpolated in the per-shot table for kappa; the bound is
+    infinite outside the table's span and everywhere when no table is
+    built, so a caller that recomputes every entry within its bound gets
+    the exact thermal sum there.
     """
-    table = _shot_table(pulse, motion)
+    table = _shot_table(pulse, motion, kappa)
     if table is None:
         return np.zeros(detunings.shape), np.full(detunings.shape, np.inf)
     magnitude = np.abs(detunings)
+    inside = (magnitude >= table.grid[0]) & (magnitude <= table.grid[-1])
     return (np.interp(magnitude, table.grid, table.values),
-            np.where(magnitude <= table.grid[-1], table.linear_bound, np.inf))
+            np.where(inside, table.linear_bound, np.inf))
 
 
 def fwhm(motion: MotionalModel, pulse: PulseSpec) -> float:

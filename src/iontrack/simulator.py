@@ -108,19 +108,20 @@ def _shot_sides(timeline: ExperimentTimeline, cfg: TwoPointConfig) -> np.ndarray
     return np.tile([+1, -1], cfg.shots_per_side)
 
 
-def _bright_shots(detunings: np.ndarray, uniforms: np.ndarray,
-                  pulse: PulseSpec, motion: MotionalModel) -> np.ndarray:
+def _bright_shots(detunings: np.ndarray, uniforms: np.ndarray, pulse: PulseSpec,
+                  motion: MotionalModel, kappa: float) -> np.ndarray:
     """uniforms < thermal_excitation at each detuning, shot by shot.
 
-    The per-shot table of `lineshape` (linear interpolation of p(|delta|)
-    on [0, 2 Omega_0] at pitch 2 pi / (2048 duration), error at most
-    5.9e-7 at every pulse area) decides every shot whose uniform lies further
-    than the error bound from the tabulated p.  The rest, every shot
-    beyond the span and every shot of a pulse too long to tabulate
-    included, call `thermal_excitation`, so each decision is the one a
-    per-shot call would make.
+    The per-shot table of `lineshape` for kappa (linear interpolation of
+    p(|delta|) at pitch 2 pi / (2048 duration) over the |delta| a
+    two-point run at kappa reads, error at most 5.9e-7 at every pulse
+    area) decides every shot whose uniform lies further than the error
+    bound from the tabulated p.  The rest, every shot outside the span
+    and every shot of a pulse too long to tabulate included, call
+    `thermal_excitation`, so each decision is the one a per-shot call
+    would make.
     """
-    p, bound = _tabulated_excitation(detunings, pulse, motion)
+    p, bound = _tabulated_excitation(detunings, pulse, motion, kappa)
     for i in np.flatnonzero(np.abs(uniforms - p) <= bound):
         p[i] = thermal_excitation(float(detunings[i]), pulse, motion)
     return uniforms < p
@@ -165,7 +166,7 @@ def run_measurement(nu0: float, rng: np.random.Generator, cfg: TwoPointConfig,
         true_sum += tn
     # Bernoulli flop, then the detection-error channel
     bright = _bright_shots(truth - (nu0 + sides * (cfg.kappa * cfg.pulse.rabi)),
-                           flop, cfg.pulse, cfg.motion)
+                           flop, cfg.pulse, cfg.motion, cfg.kappa)
     counted = np.where(bright, flip >= timeline.detection_error_bright,
                        flip < timeline.detection_error_dark)
     count_plus = int(np.count_nonzero(counted & (sides > 0)))

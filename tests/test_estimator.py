@@ -4,7 +4,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iontrack import estimator, lineshape
@@ -267,8 +267,9 @@ def plain_invert(g, cfg, visited=None):
 def tabulated_g(mid, cfg, table):
     """(g, P+ + P-) at mid with both probe probabilities read off the table's cubic."""
     off = cfg.kappa * cfg.pulse.rabi
-    p_plus, p_minus = (lineshape._cubic_read(table.floats, abs(x) * table.scale)
-                       for x in (mid - off, mid + off))
+    p_plus, p_minus = (
+        lineshape._cubic_read(table.floats, abs(x) * table.scale - table.origin)
+        for x in (mid - off, mid + off))
     return (p_plus - p_minus) / (p_plus + p_minus), p_plus + p_minus
 
 
@@ -286,7 +287,7 @@ class TestCertifiedDecisions:
     @pytest.mark.parametrize("area", [0.5, 1.0, 3.0, 5.0])
     def test_equals_plain_bisection(self, area, nbar, kappa):
         cfg = area_config(area, nbar, kappa)
-        table = lineshape._shot_table(cfg.pulse, cfg.motion)
+        table = lineshape._shot_table(cfg.pulse, cfg.motion, kappa)
         assert (table is None) == (area == 5.0)
         w = cfg.window_halfwidth
         edges = g_forward(-w, cfg), g_forward(w, cfg)
@@ -312,7 +313,8 @@ class TestCertifiedDecisions:
     def test_tables_too_short_for_the_cubic_use_the_exact_sum(self):
         # a 1.6e-3 rad pulse: one table interval, fewer than the cubic's 4
         cfg = area_config(5e-4, 5.0, 0.8)
-        assert lineshape._shot_table(cfg.pulse, cfg.motion).grid.size == 2
+        table = lineshape._shot_table(cfg.pulse, cfg.motion, cfg.kappa)
+        assert (table.origin, table.grid.size) == (0, 2)
         w = cfg.window_halfwidth
         for g in np.linspace(g_forward(-w, cfg), g_forward(w, cfg), 7)[1:-1]:
             assert g_invert(g, cfg) == plain_invert(g, cfg), g
@@ -327,7 +329,7 @@ class TestCertifiedDecisions:
         # than the table itself makes.  g values between g and this g~
         # must still go to g_forward.
         cfg = area_config(area, 80.0, 0.8)
-        table = lineshape._shot_table(cfg.pulse, cfg.motion)
+        table = lineshape._shot_table(cfg.pulse, cfg.motion, cfg.kappa)
         off = cfg.kappa * RABI
         shift = 0.9 * lineshape.TABLE_ROUNDING_SLACK * np.sign(off - table.grid)
         skewed = table._replace(floats=tuple((table.values + shift).tolist()))
@@ -488,6 +490,63 @@ class TestReplay:
         exact = [g_forward(x, cfg) for x in xs[::37]]
         assert exact == sorted(exact)
         assert max(abs(a - b) for a, b in zip(exact, gs[::37])) < 1e-9
+
+    @pytest.mark.parametrize("fraction, certified", [(0.5, False), (2.0, True)])
+    def test_a_rise_within_the_curvature_term_is_not_certified(
+            self, fraction, certified, monkeypatch, fresh_plans):
+        # A table linear in |delta|, p = 1/2 + c (off - |delta|), which the
+        # cubic reads exactly, gives S~ = 1 and g~ = 2 c x on the window:
+        # g~ rises by 2 c s across every cell of width s.  Set that rise
+        # to a fraction of the curvature term s_tau^2 (1/s_low + 2/s_low^2)
+        # and far above the read errors e_j.  Within the term g may still
+        # fall inside a cell, so no cell may be certified; above it, all are.
+        table = lineshape._shot_table(HOT.pulse, HOT.motion, HOT.kappa)
+        w, off = HOT.window_halfwidth, HOT.kappa * RABI
+        step = 2.0 * w / math.ceil(2.0 * w * table.scale)
+        s_tau = step * HOT.pulse.duration
+        s_low = 1.0 - 2.0 * table.cubic_bound - s_tau
+        curvature = s_tau ** 2 * (1.0 / s_low + 2.0 / s_low ** 2)
+        c = fraction * curvature / (2.0 * step)
+        linear = table._replace(floats=tuple((0.5 + c * (off - table.grid)).tolist()))
+        monkeypatch.setattr(estimator, "_shot_table", lambda *args: linear)
+        assert (plan_of(HOT)[-1] is not None) == certified
+
+    @given(area=st.floats(0.3, 4.0), nbar=st.floats(0.0, 400.0), kappa=st.floats(0.1, 0.9),
+           per_side=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1))
+    @example(area=1.0, nbar=80.0, kappa=0.9999999, per_side=50, seed=0)
+    @settings(max_examples=10, deadline=None)
+    def test_every_read_is_inside_the_table(self, area, nbar, kappa, per_side, seed):
+        # each cubic read of a plan and its inversions, at count pairs and
+        # one ulp inside the window's edges (where the band about the root
+        # reaches tol / 4 past the window), takes nodes i - 1 .. i + 2 of
+        # the table, or mirrors node 1 at delta = 0; and the inversion is
+        # the plain bisection's
+        cfg = replace(area_config(area, nbar, kappa), shots_per_side=per_side)
+        table = lineshape._shot_table(cfg.pulse, cfg.motion, kappa)
+        w = cfg.window_halfwidth
+        g_lo, g_hi = g_forward(-w, cfg), g_forward(w, cfg)
+        rng = np.random.default_rng(seed)
+        pairs = zip(rng.integers(0, per_side + 1, 8), rng.integers(1, per_side + 1, 8))
+        g_values = [(a - b) / (a + b) for a, b in pairs] + [
+            math.nextafter(g_lo, g_hi), math.nextafter(g_hi, g_lo)]
+        reads, exact = [], lineshape._cubic_read
+
+        def spy(floats, u):
+            assert floats is table.floats
+            reads.append(u)
+            return exact(floats, u)
+
+        estimator._plan.cache_clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimator, "_cubic_read", spy)
+            inverted = [g_invert(g, cfg) for g in g_values]
+        if plan_of(cfg)[-2] is not None:
+            assert reads
+        for u in reads:
+            assert int(u) + 2 < len(table.floats)
+            assert int(u) >= 1 or table.origin == 0, (u, table.origin)
+        assert inverted == [plain_invert(g, cfg) for g in g_values]
+
 
 
 class TestPlan:

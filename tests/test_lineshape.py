@@ -220,40 +220,60 @@ def _table_case(area, nbar):
     return pulse, motion(nbar)
 
 
+def full_span_table(pulse, m):
+    """(grid, p) of the per-shot table over all of [0, 2 Omega_0], in its chunks."""
+    area = pulse.rabi * pulse.duration
+    intervals = max(1, round(area / math.pi * lineshape.TABLE_INTERVALS_PER_PI))
+    grid = np.arange(intervals + 1) * (2.0 * pulse.rabi / intervals)
+    rows = max(1, lineshape.TABLE_CHUNK_ELEMENTS // (m.n_cutoff + 1))
+    return grid, np.concatenate([excitation_profile(grid[i:i + rows], pulse, m)
+                                 for i in range(0, grid.size, rows)])
+
+
 class TestShotTable:
     @pytest.mark.parametrize("area", [math.pi / 2, math.pi, 3 * math.pi, 4 * math.pi])
     @pytest.mark.parametrize("nbar", [0.0, 20.0, 80.0])
     def test_matches_exact_sum_on_dense_grid(self, area, nbar):
+        # at kappa 0.3 the span starts at delta = 0; at kappa 0.8 it starts
+        # at 0.4 Omega_0 less the nodes the cubic and the chunks add
+        for kappa in (0.3, 0.8):
+            self.check_span_table(area, nbar, kappa)
+
+    @staticmethod
+    def check_span_table(area, nbar, kappa):
         pulse, m = _table_case(area, nbar)
-        table = lineshape._shot_table(pulse, m)
+        table = lineshape._shot_table(pulse, m, kappa)
         grid = table.grid
         # Bernstein: |p^(k)| <= tau^k / 2, with h tau = 2 area / intervals
-        h_tau = 2.0 * area / (grid.size - 1)
+        h_tau = 2.0 * area / round(2.0 * RABI * table.scale)
         assert table.linear_bound == \
             h_tau ** 2 / 16.0 + 2.0 * lineshape.TABLE_ROUNDING_SLACK
         # every interval midpoint of the table (where linear interpolation
-        # errs most), alternating in sign, then points past the span
+        # errs most), alternating in sign, then points past each end
         mid = 0.5 * (grid[:-1] + grid[1:])
         mid[1::2] *= -1.0
         beyond = np.linspace(1.01, 1.5, 9) * grid[-1]
-        deltas = np.concatenate([mid, beyond, -beyond])
-        linear, bounds = lineshape._tabulated_excitation(deltas, pulse, m)
+        before = np.linspace(0.0, 0.99, 9) * grid[0] if table.origin else np.array([])
+        deltas = np.concatenate([mid, beyond, -beyond, before, -before])
+        linear, bounds = lineshape._tabulated_excitation(deltas, pulse, m, kappa)
         exact = np.array([thermal_excitation(d, pulse, m) for d in mid])
         err = np.abs(linear[:mid.size] - exact)
         assert err.max() <= 5e-7
         assert err.max() <= table.linear_bound
         assert np.all(bounds[:mid.size] == table.linear_bound)
-        # past the span the bound sends every shot to the exact sum
+        # outside the span the bound sends every shot to the exact sum
         assert np.all(bounds[mid.size:] == np.inf)
 
         # the cubic read, at a random point of every interval it can read
-        # (node i + 2 must exist), the first one included: there it
-        # mirrors node 1 to node -1
-        u = np.arange(grid.size - 2) + np.random.default_rng(grid.size).uniform(
-            size=grid.size - 2)
-        u[0] = 0.3
+        # (nodes i - 1 and i + 2 must exist), the first one included: from
+        # p(0) it mirrors node 1 to node -1
+        first = 0 if table.origin == 0 else 1
+        u = np.arange(first, grid.size - 2) + np.random.default_rng(grid.size).uniform(
+            size=grid.size - 2 - first)
+        u[0] = first + 0.3
         cubic = np.array([lineshape._cubic_read(table.floats, x) for x in u])
-        exact = np.array([thermal_excitation(x / table.scale, pulse, m) for x in u])
+        exact = np.array([thermal_excitation((x + table.origin) / table.scale, pulse, m)
+                          for x in u])
         err = np.abs(cubic - exact)
         assert err.max() <= table.cubic_bound
         # the truncation bound alone holds, with 1e-13 for the sums' rounding
@@ -265,25 +285,64 @@ class TestShotTable:
     def test_pitch_scales_with_inverse_duration(self):
         for area in (math.pi / 2, math.pi, 3 * math.pi):
             pulse, m = _table_case(area, 20.0)
-            table = lineshape._shot_table(pulse, m)
-            assert table.grid[-1] == pytest.approx(2.0 * RABI, rel=1e-12)
-            assert (table.grid[1] - table.grid[0]) * pulse.duration == \
+            table = lineshape._shot_table(pulse, m, 0.8)
+            full_grid, _ = full_span_table(pulse, m)
+            assert full_grid[-1] == pytest.approx(2.0 * RABI, rel=1e-12)
+            assert (full_grid[1] - full_grid[0]) * pulse.duration == \
                 pytest.approx(2.0 * math.pi / lineshape.TABLE_INTERVALS_PER_PI, rel=1e-12)
+            # the table's nodes are the full grid's from origin on
+            assert np.array_equal(
+                table.grid, full_grid[table.origin:table.origin + table.grid.size])
             # the estimator's copy: the same values as Python floats, 1 / pitch
             assert table.floats == tuple(table.values.tolist())
-            assert table.scale == 1.0 / float(table.grid[1])
+            assert table.scale == 1.0 / float(full_grid[1])
+        # the default config: nodes 400 .. 1239 of the 2049 over
+        # [0, 2 Omega_0], each with the full table's p bit for bit
         pulse, m = _table_case(math.pi, 80.0)
-        assert lineshape._shot_table(pulse, m).grid.size == 2049
+        table = lineshape._shot_table(pulse, m, 0.8)
+        full_grid, full_values = full_span_table(pulse, m)
+        assert full_grid.size == 2049
+        assert (table.origin, table.grid.size) == (400, 840)
+        assert np.array_equal(table.values, full_values[400:1240])
 
     def test_no_table_beyond_four_pi(self):
         pulse, m = _table_case(4 * math.pi, 20.0)
-        assert lineshape._shot_table(pulse, m).grid.size == \
-            lineshape.TABLE_MAX_INTERVALS + 1
+        table = lineshape._shot_table(pulse, m, 0.8)
+        assert round(2.0 * RABI * table.scale) == lineshape.TABLE_MAX_INTERVALS
+        assert table.origin + table.grid.size <= lineshape.TABLE_MAX_INTERVALS + 1
         pulse, m = _table_case(4.01 * math.pi, 20.0)
-        assert lineshape._shot_table(pulse, m) is None
+        assert lineshape._shot_table(pulse, m, 0.8) is None
         _, bounds = lineshape._tabulated_excitation(np.array([0.1, -0.7]) * RABI,
-                                                    pulse, m)
+                                                    pulse, m, 0.8)
         assert np.all(bounds == np.inf)
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.8, 0.95])
+    def test_infinite_bound_outside_the_span(self, kappa):
+        pulse, m = _table_case(math.pi, 80.0)
+        table = lineshape._shot_table(pulse, m, kappa)
+        lo, hi = float(table.grid[0]), float(table.grid[-1])
+        # one ulp outside, at, and one ulp inside each end of the span
+        inside = np.array([lo, math.nextafter(lo, hi), math.nextafter(hi, lo), hi])
+        outside = np.array([math.nextafter(hi, math.inf)] +
+                           ([math.nextafter(lo, 0.0)] if table.origin else []))
+        _, bounds = lineshape._tabulated_excitation(
+            np.concatenate([outside, -outside, inside, -inside]), pulse, m, kappa)
+        assert np.all(bounds[:2 * outside.size] == np.inf)
+        assert np.all(bounds[2 * outside.size:] == table.linear_bound)
+
+    @given(area=st.floats(0.3 * math.pi, 4 * math.pi), nbar=st.floats(0.0, 400.0),
+           kappa=st.floats(0.1, 0.9))
+    @settings(max_examples=12, deadline=None)
+    def test_span_equals_the_full_span_bit_for_bit(self, area, nbar, kappa):
+        pulse, m = _table_case(area, nbar)
+        table = lineshape._shot_table.__wrapped__(pulse, m, kappa)
+        full_grid, full_values = full_span_table(pulse, m)
+        nodes = slice(table.origin, table.origin + table.grid.size)
+        assert np.array_equal(table.grid, full_grid[nodes])
+        assert np.array_equal(table.values, full_values[nodes])
+        # the span covers |delta| in [max(0, 3 kappa - 2), 2 - kappa] Omega_0
+        assert table.grid[0] <= max(0.0, 3.0 * kappa - 2.0) * RABI
+        assert table.grid[-1] >= (2.0 - kappa) * RABI
 
 
 class TestFwhm:

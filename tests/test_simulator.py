@@ -149,7 +149,34 @@ class TestBrightShots:
         for uniforms in (rng.random(400), exact,
                          np.nextafter(exact, 0.0), np.nextafter(exact, 1.0),
                          exact + rng.uniform(-1e-6, 1e-6, 400)):
-            bright = simulator._bright_shots(deltas, uniforms, pulse, motion)
+            bright = simulator._bright_shots(deltas, uniforms, pulse, motion, 0.8)
+            assert np.array_equal(bright, uniforms < exact)
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.8, 0.95])
+    def test_decisions_at_the_span_edges(self, kappa):
+        # shots at, and one ulp inside and outside, each end of the table's
+        # span, and further out, on both sides of the line, with uniforms
+        # at, next to and near the exact p: the table decides those inside
+        # the span within its bound, the exact sum the rest
+        pulse = PulseSpec.pi_pulse(RABI)
+        motion = MotionalModel(nbar=80.0, eta=0.026)
+        table = lineshape._shot_table(pulse, motion, kappa)
+        lo, hi = float(table.grid[0]), float(table.grid[-1])
+        inside = [lo, math.nextafter(lo, hi), math.nextafter(hi, lo), hi]
+        outside = [math.nextafter(hi, math.inf), 1.1 * hi]
+        if table.origin:        # the span starts above delta = 0
+            outside += [math.nextafter(lo, 0.0), 0.9 * lo]
+        edges = np.array(inside + outside)
+        deltas = np.repeat(np.concatenate([edges, -edges]), 8)
+        exact = np.array([thermal_excitation(d, pulse, motion) for d in deltas])
+        _, bounds = lineshape._tabulated_excitation(deltas, pulse, motion, kappa)
+        assert np.array_equal(np.isinf(bounds),
+                              np.isin(np.abs(deltas), outside))
+        rng = np.random.default_rng(round(100 * kappa))
+        for uniforms in (rng.random(deltas.size), exact,
+                         np.nextafter(exact, 0.0), np.nextafter(exact, 1.0),
+                         exact + rng.uniform(-1e-6, 1e-6, deltas.size)):
+            bright = simulator._bright_shots(deltas, uniforms, pulse, motion, kappa)
             assert np.array_equal(bright, uniforms < exact)
 
 
