@@ -12,7 +12,9 @@ step that would reach a parameter bound.  The Allan fit enumerates the
 cases of its two bounds a >= 0, d >= 0 (each face in closed form, the
 interior by the loop) and keeps the cheapest; the spectrum fit projects
 out its two linear parameters (variable projection) and runs the loop
-on centre and Rabi frequency alone.  Neither has a fallback solver.
+on centre and Rabi frequency alone, whose Jacobian columns come
+analytically from the same lineshape-kernel pass as the model (no
+forward differences).  Neither has a fallback solver.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .atomphys import (
     frequency_to_position_slope,
 )
 from .estimator import binomial_variance
-from .lineshape import MotionalModel, PulseSpec, excitation_profile
+from .lineshape import MotionalModel, PulseSpec, _thermal_sums
 from .simulator import Displacements, TrackingRecord
 
 __all__ = [
@@ -264,7 +266,8 @@ def allan_deviation(series: FrequencySeries, taus) -> AllanResult:
 
 
 class SpectrumFitError(RuntimeError):
-    """Spectrum fit failed to converge; carries the best parameters."""
+    """Spectrum fit failed to converge, or its covariance is unusable; carries
+    the best parameters."""
 
     def __init__(self, message: str, best_params: np.ndarray):
         super().__init__(message)
@@ -296,10 +299,6 @@ def _guess_from_data(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([center, rabi, amplitude, baseline])
 
 
-# Forward-difference step of the centre and Rabi Jacobian columns,
-# relative to max(1, |parameter|), as for a two-point derivative.
-FD_RELATIVE_STEP = math.sqrt(np.finfo(float).eps)
-
 # The spectrum fit converges when a Gauss-Newton step would lower its
 # cost by no more than this fraction.  A step predicted to gain
 # 1e-10 of a cost near n/2 is about 1e-5 standard errors long.
@@ -319,16 +318,20 @@ def fit_spectrum(detuning, excitation, shots,
     Amplitude and baseline enter linearly, so each (centre, Rabi) has
     them by weighted linear least squares (variable projection), and
     damped Gauss-Newton runs on centre and Rabi alone from the data's
-    peak and half-width, with a forward-difference Jacobian whose step
-    turns back at the upper centre bound.  Centre is bounded to a span
-    beyond the data on each side and Rabi to above 1e-9 rad/s; steps
-    onto a bound are refused.  The fit converges when a Gauss-Newton
-    step would lower the cost by at most SPECTRUM_RTOL of it.  There is
-    no fallback: a fit that tries LM_MAX_STEPS steps, or whose normal
-    matrix is singular, raises SpectrumFitError with the best parameters
-    found.  The covariance is (J^T J)^-1 of the four-column Jacobian at
-    the optimum (pseudo-inverse if singular): centre and Rabi columns by
-    forward differences, amplitude and baseline columns analytic.
+    peak and half-width.  Each evaluation is one pass of the lineshape
+    kernel (`lineshape._thermal_sums`), which gives P and the weighted
+    sum G with dP/d delta = -delta G, so the Jacobian columns are
+    analytic: amplitude * delta * G for the centre and, since a pi pulse
+    makes P a function of delta/Omega, amplitude * delta^2 * G / Omega
+    for the Rabi frequency.  Centre is bounded to a span beyond the data
+    on each side and Rabi to above 1e-9 rad/s; steps onto a bound are
+    refused.  The fit converges when a Gauss-Newton step would lower the
+    cost by at most SPECTRUM_RTOL of it.  There is no fallback: a fit
+    that tries LM_MAX_STEPS steps, or whose normal matrix is singular,
+    raises SpectrumFitError with the best parameters found.  The
+    covariance is (J^T J)^-1 of the four-column Jacobian at the optimum
+    (pseudo-inverse if singular); a negative or non-finite variance in it
+    raises SpectrumFitError too, as the data then do not fix the line.
     """
     x = np.asarray(detuning, dtype=float)
     y = np.asarray(excitation, dtype=float)
@@ -347,30 +350,18 @@ def fit_spectrum(detuning, excitation, shots,
     lower = np.array([x.min() - span, 1e-9])
     upper = np.array([x.max() + span, np.inf])
 
-    def profile_at(p: np.ndarray) -> np.ndarray:
-        return excitation_profile(x - p[0], PulseSpec.pi_pulse(p[1]), motion)
-
     def evaluate(p):
-        design = np.column_stack((profile_at(p), np.ones_like(x))) * weight[:, None]
+        delta = x - p[0]
+        profile, slope = _thermal_sums(delta, PulseSpec.pi_pulse(p[1]), motion, slope=True)
+        design = np.column_stack((profile, np.ones_like(x))) * weight[:, None]
         linear = np.linalg.lstsq(design, target, rcond=None)[0]
-        return design @ linear - target, (design, linear)
-
-    def jacobian(p, aux):
-        design, linear = aux
-        columns = []
-        for i in range(2):
-            h = FD_RELATIVE_STEP * max(1.0, abs(p[i]))
-            if p[i] + h >= upper[i]:
-                h = -h
-            shifted = p.copy()
-            shifted[i] += h
-            h = shifted[i] - p[i]
-            columns.append(linear[0] * (profile_at(shifted) * weight - design[:, 0]) / h)
-        return np.column_stack((*columns, design))
+        centre = linear[0] * weight * delta * slope
+        jac = np.column_stack((centre, centre * delta / p[1], design))
+        return design @ linear - target, (jac, linear)
 
     # the data's peak and half-width lie strictly inside the bounds
-    p, r, (_design, linear), jac, status = _levenberg_marquardt(
-        evaluate, jacobian, _guess_from_data(x, y)[:2],
+    p, r, (_, linear), jac, status = _levenberg_marquardt(
+        evaluate, lambda p, aux: aux[0], _guess_from_data(x, y)[:2],
         inside=lambda p: bool(np.all((lower < p) & (p < upper))),
         rtol=SPECTRUM_RTOL)
     if status != "converged":
@@ -380,6 +371,9 @@ def fit_spectrum(detuning, excitation, shots,
         covariance = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         covariance = np.linalg.pinv(jac.T @ jac)
+    if not np.all(np.diag(covariance) >= 0.0) or not np.all(np.isfinite(covariance)):
+        raise SpectrumFitError("spectrum fit covariance is not finite, or has a negative variance",
+                               np.concatenate((p, linear)))
     dof = max(x.size - 4, 1)
     center, rabi = p
     amplitude, baseline = linear

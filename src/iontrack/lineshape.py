@@ -10,6 +10,19 @@ probabilities with geometric weights.
 Detunings are angular (rad/s) and passed beside the pulse, not in it;
 durations are seconds.
 
+Every Fock term comes from one kernel, `_excitation`: with
+r^2 = Omega_n^2 + delta^2, x = r tau / 2, s = sin x and c = cos x it
+gives p_n = Omega_n^2 s^2 / r^2 and, on request from the same pass,
+A_n = 2 Omega_n^2 s (s - x c) / r^4, for which dp_n/d delta =
+-delta A_n.  `excitation_profile` and the spectrum fit's pass
+(`_thermal_sums`) run it over their detunings in blocks of rows that
+hold at most TABLE_CHUNK_ELEMENTS elements (or one row), written in
+place into one full matrix of p (and one of A), and take each thermal
+sum as one matrix-vector product over all rows.  Blocking the
+elementwise pass leaves every bit as one pass over the whole grid gives
+it (splitting the product would not), and bounds the transient memory
+to the matrices themselves.
+
 The shot-by-shot simulator asks for the thermal excitation at a new
 detuning on every shot.  For that path `_shot_table` tabulates p(|delta|)
 once per pulse, motion and probe offset kappa: p is even in delta, and
@@ -82,8 +95,10 @@ MIN_THERMAL_CUTOFF = 30
 # sum peaks 2.3 MB above them (measured).
 MAX_THERMAL_CUTOFF = 10 ** 5
 # Largest points x Fock terms (cutoff + 1) of a lineshape table or a
-# spectrum fit: at about 32 B per point and term (127 MB for 401 points
-# at cutoff 10^4), 2^24 elements peak near 0.54 GB.
+# spectrum fit.  A profile peaks at about 8 B per point and term (its p
+# matrix; 32 MB for 401 points at cutoff 10^4), a fit's pass at about
+# 16 B (p and A), so 2^24 elements peak near 134 MB, or 268 MB in a fit
+# (measured with tracemalloc).
 MAX_PROFILE_ELEMENTS = 1 << 24
 
 # Per-shot table (see the module docstring).  Building a table of N
@@ -95,7 +110,7 @@ MAX_PROFILE_ELEMENTS = 1 << 24
 # sum for every shot.
 TABLE_INTERVALS_PER_PI = 2048      # table intervals per pi of pulse area
 TABLE_MAX_INTERVALS = 1 << 13
-TABLE_CHUNK_ELEMENTS = 1 << 14     # rows x Fock terms per excitation_profile call
+TABLE_CHUNK_ELEMENTS = 1 << 14     # rows x Fock terms per kernel block and table chunk
 # Each thermal sum, tabulated or scalar, is within TABLE_ROUNDING_SLACK
 # of its exact value: a sum of n terms in [0, 1] with weights summing to
 # at most 1 rounds by at most about n 2^-53, 1.1e-11 at MAX_THERMAL_CUTOFF.
@@ -204,24 +219,41 @@ def _omega2(rabi: float, motion: MotionalModel) -> np.ndarray:
     return omega2
 
 
-def _excitation(omega2, delta, duration):
+def _excitation(omega2, delta, duration, out=None, slope=None):
     """sin^2 Rabi flop written as om^2/(om^2+d^2) * sin^2(sqrt(om^2+d^2) t/2).
 
-    Regular at om = 0 and at delta = 0; broadcasts over numpy inputs.
-    In place: no temporaries the size of the grid beyond total2, p (the
-    output) and one boolean mask.  The ufuncs and their order are those of
-    omega2 * sin(phase)^2 / total2, and so are the bits; where total2
-    overflows, sin(inf) is NaN without a warning.  Where total2 is not
-    positive (0, or NaN from a NaN detuning) p is +0.0.
+    The one kernel of a Fock term: p_n = om^2 s^2 / r^2, where
+    r^2 = om^2 + d^2, x = r t / 2 and s = sin x.  Regular at om = 0 and at
+    delta = 0; broadcasts over numpy inputs.  In place: p is written into
+    `out` (allocated if None), and no temporaries the size of the grid are
+    made beyond total2 and one boolean mask.  The ufuncs and their order
+    are those of omega2 * sin(phase)^2 / total2, and so are the bits; where
+    total2 overflows, sin(inf) is NaN without a warning.  Where total2 is
+    not positive (0, or NaN from a NaN detuning) p is +0.0.
+
+    If `slope` is an array, the same pass also writes into it
+    A_n = 2 om^2 s (s - x c) / r^4 with c = cos x, so that
+    dp_n/d delta = -delta A_n for any pulse (one more mask, and p's bits
+    are as without it).  A is +0.0 where p is, and is divided by r^2
+    twice, since r^4 overflows where r^2 need not.
     """
     total2 = omega2 + delta ** 2
-    p = np.sqrt(total2)
+    p = np.sqrt(total2, out=out)
     p *= 0.5 * duration
     with np.errstate(invalid="ignore"):
+        if slope is not None:
+            np.multiply(np.cos(p, out=slope), p, out=slope)
         np.sin(p, out=p)
+    positive = total2 > 0.0
+    if slope is not None:
+        np.subtract(p, slope, out=slope)
+        slope *= p
+        slope *= 2.0 * omega2
+        np.divide(slope, total2, out=slope, where=positive)
+        np.divide(slope, total2, out=slope, where=positive)
+        np.copyto(slope, 0.0, where=~positive)
     np.square(p, out=p)
     p *= omega2
-    positive = total2 > 0.0
     np.divide(p, total2, out=p, where=positive)
     np.copyto(p, 0.0, where=np.logical_not(positive, out=positive))
     return p
@@ -239,9 +271,29 @@ def thermal_excitation(detuning: float, pulse: PulseSpec, motion: MotionalModel)
 def excitation_profile(detunings, pulse: PulseSpec, motion: MotionalModel) -> np.ndarray:
     """`thermal_excitation` vectorised over a detuning array (rad/s)."""
     d = np.asarray(detunings, dtype=float)
+    return _thermal_sums(d, pulse, motion)[0].reshape(d.shape)
+
+
+def _thermal_sums(detunings: np.ndarray, pulse: PulseSpec, motion: MotionalModel,
+                  slope: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """(p, G) at each detuning of a 1-d array: p = sum w_n p_n, G = sum w_n A_n.
+
+    G is None unless `slope`.  dp/d delta = -delta G for any pulse; for a
+    pi pulse (duration pi/Omega_0) p depends on delta/Omega_0 alone, so
+    dp/d Omega_0 = delta^2 G / Omega_0.  The kernel runs in blocks of
+    TABLE_CHUNK_ELEMENTS // (cutoff + 1) rows (at least one), and each sum
+    is one product over all rows (module docstring).
+    """
+    d = detunings.reshape(-1, 1)
     weights = _motional_arrays(motion)[0]
-    p = _excitation(_omega2(pulse.rabi, motion)[None, :], d.reshape(-1, 1), pulse.duration)
-    return (p @ weights).reshape(d.shape)
+    omega2 = _omega2(pulse.rabi, motion)
+    rows = max(1, TABLE_CHUNK_ELEMENTS // omega2.size)
+    p = np.empty((d.shape[0], omega2.size))
+    a = np.empty_like(p) if slope else None
+    for i in range(0, d.shape[0], rows):
+        _excitation(omega2, d[i:i + rows], pulse.duration, out=p[i:i + rows],
+                    slope=a[i:i + rows] if slope else None)
+    return p @ weights, (a @ weights if slope else None)
 
 
 class _ShotTable(NamedTuple):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
-from iontrack import analysis
+from iontrack import analysis, lineshape
 from iontrack.analysis import (
     FrequencySeries,
     SpectrumFitError,
@@ -200,38 +200,57 @@ class TestFitProfileReuse:
                 assert np.all(np.isfinite([fit.center, fit.rabi, fit.amplitude,
                                            fit.baseline, fit.reduced_chisq]))
                 assert np.all(np.isfinite(fit.covariance))
-        # through main: exit 0 with strict JSON, or exit 2 with no files
         x, y = self._noise_spectrum()
         data = tmp_path / "noise.csv"
         data.write_text("detuning_hz,counts,shots\n" + "".join(
             f"{d!r},{round(p * 20)},20\n" for d, p in zip((x / TWO_PI).tolist(), y)), encoding="utf-8")
-        out = tmp_path / "out"
+        self._fit_run_keeps_exit_contract(data, tmp_path / "out", x.size)
+
+    @staticmethod
+    def _fit_run_keeps_exit_contract(data, out, n_points):
+        """Through main: exit 0 with strict JSON, or exit 2 with no files."""
         code = main(["fit-spectrum", str(data), "--out", str(out)])
         if code == 0:
             def no_constant(token):
                 raise AssertionError(f"non-finite {token} in the summary")
             summary = (out / "fit_spectrum_summary.json").read_text(encoding="utf-8")
-            assert json.loads(summary, parse_constant=no_constant)["fit"]["n_points"] == x.size
+            assert json.loads(summary, parse_constant=no_constant)["fit"]["n_points"] == n_points
         else:
             assert code == 2
             assert not out.exists()
 
+    def test_detuning_whose_r4_overflows(self, tmp_path, capsys):
+        # 1e79 Hz: r^2 = Omega_n^2 + delta^2 is finite, r^4 is not
+        rows = SPECTRUM_CSV.splitlines()
+        rows[5] = "1e79," + rows[5].split(",", 1)[1]
+        data = tmp_path / "far.csv"
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        self._fit_run_keeps_exit_contract(data, tmp_path / "out", 25)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "warning" not in err
+        # the kernel's slope sum there is finite, and vanishes
+        p, g = lineshape._thermal_sums(np.array([TWO_PI * 1e79]),
+                                       PulseSpec.pi_pulse(TWO_PI * 640.0), self.MOTION,
+                                       slope=True)
+        assert np.isfinite(p[0]) and np.isfinite(g[0]) and abs(g[0]) < 1e-200
+
     def test_no_two_consecutive_profiles_share_centre_and_rabi(self, monkeypatch):
+        # one kernel pass per evaluation gives the profile and both Jacobian
+        # columns, so no pass repeats a (centre, Rabi) and a fit takes few
         calls = []
 
-        def recorded(detunings, pulse, motion):
-            calls.append((np.array(detunings), pulse))
-            return excitation_profile(detunings, pulse, motion)
+        def recorded(detunings, pulse, motion, slope=False):
+            assert slope
+            calls.append((np.array(detunings).tobytes(), pulse))
+            return lineshape._thermal_sums(detunings, pulse, motion, slope)
 
-        monkeypatch.setattr(analysis, "excitation_profile", recorded)
-        spectra = [(x, y, 100) for x, y in self._criterion_10_spectra(2)]
-        spectra.append((*self._noise_spectrum(), 20))
-        for x, y, shots in spectra:
+        monkeypatch.setattr(analysis, "_thermal_sums", recorded)
+        spectra = [(x, y, 100, 8) for x, y in self._criterion_10_spectra(2)]
+        spectra.append((*self._noise_spectrum(), 20, math.inf))
+        for x, y, shots, most in spectra:
             calls.clear()
             fit_spectrum(x, y, shots, self.MOTION)
-            assert len(calls) > 10
-            for (d0, pulse0), (d1, pulse1) in zip(calls, calls[1:]):
-                assert pulse0 != pulse1 or not np.array_equal(d0, d1)
+            assert len(set(calls)) == len(calls) <= most
 
 
 def _scipy_allan(result):
