@@ -293,9 +293,12 @@ def _guess_from_data(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     center = float(x[int(np.argmax(y))])
     half = baseline + 0.5 * amplitude
     above = x[y >= half]
-    width = float(above.max() - above.min()) if above.size >= 2 else \
-        0.25 * float(x.max() - x.min())
-    rabi = max(width / 1.6, 1e-6 * (x.max() - x.min() + 1.0))
+    # a far detuning widens the span, not the median gap between detunings
+    gaps = np.sort(np.diff(np.sort(x)))
+    gaps = gaps[gaps > 0.0]
+    spacing = 0.5 * float(gaps[(gaps.size - 1) // 2] + gaps[gaps.size // 2])
+    width = float(above.max() - above.min()) if above.size >= 2 else 2.0 * spacing
+    rabi = max(width / 1.6, 1e-6 * (spacing + 1.0))
     return np.array([center, rabi, amplitude, baseline])
 
 

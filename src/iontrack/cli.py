@@ -346,15 +346,12 @@ def _sensitivity_cell(cfg: RunConfig, duration: float, offset_rabi: float,
                              f"{offset_rabi} Rabi: no bright events on either side: "
                              "no signal to invert")
     if abs(delta) < cell_cfg.window_halfwidth:
-        # Each distinct count pair is inverted once, then read back per
-        # seed.  g is estimate_from_counts' g, and the cell needs only its
-        # delta, not the sigma that would cost two more exact g_forward calls.
-        pairs, seed_pair = np.unique(np.column_stack([c_plus, c_minus]), axis=0,
-                                     return_inverse=True)
-        plus, minus = pairs.T / per_side
-        g_values = (plus - minus) / (plus + minus)
-        deltas = np.array([g_invert(g, cell_cfg)[0] for g in g_values.tolist()])
-        estimates = deltas[seed_pair]
+        # Each distinct g is inverted once, then read back per seed.  g is
+        # estimate_from_counts' g, and the cell needs only its delta, not
+        # the sigma that would cost two more exact g_forward calls.
+        plus, minus = c_plus / per_side, c_minus / per_side
+        g_values, seed_g = np.unique((plus - minus) / (plus + minus), return_inverse=True)
+        estimates = np.array([g_invert(g, cell_cfg)[0] for g in g_values.tolist()])[seed_g]
     else:
         # Outside the capture window the inversion clamps, so the cell
         # reports the locally linearised estimator's spread instead, about

@@ -28,12 +28,12 @@ detuning on every shot.  For that path `_shot_table` tabulates p(|delta|)
 once per pulse, motion and probe offset kappa: p is even in delta, and
 the table's nodes are those of a grid over [0, 2 Omega_0] with pitch
 h = 2 pi / (2048 tau) (about 3.07e-3 / tau, 2049 nodes for a pi pulse)
-that cover the span a two-point run reads.  The estimator reads p at
-|delta| in [(2 kappa - 1) Omega_0, Omega_0] (see `estimator`), and a
-tracked shot lies within the capture half-window w = (1 - kappa) Omega_0
-of that range, so the table spans |delta| in
-[max(0, 3 kappa - 2) Omega_0, (2 - kappa) Omega_0] and the cubic's
-neighbour nodes: 840 nodes for a pi pulse at kappa 0.8.
+that cover the span the estimator reads: p at |delta| in
+[(2 kappa - 1) Omega_0, Omega_0] (see `estimator`), one pitch wider on
+each side, and the cubic's neighbour nodes: 440 nodes for a pi pulse at
+kappa 0.8.  A shot whose true offset from the probe centre lies in the
+capture window |delta| <= (1 - kappa) Omega_0 falls in that range too;
+the simulator sends any shot outside the span to the exact sum.
 
 Its error bounds come from Bernstein's inequality for entire functions
 of exponential type (Boas, Entire Functions, 1954, Thm 11.1.2): if f is
@@ -314,10 +314,11 @@ def _shot_table(pulse: PulseSpec, motion: MotionalModel, kappa: float) -> _ShotT
 
     Without a table, callers use the exact sum throughout.  The table
     holds nodes origin, origin + 1, ... of the grid over [0, 2 Omega_0]:
-    those covering |delta| in [(2 kappa - 1) Omega_0, Omega_0] widened on
-    each side by w = (1 - kappa) Omega_0, or by one pitch where w is less
-    (the estimator reads up to tol / 4 = 2.5e-7 Omega_0 outside that
-    range), plus the cubic's neighbour nodes.  The rows are evaluated
+    those covering |delta| in [(2 kappa - 1) Omega_0, Omega_0], the
+    estimator's probe points, widened on each side by one pitch (the
+    estimator reads up to tol / 4 = 2.5e-7 Omega_0 outside that range),
+    plus the cubic's neighbour nodes: every shot whose true offset lies in
+    the capture window falls in that range.  The rows are evaluated
     TABLE_CHUNK_ELEMENTS Fock terms at a time in the full grid's chunks,
     so each node's p has the bits the full grid gives it.  `floats`
     serves the estimator's bisection, which reads four entries a probe
@@ -330,7 +331,7 @@ def _shot_table(pulse: PulseSpec, motion: MotionalModel, kappa: float) -> _ShotT
     pitch = 2.0 * pulse.rabi / intervals
     rows = max(1, TABLE_CHUNK_ELEMENTS // (motion.n_cutoff + 1))
     w = (1.0 - kappa) * pulse.rabi
-    off, reach = kappa * pulse.rabi, w + max(w, pitch)
+    off, reach = kappa * pulse.rabi, w + pitch
     first = max(0, math.floor((off - reach) / pitch) - 1) // rows * rows
     last = min(intervals, (math.floor((off + reach) / pitch) + 2) // rows * rows + rows - 1)
     grid = np.arange(first, last + 1) * pitch

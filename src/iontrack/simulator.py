@@ -113,10 +113,11 @@ def _bright_shots(detunings: np.ndarray, uniforms: np.ndarray, pulse: PulseSpec,
     """uniforms < thermal_excitation at each detuning, shot by shot.
 
     The per-shot table of `lineshape` for kappa (linear interpolation of
-    p(|delta|) at pitch 2 pi / (2048 duration) over the |delta| a
-    two-point run at kappa reads, error at most 5.9e-7 at every pulse
-    area) decides every shot whose uniform lies further than the error
-    bound from the tabulated p.  The rest, every shot outside the span
+    p(|delta|) at pitch 2 pi / (2048 duration) over the |delta| the
+    estimator at kappa reads, error at most 5.9e-7 at every pulse area)
+    decides every shot whose uniform lies further than the error bound
+    from the tabulated p; the span holds every shot whose true offset
+    lies in the capture window.  The rest, every shot outside the span
     and every shot of a pulse too long to tabulate included, call
     `thermal_excitation`, so each decision is the one a per-shot call
     would make.

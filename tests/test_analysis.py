@@ -234,6 +234,26 @@ class TestFitProfileReuse:
                                        slope=True)
         assert np.isfinite(p[0]) and np.isfinite(g[0]) and abs(g[0]) < 1e-200
 
+    def test_a_far_detuning_leaves_the_starting_point(self, tmp_path):
+        # the Rabi floor and the fallback width follow the median spacing
+        # of the detunings, not their span: the golden spectrum with one row
+        # moved to 1e79 Hz starts from the golden's guess, and fits
+        rows = SPECTRUM_CSV.splitlines()
+        golden = np.array([row.split(",") for row in rows[1:]], dtype=float)
+        far = golden.copy()
+        far[4, 0] = 1e79
+        guesses = [analysis._guess_from_data(TWO_PI * t[:, 0], t[:, 1] / t[:, 2])
+                   for t in (golden, far)]
+        assert np.array_equal(*guesses)
+        rows[5] = "1e79," + rows[5].split(",", 1)[1]
+        data = tmp_path / "far.csv"
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["fit-spectrum", str(data), "--out", str(tmp_path / "out")]) == 0
+        # one point above half the peak: the width is twice the spacing
+        x, y = np.append(np.arange(9.0), 1e79), np.zeros(10)
+        y[4] = 1.0
+        assert analysis._guess_from_data(x, y)[1] == 2.0 / 1.6
+
     def test_no_two_consecutive_profiles_share_centre_and_rabi(self, monkeypatch):
         # one kernel pass per evaluation gives the profile and both Jacobian
         # columns, so no pass repeats a (centre, Rabi) and a fit takes few

@@ -519,37 +519,54 @@ class TestSensitivity:
         cfg = tmp_path / "run.ini"
         cfg.write_text("[sensitivity]\ndurations_s = 2.0 4.0\noffsets_rabi = 0.0 0.7\n"
                        "n_seeds = 60\n")
-        # Distinct count pairs can share g (2:1 and 4:2), so the pairs are
-        # counted where np.unique finds them.
-        calls, distinct = [], []
-        invert, unique = cli.g_invert, np.unique
+        # the count pairs each cell draws, and the g values it inverts
+        draws, calls = [], []
+        invert, default_rng = cli.g_invert, np.random.default_rng
 
         def recorded(g_value, cell_cfg):
-            calls.append((g_value, cell_cfg))
+            calls.append((g_value, cell_cfg.shots_per_side))
             return invert(g_value, cell_cfg)
 
-        def counted(rows, axis, return_inverse):
-            pairs, seed_pair = unique(rows, axis=axis, return_inverse=return_inverse)
-            distinct.append(len(pairs))
-            return pairs, seed_pair
+        def recording_rng(seed):
+            rng, cell = default_rng(seed), []
+            draws.append(cell)
+
+            class Recorded:
+                def binomial(self, *args, **kwargs):
+                    cell.append(rng.binomial(*args, **kwargs))
+                    return cell[-1]
+            return Recorded()
 
         def run(name):
             calls.clear()
             for fmt in ("csv", "json"):
+                draws.clear()
                 assert main(["sensitivity", "--config", str(cfg), "--format", fmt,
                              "--out", str(tmp_path / name / fmt)]) == 0
             return tree_bytes(tmp_path / name)
 
         monkeypatch.setattr(cli, "g_invert", recorded)
-        monkeypatch.setattr(np, "unique", counted)
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
         shared = run("shared")
-        # each run inverts a distinct pair of an in-window cell once
-        assert len(calls) == sum(distinct) < 2 * 2 * 60
+        # cells (2 s, 0), (2 s, 0.7), (4 s, 0), (4 s, 0.7): the offset-0
+        # cells invert, 50 and 100 shots per side
+        inverted = []
+        for (c_plus, c_minus), per_side in zip(draws[::2], (50, 100)):
+            plus, minus = c_plus / per_side, c_minus / per_side
+            g_values = set(((plus - minus) / (plus + minus)).tolist())
+            cell = [g for g, n in calls[:len(calls) // 2] if n == per_side]
+            assert sorted(cell) == sorted(g_values)
+            # every pair a = b gives g = 0: fewer inversions than pairs
+            pairs = set(zip(c_plus.tolist(), c_minus.tolist()))
+            assert sum(a == b for a, b in pairs) > 1
+            assert len(cell) < len(pairs)
+            inverted.append(len(cell))
         assert calls[:len(calls) // 2] == calls[len(calls) // 2:]
-        # every seed a pair of its own: per-seed estimation
-        monkeypatch.setattr(np, "unique", lambda rows, axis, return_inverse:
-                            (rows, np.arange(len(rows))))
-        assert run("plain") == shared
+        assert len(calls) == 2 * sum(inverted)
+        # the same bytes as inverting every seed's g on its own
+        monkeypatch.setattr(np, "unique", lambda values, return_inverse:
+                            (values, np.arange(values.size)))
+        assert run("per_seed") == shared
         assert len(calls) == 2 * 2 * 60
 
     @pytest.mark.parametrize("offset", ["0.0", "0.7"])
@@ -563,8 +580,9 @@ class TestSensitivity:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["sensitivity", "--config", str(cfg), "--out", str(out)]) == 2
-        assert f"sensitivity cell duration 0.04 s, offset {offset} Rabi: no bright events" \
-            in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"iontrack: numerical failure: sensitivity cell duration 0.04 s, offset {offset} "
+            "Rabi: no bright events on either side: no signal to invert\n")
         assert not out.exists()
 
 

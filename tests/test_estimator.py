@@ -511,17 +511,19 @@ class TestReplay:
         monkeypatch.setattr(estimator, "_shot_table", lambda *args: linear)
         assert (plan_of(HOT)[-1] is not None) == certified
 
-    @given(area=st.floats(0.3, 4.0), nbar=st.floats(0.0, 400.0), kappa=st.floats(0.1, 0.9),
-           per_side=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1))
-    @example(area=1.0, nbar=80.0, kappa=0.9999999, per_side=50, seed=0)
+    @given(area=st.floats(0.3, 4.0), nbar=st.floats(0.0, 400.0), eta=st.floats(0.0, 0.3),
+           kappa=st.floats(0.1, 0.9), per_side=st.integers(1, 60),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(area=1.0, nbar=80.0, eta=0.026, kappa=0.9999999, per_side=50, seed=0)
     @settings(max_examples=10, deadline=None)
-    def test_every_read_is_inside_the_table(self, area, nbar, kappa, per_side, seed):
+    def test_every_read_is_inside_the_table(self, area, nbar, eta, kappa, per_side, seed):
         # each cubic read of a plan and its inversions, at count pairs and
         # one ulp inside the window's edges (where the band about the root
         # reaches tol / 4 past the window), takes nodes i - 1 .. i + 2 of
         # the table, or mirrors node 1 at delta = 0; and the inversion is
         # the plain bisection's
-        cfg = replace(area_config(area, nbar, kappa), shots_per_side=per_side)
+        cfg = replace(area_config(area, nbar, kappa), motion=MotionalModel(nbar=nbar, eta=eta),
+                      shots_per_side=per_side)
         table = lineshape._shot_table(cfg.pulse, cfg.motion, kappa)
         w = cfg.window_halfwidth
         g_lo, g_hi = g_forward(-w, cfg), g_forward(w, cfg)

@@ -333,7 +333,7 @@ class TestShotTable:
     @pytest.mark.parametrize("nbar", [0.0, 20.0, 80.0])
     def test_matches_exact_sum_on_dense_grid(self, area, nbar):
         # at kappa 0.3 the span starts at delta = 0; at kappa 0.8 it starts
-        # at 0.4 Omega_0 less the nodes the cubic and the chunks add
+        # at 0.6 Omega_0 less the nodes the pitch, the cubic and the chunks add
         for kappa in (0.3, 0.8):
             self.check_span_table(area, nbar, kappa)
 
@@ -394,14 +394,14 @@ class TestShotTable:
             # the estimator's copy: the same values as Python floats, 1 / pitch
             assert table.floats == tuple(table.values.tolist())
             assert table.scale == 1.0 / float(full_grid[1])
-        # the default config: nodes 400 .. 1239 of the 2049 over
+        # the default config: nodes 600 .. 1039 of the 2049 over
         # [0, 2 Omega_0], each with the full table's p bit for bit
         pulse, m = _table_case(math.pi, 80.0)
         table = lineshape._shot_table(pulse, m, 0.8)
         full_grid, full_values = full_span_table(pulse, m)
         assert full_grid.size == 2049
-        assert (table.origin, table.grid.size) == (400, 840)
-        assert np.array_equal(table.values, full_values[400:1240])
+        assert (table.origin, table.grid.size) == (600, 440)
+        assert np.array_equal(table.values, full_values[600:1040])
 
     def test_no_table_beyond_four_pi(self):
         pulse, m = _table_case(4 * math.pi, 20.0)
@@ -438,9 +438,10 @@ class TestShotTable:
         nodes = slice(table.origin, table.origin + table.grid.size)
         assert np.array_equal(table.grid, full_grid[nodes])
         assert np.array_equal(table.values, full_values[nodes])
-        # the span covers |delta| in [max(0, 3 kappa - 2), 2 - kappa] Omega_0
-        assert table.grid[0] <= max(0.0, 3.0 * kappa - 2.0) * RABI
-        assert table.grid[-1] >= (2.0 - kappa) * RABI
+        # the span covers the estimator's probe points, |delta| in
+        # [max(0, 2 kappa - 1), 1] Omega_0
+        assert table.grid[0] <= max(0.0, 2.0 * kappa - 1.0) * RABI
+        assert table.grid[-1] >= RABI
 
 
 class TestFwhm:

@@ -99,7 +99,9 @@ def test_no_source_file_names_scipy():
 
 
 def test_no_command_loads_scipy(tmp_path):
-    # each command, and a voltage scan, on small inputs in a fresh interpreter
+    # each command, and a voltage scan, on small inputs in a fresh interpreter;
+    # nor numpy.ma, which takes about 12 ms to import and which np.median,
+    # np.percentile and a plain np.unique load on their first call
     inputs = {
         "lineshape.ini": "[lineshape]\nn_points = 21\n",
         "track.ini": "[tracking]\nn_cycles = 32\n",
@@ -126,7 +128,7 @@ def test_no_command_loads_scipy(tmp_path):
         "from iontrack.cli import main\n"
         f"for argv in {runs!r}:\n"
         "    assert main(argv) == 0, argv\n"
-        "    assert 'scipy' not in sys.modules, argv\n"
+        "    assert 'scipy' not in sys.modules and 'numpy.ma' not in sys.modules, argv\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},

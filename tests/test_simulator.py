@@ -179,6 +179,39 @@ class TestBrightShots:
             bright = simulator._bright_shots(deltas, uniforms, pulse, motion, kappa)
             assert np.array_equal(bright, uniforms < exact)
 
+    @pytest.mark.parametrize("kappa", [0.3, 0.8, 0.95])
+    @pytest.mark.parametrize("area", [0.5, 1.0, 3.0])
+    def test_every_in_window_shot_is_inside_the_span(self, area, kappa):
+        # a shot whose true offset lies in the capture window, its edges
+        # included, is decided from the table and never by its span
+        cfg = TwoPointConfig(pulse=PulseSpec(RABI, area * math.pi / RABI),
+                             motion=MotionalModel(nbar=80.0, eta=0.026), kappa=kappa)
+        w, off = cfg.window_halfwidth, kappa * RABI
+        truth = np.linspace(-w, w, 4001)
+        deltas = np.concatenate([truth - off, truth + off])
+        _, bounds = lineshape._tabulated_excitation(deltas, cfg.pulse, cfg.motion, kappa)
+        assert np.all(np.isfinite(bounds))
+
+    def test_few_shots_take_the_exact_sum(self, monkeypatch):
+        # over 20 criterion-5 runs (256,000 shots) the table leaves at most
+        # 5 shots inside its span undecided; the shots outside it, those
+        # of measurements whose resonance strayed out of the capture
+        # window, take the exact sum too, a small fraction of all shots
+        table = lineshape._shot_table(CFG.pulse, CFG.motion, CFG.kappa)
+        exact, inside, outside = simulator.thermal_excitation, [0], [0]
+
+        def counted(detuning, pulse, motion):
+            span = table.grid[0] <= abs(detuning) <= table.grid[-1]
+            (inside if span else outside)[0] += 1
+            return exact(detuning, pulse, motion)
+
+        monkeypatch.setattr(simulator, "thermal_excitation", counted)
+        for seed in range(20):
+            run_tracking(128, NU0, DriftModel(linear_rate=TWO_PI * 8.2, seed=seed),
+                         CFG, TIMELINE)
+        assert inside[0] <= 5
+        assert outside[0] <= 256_000 // 500
+
 
 class TestBatchedShots:
     NOISY = DriftModel(linear_rate=TWO_PI * 8.2, random_walk=TWO_PI * 4.0,
