@@ -32,6 +32,9 @@ MAX_CYCLES = 10 ** 6
 # A sensitivity cell holds about 70 B per seed (two count arrays, the
 # estimates as a list and as an array): 10^6 seeds hold about 70 MB.
 MAX_SEEDS = 10 ** 6
+# A tracking measurement holds about 72 B per shot (tracemalloc): 10^6
+# shots per side, 2 x 10^6 shots, peak near 0.15 GB.
+MAX_SHOTS_PER_SIDE = 10 ** 6
 # A lineshape profile holds about 32 B per point and Fock term: 10^4
 # points would take about 32 GB at nbar = 10^4 (cutoff 10^5), so
 # validation also bounds points x (cutoff + 1) by MAX_PROFILE_ELEMENTS.
@@ -198,6 +201,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         for name, low, high in (("n_cycles", 1, MAX_CYCLES),
                                 ("n_seeds", 2, MAX_SEEDS),
+                                ("shots_per_side", 1, MAX_SHOTS_PER_SIDE),
                                 ("lineshape_n_points", 2, MAX_LINESHAPE_POINTS)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be at least {low}")

@@ -10,11 +10,13 @@ delta = nu - nu0 inside the capture window |delta| <= (1-kappa)*Omega_0
 and is inverted numerically to give the frequency estimate.  Binomial
 counting noise is propagated through g and the local slope dg/ddelta.
 
-Each bisection step of `g_invert` only asks whether g(mid) < g.  The
-probe points |mid -+ kappa Omega_0|, in [(2 kappa - 1) Omega_0, Omega_0],
-lie inside the span of the per-shot table of `lineshape` for kappa, and
-`lineshape._cubic_read` gives
-each P from the four nodes around it within the table's cubic bound
+Each bisection step of `g_invert` only asks whether g(mid) < g.  Each x
+at which an inversion reads g~, the band ends r -+ tol / 4 below
+included, lies within tol / 4 of the window, so its probe points
+|x -+ kappa Omega_0| lie in [max(0, (2 kappa - 1) Omega_0 - tol / 4),
+Omega_0 + tol / 4]: `_plan` tabulates p over that span with
+`lineshape._shot_table`, and `lineshape._cubic_read` gives each P from
+the four nodes around it within the table's cubic bound
 eps = 3 (h tau)^4 / 256 + 2.25 TABLE_ROUNDING_SLACK, about 2.3e-10 at
 every pulse area (Bernstein's inequality, |P''''| <= tau^4 / 2; see
 `lineshape`).  With e+- = P~+- - P+- and S = P+ + P-,
@@ -25,12 +27,12 @@ and S~ > 2 eps makes S > 0.  A step is decided from g~ only when g~
 clears g by more than that bound plus DECISION_SLACK for rounding; any
 other step calls the exact `g_forward`, and so does every step of a
 pulse too long to tabulate (above 4 pi) or of a table with fewer than
-the 4 intervals the cubic's nodes need.  So every decision, and every
-estimate, is the one the exact bisection makes.
+the 5 nodes the cubic needs.  So every decision, and every estimate,
+is the one the exact bisection makes.
 
-Most steps need no read at all.  Once per (pulse, motion, kappa),
-`_plan` derives all an inversion needs from them and certifies from the
-table that g is strictly increasing on the whole window: a lower bound
+Most steps need no read at all.  Once per (pulse, motion, kappa), `_plan`
+derives all an inversion needs from them, builds the table and certifies
+from it that g is strictly increasing on the whole window: a lower bound
 on g' over each grid cell, from g~ at the cell's nodes and Bernstein's
 bound on g''.  Each inversion then interpolates g~'s root r in the grid
 cell that brackets g and keeps the band (r - D, r + D), D = tol / 4,
@@ -47,10 +49,11 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lineshape import (MotionalModel, PulseSpec, _cubic_read, _shot_table,
+from .lineshape import (MotionalModel, PulseSpec, _cubic_read, _shot_table, _ShotTable,
                         thermal_excitation)
 
 __all__ = [
@@ -114,21 +117,20 @@ def g_slope(delta: float, cfg: TwoPointConfig) -> float:
     return (g_forward(delta + h, cfg) - g_forward(delta - h, cfg)) / (2.0 * h)
 
 
-def _table_g(x: float, off: float, read: tuple) -> tuple[float, float, float] | None:
+def _table_g(x: float, off: float, table: _ShotTable) -> tuple[float, float, float] | None:
     """(g~, e, S~) at x from the table's cubic reads, with |g~ - g(x)| <= e,
     or None where S~ <= 2 eps leaves S > 0 unproven."""
-    floats, scale, eps, origin = read
-    p_plus = _cubic_read(floats, abs(x - off) * scale - origin)
-    p_minus = _cubic_read(floats, abs(x + off) * scale - origin)
+    p_plus = _cubic_read(table.floats, abs(x - off) * table.scale - table.origin)
+    p_minus = _cubic_read(table.floats, abs(x + off) * table.scale - table.origin)
     total = p_plus + p_minus
-    if total <= 2.0 * eps:
+    if total <= 2.0 * table.cubic_bound:
         return None
-    return (p_plus - p_minus) / total, 2.0 * eps / total + DECISION_SLACK, total
+    return (p_plus - p_minus) / total, 2.0 * table.cubic_bound / total + DECISION_SLACK, total
 
 
-def _certified_below(mid: float, off: float, g_value: float, read: tuple) -> bool | None:
+def _certified_below(mid: float, off: float, g_value: float, table: _ShotTable) -> bool | None:
     """g(mid) < g_value decided from the table, or None if it cannot be."""
-    table_g = _table_g(mid, off, read)
+    table_g = _table_g(mid, off, table)
     if table_g is not None:
         gap, margin = table_g[0] - g_value, table_g[1]
         if gap < -margin:
@@ -138,20 +140,23 @@ def _certified_below(mid: float, off: float, g_value: float, read: tuple) -> boo
     return None
 
 
+_Plan = namedtuple("_Plan", "w g_lo g_hi off tol table grid")
+
+
 @lru_cache(maxsize=16)
-def _plan(pulse: PulseSpec, motion: MotionalModel, kappa: float) -> tuple:
-    """(w, g(-w), g(w), off, tol, read, grid): what `g_invert` takes from its config.
+def _plan(pulse: PulseSpec, motion: MotionalModel, kappa: float) -> _Plan:
+    """(w, g(-w), g(w), off, tol, table, grid): what `g_invert` takes from its config.
 
     w = (1 - kappa) Omega_0 is the capture-window edge, off = kappa Omega_0
-    the probe offset and tol the bisection's resolution.  read is the
-    per-shot table's (floats, scale, eps, origin), or None without a
-    table or with fewer than the 4 intervals the cubic's nodes need: the
-    probe points |mid -+ off| <= Omega_0 lie in the first half of the
-    table's grid over [0, 2 Omega_0].  The table holds that grid's nodes
-    from origin on, so a read at u pitches takes its floats at u - origin,
-    which is exact: origin is an integer <= u < 2^53.  Each plan holds its
-    table's floats, so the cache is `_shot_table`'s size: a larger one
-    could keep dropped tables alive.
+    the probe offset and tol the bisection's resolution.  g(-w) and g(w)
+    are NaN when an edge has no excitation at both probe points, and
+    `g_invert` raises.  table is the per-shot table over the span the
+    inversion reads (module docstring), which the simulator takes from
+    here too: this is the one cache that holds a table.  It holds
+    `lineshape`'s grid over [0, 2 Omega_0] from node origin on, so a read
+    at u pitches takes its floats at u - origin, which is exact: origin is
+    an integer <= u < 2^53.  table is None without a table (pulse area
+    above 4 pi) or with fewer than the 5 nodes the cubic needs.
 
     grid is (x, g~) on a grid over [-w, w] where g is certified
     increasing, else None.  It has at least one node per table pitch.
@@ -164,35 +169,39 @@ def _plan(pulse: PulseSpec, motion: MotionalModel, kappa: float) -> tuple:
 
     and the secant slope of g over the cell is g' somewhere in it, so
     g' > 0 on the cell when dg~ - e_j - e_j+1 > s^2 max|g''|.  grid is
-    None without read or when a cell fails that test (g may really fall
-    there, as at 3 pi).
+    None without a table or when a cell fails that test (g may really
+    fall there, as at 3 pi).
     """
     cfg = TwoPointConfig(pulse=pulse, motion=motion, kappa=kappa)
     w = cfg.window_halfwidth
     off = kappa * pulse.rabi
-    plan = w, g_forward(-w, cfg), g_forward(w, cfg), off, INVERSION_TOLERANCE * pulse.rabi
-    table = _shot_table(pulse, motion, kappa)
+    tol = INVERSION_TOLERANCE * pulse.rabi
+    try:
+        plan = _Plan(w, g_forward(-w, cfg), g_forward(w, cfg), off, tol, None, None)
+    except ValueError:      # the simulator still decides shots from the table
+        plan = _Plan(w, math.nan, math.nan, off, tol, None, None)
+    table = _shot_table(pulse, motion, max(0.0, off - w - 0.25 * tol), off + w + 0.25 * tol)
     if table is None or len(table.floats) < 5:
-        return *plan, None, None
-    read = table.floats, table.scale, table.cubic_bound, table.origin
+        return plan
+    plan = plan._replace(table=table)
     cells = math.ceil(2.0 * w * table.scale)
     step = 2.0 * w / cells
     xs = tuple([-w + j * step for j in range(cells)] + [w])
-    nodes = [_table_g(x, off, read) for x in xs]
+    nodes = [_table_g(x, off, table) for x in xs]
     if None in nodes:
-        return *plan, read, None
+        return plan
     for j in range(cells):
         (g_a, e_a, total_a), (g_b, e_b, total_b) = nodes[j:j + 2]
         s_tau = (xs[j + 1] - xs[j]) * pulse.duration
         s_low = min(total_a, total_b) - 2.0 * table.cubic_bound - s_tau
         if s_low <= 0.0 or (g_b - g_a - e_a - e_b
                             <= s_tau ** 2 * (1.0 / s_low + 2.0 / s_low ** 2)):
-            return *plan, read, None
-    return *plan, read, (xs, tuple(node[0] for node in nodes))
+            return plan
+    return plan._replace(grid=(xs, tuple(node[0] for node in nodes)))
 
 
 def _root_band(g_value: float, off: float, tol: float, grid: tuple,
-               read: tuple) -> tuple[float, float]:
+               table: _ShotTable) -> tuple[float, float]:
     """(r - tol/4, r + tol/4) about g~'s root r, or (-inf, inf) unless
     g is certified below g_value at its low end and above at its high end.
 
@@ -207,8 +216,8 @@ def _root_band(g_value: float, off: float, tol: float, grid: tuple,
         a, fa, fb = xs[k - 1], gs[k - 1] - g_value, gs[k] - g_value
         r = a - fa * (xs[k] - a) / (fb - fa)
         lo_band, hi_band = r - 0.25 * tol, r + 0.25 * tol
-        if (_certified_below(lo_band, off, g_value, read) is True
-                and _certified_below(hi_band, off, g_value, read) is False):
+        if (_certified_below(lo_band, off, g_value, table) is True
+                and _certified_below(hi_band, off, g_value, table) is False):
             return lo_band, hi_band
     return -math.inf, math.inf
 
@@ -229,14 +238,16 @@ def g_invert(g_value: float, cfg: TwoPointConfig) -> tuple[float, bool]:
     g_value = float(g_value)
     if math.isnan(g_value):
         raise ValueError("g is NaN")
-    w, g_lo, g_hi, off, tol, read, grid = _plan(cfg.pulse, cfg.motion, cfg.kappa)
+    w, g_lo, g_hi, off, tol, table, grid = _plan(cfg.pulse, cfg.motion, cfg.kappa)
+    if math.isnan(g_lo):
+        raise ValueError("zero excitation at both probe points")
     if g_value >= g_hi:
         return w, g_value <= g_hi
     if g_value <= g_lo:
         return -w, g_value >= g_lo
     lo_band, hi_band = -math.inf, math.inf
     if grid is not None:
-        lo_band, hi_band = _root_band(g_value, off, tol, grid, read)
+        lo_band, hi_band = _root_band(g_value, off, tol, grid, table)
     lo, hi = -w, w
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -245,7 +256,7 @@ def g_invert(g_value: float, cfg: TwoPointConfig) -> tuple[float, bool]:
         elif mid >= hi_band:
             below = False
         else:
-            below = None if read is None else _certified_below(mid, off, g_value, read)
+            below = None if table is None else _certified_below(mid, off, g_value, table)
             if below is None:
                 below = g_forward(mid, cfg) < g_value
         if below:

@@ -24,16 +24,12 @@ it (splitting the product would not), and bounds the transient memory
 to the matrices themselves.
 
 The shot-by-shot simulator asks for the thermal excitation at a new
-detuning on every shot.  For that path `_shot_table` tabulates p(|delta|)
-once per pulse, motion and probe offset kappa: p is even in delta, and
+detuning on every shot, the estimator's bisection at each probe point.
+For both, `_shot_table` tabulates p(|delta|) over the span of |delta|
+the estimator's plan names (see `estimator`): p is even in delta, and
 the table's nodes are those of a grid over [0, 2 Omega_0] with pitch
 h = 2 pi / (2048 tau) (about 3.07e-3 / tau, 2049 nodes for a pi pulse)
-that cover the span the estimator reads: p at |delta| in
-[(2 kappa - 1) Omega_0, Omega_0] (see `estimator`), one pitch wider on
-each side, and the cubic's neighbour nodes: 440 nodes for a pi pulse at
-kappa 0.8.  A shot whose true offset from the probe centre lies in the
-capture window |delta| <= (1 - kappa) Omega_0 falls in that range too;
-the simulator sends any shot outside the span to the exact sum.
+that cover the span and the cubic's neighbour nodes.
 
 Its error bounds come from Bernstein's inequality for entire functions
 of exponential type (Boas, Entire Functions, 1954, Thm 11.1.2): if f is
@@ -308,21 +304,16 @@ class _ShotTable(NamedTuple):
     cubic_bound: float    # on |_cubic_read - thermal_excitation|
 
 
-@lru_cache(maxsize=16)
-def _shot_table(pulse: PulseSpec, motion: MotionalModel, kappa: float) -> _ShotTable | None:
-    """The per-shot table for this pulse, motion and kappa, or None above TABLE_MAX_INTERVALS.
+def _shot_table(pulse: PulseSpec, motion: MotionalModel, lo: float, hi: float
+                ) -> _ShotTable | None:
+    """The per-shot table over |delta| in [lo, hi], or None above TABLE_MAX_INTERVALS.
 
     Without a table, callers use the exact sum throughout.  The table
-    holds nodes origin, origin + 1, ... of the grid over [0, 2 Omega_0]:
-    those covering |delta| in [(2 kappa - 1) Omega_0, Omega_0], the
-    estimator's probe points, widened on each side by one pitch (the
-    estimator reads up to tol / 4 = 2.5e-7 Omega_0 outside that range),
-    plus the cubic's neighbour nodes: every shot whose true offset lies in
-    the capture window falls in that range.  The rows are evaluated
-    TABLE_CHUNK_ELEMENTS Fock terms at a time in the full grid's chunks,
-    so each node's p has the bits the full grid gives it.  `floats`
-    serves the estimator's bisection, which reads four entries a probe
-    point: indexing the numpy array would box each one.
+    holds nodes origin, origin + 1, ... of the grid over [0, 2 Omega_0]
+    that cover [lo, hi] and the cubic's neighbour nodes, rounded out to
+    the full grid's chunks of rows, so each node's p has the bits the full
+    grid gives it.  `floats` serves the estimator's bisection, which reads
+    four entries a probe point: indexing the numpy array would box each one.
     """
     area = pulse.rabi * pulse.duration
     intervals = max(1, round(area / math.pi * TABLE_INTERVALS_PER_PI))
@@ -330,10 +321,8 @@ def _shot_table(pulse: PulseSpec, motion: MotionalModel, kappa: float) -> _ShotT
         return None
     pitch = 2.0 * pulse.rabi / intervals
     rows = max(1, TABLE_CHUNK_ELEMENTS // (motion.n_cutoff + 1))
-    w = (1.0 - kappa) * pulse.rabi
-    off, reach = kappa * pulse.rabi, w + pitch
-    first = max(0, math.floor((off - reach) / pitch) - 1) // rows * rows
-    last = min(intervals, (math.floor((off + reach) / pitch) + 2) // rows * rows + rows - 1)
+    first = max(0, math.floor(lo / pitch) - 1) // rows * rows
+    last = min(intervals, (math.floor(hi / pitch) + 2) // rows * rows + rows - 1)
     grid = np.arange(first, last + 1) * pitch
     values = np.concatenate([excitation_profile(grid[i:i + rows], pulse, motion)
                              for i in range(0, grid.size, rows)])
@@ -368,16 +357,14 @@ def _cubic_read(floats: tuple, u: float) -> float:
         (2.0 - t) * (a - 2.0 * b + c) + (t + 1.0) * (b - 2.0 * c + d))
 
 
-def _tabulated_excitation(detunings: np.ndarray, pulse: PulseSpec, motion: MotionalModel,
-                          kappa: float) -> tuple[np.ndarray, np.ndarray]:
+def _tabulated_excitation(detunings: np.ndarray, table: _ShotTable | None
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """(p, bound on |p - thermal_excitation|) at each detuning.
 
-    p is interpolated in the per-shot table for kappa; the bound is
-    infinite outside the table's span and everywhere when no table is
-    built, so a caller that recomputes every entry within its bound gets
-    the exact thermal sum there.
+    p is interpolated in the per-shot table; the bound is infinite outside
+    its span and everywhere without a table, so a caller that recomputes
+    every entry within its bound gets the exact thermal sum there.
     """
-    table = _shot_table(pulse, motion, kappa)
     if table is None:
         return np.zeros(detunings.shape), np.full(detunings.shape, np.inf)
     magnitude = np.abs(detunings)

@@ -26,9 +26,8 @@ import numpy.random  # numpy loads it lazily; load it here, not in a run's first
 
 from .atomphys import CODATA, IonSpecies, TrapEnvironment
 from .atomphys import frequency_to_position_slope, transition_frequency
-from .estimator import NoSignalError, TwoPointConfig, estimate_from_counts
-from .lineshape import (MotionalModel, PulseSpec, _tabulated_excitation,
-                        thermal_excitation)
+from .estimator import NoSignalError, TwoPointConfig, _plan, estimate_from_counts
+from .lineshape import _tabulated_excitation, thermal_excitation
 
 __all__ = [
     "LINE_FREQUENCY_HZ",
@@ -108,23 +107,21 @@ def _shot_sides(timeline: ExperimentTimeline, cfg: TwoPointConfig) -> np.ndarray
     return np.tile([+1, -1], cfg.shots_per_side)
 
 
-def _bright_shots(detunings: np.ndarray, uniforms: np.ndarray, pulse: PulseSpec,
-                  motion: MotionalModel, kappa: float) -> np.ndarray:
+def _bright_shots(detunings: np.ndarray, uniforms: np.ndarray, cfg: TwoPointConfig) -> np.ndarray:
     """uniforms < thermal_excitation at each detuning, shot by shot.
 
-    The per-shot table of `lineshape` for kappa (linear interpolation of
+    The estimator's per-shot table for cfg (linear interpolation of
     p(|delta|) at pitch 2 pi / (2048 duration) over the |delta| the
-    estimator at kappa reads, error at most 5.9e-7 at every pulse area)
-    decides every shot whose uniform lies further than the error bound
-    from the tabulated p; the span holds every shot whose true offset
-    lies in the capture window.  The rest, every shot outside the span
-    and every shot of a pulse too long to tabulate included, call
-    `thermal_excitation`, so each decision is the one a per-shot call
-    would make.
+    estimator reads, error at most 5.9e-7 at every pulse area) decides
+    every shot whose uniform lies further than the error bound from the
+    tabulated p; the span holds every shot whose true offset lies in the
+    capture window.  The rest, every shot outside the span and every
+    shot without a table included, call `thermal_excitation`, so each
+    decision is the one a per-shot call would make.
     """
-    p, bound = _tabulated_excitation(detunings, pulse, motion, kappa)
+    p, bound = _tabulated_excitation(detunings, _plan(cfg.pulse, cfg.motion, cfg.kappa).table)
     for i in np.flatnonzero(np.abs(uniforms - p) <= bound):
-        p[i] = thermal_excitation(float(detunings[i]), pulse, motion)
+        p[i] = thermal_excitation(float(detunings[i]), cfg.pulse, cfg.motion)
     return uniforms < p
 
 
@@ -166,8 +163,7 @@ def run_measurement(nu0: float, rng: np.random.Generator, cfg: TwoPointConfig,
         time += dt
         true_sum += tn
     # Bernoulli flop, then the detection-error channel
-    bright = _bright_shots(truth - (nu0 + sides * (cfg.kappa * cfg.pulse.rabi)),
-                           flop, cfg.pulse, cfg.motion, cfg.kappa)
+    bright = _bright_shots(truth - (nu0 + sides * (cfg.kappa * cfg.pulse.rabi)), flop, cfg)
     counted = np.where(bright, flip >= timeline.detection_error_bright,
                        flip < timeline.detection_error_dark)
     count_plus = int(np.count_nonzero(counted & (sides > 0)))

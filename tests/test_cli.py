@@ -770,6 +770,7 @@ class TestTopLevel:
         ("track", "tracking", "n_cycles"),
         ("sensitivity", "sensitivity", "n_seeds"),
         ("lineshape", "lineshape", "n_points"),
+        ("track", "two_point", "shots_per_side"),
     ])
     def test_huge_size_key_is_usage_error(self, tmp_path, capsys, command, section, key):
         cfg = tmp_path / "huge.ini"

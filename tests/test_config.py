@@ -86,6 +86,7 @@ class TestLoads:
     @pytest.mark.parametrize("section, key, field, bound", [
         ("tracking", "n_cycles", "n_cycles", config.MAX_CYCLES),
         ("sensitivity", "n_seeds", "n_seeds", config.MAX_SEEDS),
+        ("two_point", "shots_per_side", "shots_per_side", config.MAX_SHOTS_PER_SIDE),
         ("lineshape", "n_points", "lineshape_n_points", config.MAX_LINESHAPE_POINTS),
     ])
     def test_size_keys_bounded_above(self, section, key, field, bound):

@@ -287,7 +287,7 @@ class TestCertifiedDecisions:
     @pytest.mark.parametrize("area", [0.5, 1.0, 3.0, 5.0])
     def test_equals_plain_bisection(self, area, nbar, kappa):
         cfg = area_config(area, nbar, kappa)
-        table = lineshape._shot_table(cfg.pulse, cfg.motion, kappa)
+        table = plan_of(cfg).table
         assert (table is None) == (area == 5.0)
         w = cfg.window_halfwidth
         edges = g_forward(-w, cfg), g_forward(w, cfg)
@@ -311,10 +311,11 @@ class TestCertifiedDecisions:
             assert g_invert(g, cfg) == plain_invert(g, cfg), g
 
     def test_tables_too_short_for_the_cubic_use_the_exact_sum(self):
-        # a 1.6e-3 rad pulse: one table interval, fewer than the cubic's 4
+        # a 1.6e-3 rad pulse: one table interval, 2 nodes, fewer than the
+        # cubic's 5, so the plan keeps no table
         cfg = area_config(5e-4, 5.0, 0.8)
-        table = lineshape._shot_table(cfg.pulse, cfg.motion, cfg.kappa)
-        assert (table.origin, table.grid.size) == (0, 2)
+        assert lineshape._shot_table(cfg.pulse, cfg.motion, 0.0, RABI).grid.size == 2
+        assert plan_of(cfg).table is None
         w = cfg.window_halfwidth
         for g in np.linspace(g_forward(-w, cfg), g_forward(w, cfg), 7)[1:-1]:
             assert g_invert(g, cfg) == plain_invert(g, cfg), g
@@ -329,11 +330,12 @@ class TestCertifiedDecisions:
         # than the table itself makes.  g values between g and this g~
         # must still go to g_forward.
         cfg = area_config(area, 80.0, 0.8)
-        table = lineshape._shot_table(cfg.pulse, cfg.motion, cfg.kappa)
+        table = plan_of(cfg).table
         off = cfg.kappa * RABI
         shift = 0.9 * lineshape.TABLE_ROUNDING_SLACK * np.sign(off - table.grid)
         skewed = table._replace(floats=tuple((table.values + shift).tolist()))
         monkeypatch.setattr(estimator, "_shot_table", lambda *args: skewed)
+        estimator._plan.cache_clear()
         bands = spy_on_root_bands(monkeypatch)
         visited = []
         plain_invert(g_forward(0.37 * cfg.window_halfwidth, cfg), cfg, visited)
@@ -350,7 +352,7 @@ class TestCertifiedDecisions:
             tested += 1
         assert tested >= 15
         if area == 3.0:     # g falls inside the window: no certificate, no band
-            assert plan_of(cfg)[-1] is None
+            assert plan_of(cfg).grid is None
             assert bands == []
         else:               # the replay ran on the skewed table
             assert bands and all(math.isfinite(lo) for lo, _ in bands)
@@ -394,7 +396,7 @@ class TestCertifiedDecisions:
         p_plus, p_minus = probe_probabilities(0.0, HOT)
         pairs = zip(rng.binomial(50, p_plus, 300), rng.binomial(50, p_minus, 300))
         g_values = [(a - b) / (a + b) for a, b in pairs]
-        assert plan_of(HOT)[-1] is not None
+        assert plan_of(HOT).grid is not None
         monkeypatch.setattr(estimator, "_cubic_read", counted)
         in_window = sum(g_invert(g, HOT)[1] for g in g_values)
         monkeypatch.undo()
@@ -411,13 +413,13 @@ def fresh_plans():
 
 
 def plan_of(cfg):
-    """g_invert's cached plan for cfg: (w, g(-w), g(w), off, tol, read, grid)."""
+    """g_invert's cached plan for cfg: (w, g(-w), g(w), off, tol, table, grid)."""
     return estimator._plan(cfg.pulse, cfg.motion, cfg.kappa)
 
 
 def patch_grid(monkeypatch, cfg, grid):
     """Make g_invert at cfg's pulse, motion and kappa use grid as its certified grid."""
-    plan = plan_of(cfg)[:-1] + (grid,)
+    plan = plan_of(cfg)._replace(grid=grid)
     monkeypatch.setattr(estimator, "_plan", lambda *args: plan)
 
 
@@ -432,6 +434,23 @@ def spy_on_root_bands(monkeypatch):
 
     monkeypatch.setattr(estimator, "_root_band", spy)
     return bands
+
+
+def read_table(cfg, g_values):
+    """(floats, u) of every cubic read that planning cfg anew and inverting
+    each of g_values makes."""
+    reads, exact = [], lineshape._cubic_read
+
+    def spy(floats, u):
+        reads.append((floats, u))
+        return exact(floats, u)
+
+    estimator._plan.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimator, "_cubic_read", spy)
+        for g in g_values:
+            g_invert(g, cfg)
+    return reads
 
 
 def count_pair_g_values(max_per_side):
@@ -458,7 +477,7 @@ class TestReplay:
         # g really falls inside the window here (nbar 80), so no certificate
         # exists, and every step is the certified bisection's
         cfg = area_config(3.0, 80.0, 0.8)
-        assert plan_of(cfg)[-1] is None
+        assert plan_of(cfg).grid is None
         bands = spy_on_root_bands(monkeypatch)
         w = cfg.window_halfwidth
         for g in np.linspace(g_forward(-w, cfg), g_forward(w, cfg), 9)[1:-1]:
@@ -474,7 +493,7 @@ class TestReplay:
         w = cfg.window_halfwidth
         g_values = [g for g in count_pair_g_values(20) if abs(g_invert(g, cfg)[0]) < w]
         expected = [g_invert(g, cfg) for g in g_values]
-        xs, gs = plan_of(cfg)[-1]
+        xs, gs = plan_of(cfg).grid
         tol = estimator.INVERSION_TOLERANCE * RABI
         patch_grid(monkeypatch, cfg, (tuple(x + shift * tol for x in xs), gs))
         bands = spy_on_root_bands(monkeypatch)
@@ -485,7 +504,7 @@ class TestReplay:
     @pytest.mark.parametrize("area", [0.5, 1.0, 4.0])
     def test_certified_windows_really_rise(self, area):
         cfg = area_config(area, 80.0, 0.8)
-        xs, gs = plan_of(cfg)[-1]
+        xs, gs = plan_of(cfg).grid
         assert xs[0] == -cfg.window_halfwidth and xs[-1] == cfg.window_halfwidth
         exact = [g_forward(x, cfg) for x in xs[::37]]
         assert exact == sorted(exact)
@@ -500,7 +519,7 @@ class TestReplay:
         # to a fraction of the curvature term s_tau^2 (1/s_low + 2/s_low^2)
         # and far above the read errors e_j.  Within the term g may still
         # fall inside a cell, so no cell may be certified; above it, all are.
-        table = lineshape._shot_table(HOT.pulse, HOT.motion, HOT.kappa)
+        table = plan_of(HOT).table
         w, off = HOT.window_halfwidth, HOT.kappa * RABI
         step = 2.0 * w / math.ceil(2.0 * w * table.scale)
         s_tau = step * HOT.pulse.duration
@@ -509,7 +528,8 @@ class TestReplay:
         c = fraction * curvature / (2.0 * step)
         linear = table._replace(floats=tuple((0.5 + c * (off - table.grid)).tolist()))
         monkeypatch.setattr(estimator, "_shot_table", lambda *args: linear)
-        assert (plan_of(HOT)[-1] is not None) == certified
+        estimator._plan.cache_clear()
+        assert (plan_of(HOT).grid is not None) == certified
 
     @given(area=st.floats(0.3, 4.0), nbar=st.floats(0.0, 400.0), eta=st.floats(0.0, 0.3),
            kappa=st.floats(0.1, 0.9), per_side=st.integers(1, 60),
@@ -524,30 +544,48 @@ class TestReplay:
         # the plain bisection's
         cfg = replace(area_config(area, nbar, kappa), motion=MotionalModel(nbar=nbar, eta=eta),
                       shots_per_side=per_side)
-        table = lineshape._shot_table(cfg.pulse, cfg.motion, kappa)
         w = cfg.window_halfwidth
         g_lo, g_hi = g_forward(-w, cfg), g_forward(w, cfg)
         rng = np.random.default_rng(seed)
         pairs = zip(rng.integers(0, per_side + 1, 8), rng.integers(1, per_side + 1, 8))
         g_values = [(a - b) / (a + b) for a, b in pairs] + [
             math.nextafter(g_lo, g_hi), math.nextafter(g_hi, g_lo)]
-        reads, exact = [], lineshape._cubic_read
-
-        def spy(floats, u):
-            assert floats is table.floats
-            reads.append(u)
-            return exact(floats, u)
-
-        estimator._plan.cache_clear()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(estimator, "_cubic_read", spy)
-            inverted = [g_invert(g, cfg) for g in g_values]
-        if plan_of(cfg)[-2] is not None:
+        reads = read_table(cfg, g_values)
+        table = plan_of(cfg).table
+        if table is not None:
             assert reads
-        for u in reads:
+        for floats, u in reads:
+            assert floats is table.floats
             assert int(u) + 2 < len(table.floats)
             assert int(u) >= 1 or table.origin == 0, (u, table.origin)
-        assert inverted == [plain_invert(g, cfg) for g in g_values]
+        assert [g_invert(g, cfg) for g in g_values] == [plain_invert(g, cfg) for g in g_values]
+
+    def test_band_ends_past_the_window_read_the_tables_first_node(self, monkeypatch):
+        # At cutoff 17,000 each chunk holds one row, so no node is rounded
+        # out, and at kappa = 1/2 + 614/2048 the probe point
+        # (2 kappa - 1) Omega_0 of the window's edge is node 614 of the pi
+        # pulse's grid, bit for bit.  A root at the edge puts its band end
+        # tol / 4 past it, where the probe point lies tol / 4 below node
+        # 614: its cubic reads node 612, the table's first, which only the
+        # span's tol / 4 margin holds.
+        cfg = replace(HOT, motion=MotionalModel(nbar=1700.0, eta=0.026),
+                      kappa=0.5 + 614 / 2048)
+        assert cfg.motion.n_cutoff + 1 >= lineshape.TABLE_CHUNK_ELEMENTS
+        w = cfg.window_halfwidth
+        g_lo, g_hi = g_forward(-w, cfg), g_forward(w, cfg)
+        g_values = [math.nextafter(g_lo, g_hi), math.nextafter(g_hi, g_lo)] + list(
+            np.linspace(g_lo, g_hi, 9)[1:-1])
+        bands = spy_on_root_bands(monkeypatch)
+        reads = read_table(cfg, g_values)
+        table = plan_of(cfg).table
+        tol = estimator.INVERSION_TOLERANCE * RABI
+        assert min(lo for lo, _ in bands) < -w - 0.2 * tol
+        assert max(hi for _, hi in bands) > w + 0.2 * tol
+        for floats, u in reads:
+            assert floats is table.floats
+            assert 1 <= int(u) and int(u) + 2 < len(table.floats), (u, table.origin)
+        assert table.origin == 612 and min(int(u) for _, u in reads) == 1
+        assert [g_invert(g, cfg) for g in g_values] == [plain_invert(g, cfg) for g in g_values]
 
 
 
@@ -562,18 +600,19 @@ class TestPlan:
         after = estimator._plan.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
+    def test_a_line_without_excitation_at_the_edges_raises_on_inversion(self):
+        # at a 1e-300 Hz Rabi frequency every coupling underflows to 0: the
+        # plan keeps its all-dark table for the simulator, and every
+        # inversion, cached plan or not, raises as g_forward does
+        cfg = replace(HOT, pulse=PulseSpec.pi_pulse(TWO_PI * 1e-300))
+        assert not any(plan_of(cfg).table.floats)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="zero excitation at both probe points"):
+                g_invert(0.1, cfg)
+
     def test_shots_per_side_share_one_plan(self, fresh_plans):
         # sensitivity cells differ only in their shots per side
         for shots in (20, 50, 200):
             g_invert(0.1, replace(HOT, shots_per_side=shots))
         info = estimator._plan.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
-
-    def test_the_plan_is_the_only_cache(self):
-        cached = [name for name, value in vars(estimator).items()
-                  if hasattr(value, "cache_info")
-                  and value.__module__ == estimator.__name__]
-        assert cached == ["_plan"]
-        # each plan holds its table's floats: keep no more plans than tables
-        assert estimator._plan.cache_parameters()["maxsize"] == \
-            lineshape._shot_table.cache_parameters()["maxsize"]

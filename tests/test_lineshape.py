@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iontrack import lineshape
+from iontrack import estimator, lineshape
 from iontrack.atomphys import TrapEnvironment
 from iontrack.config import default_config
 from iontrack.lineshape import (
@@ -313,9 +313,14 @@ class TestBlockedProfile:
             _one_pass_profile(d, pulse, m).tobytes()
 
 
-def _table_case(area, nbar):
+def _table_case(area, nbar, eta=LINEWIDTH_CALIBRATED_ETA):
     pulse = PulseSpec(RABI, area / RABI)
-    return pulse, motion(nbar)
+    return pulse, motion(nbar, eta)
+
+
+def span_table(pulse, m, kappa):
+    """The per-shot table the estimator's plan builds for kappa."""
+    return estimator._plan(pulse, m, kappa).table
 
 
 def full_span_table(pulse, m):
@@ -337,12 +342,21 @@ class TestShotTable:
         for kappa in (0.3, 0.8):
             self.check_span_table(area, nbar, kappa)
 
+    @given(area=st.floats(0.3 * math.pi, 4 * math.pi), nbar=st.floats(0.0, 400.0),
+           eta=st.floats(0.0, 0.3), kappa=st.floats(0.1, 0.95))
+    @settings(max_examples=10, deadline=None)
+    def test_matches_exact_sum_on_random_lines(self, area, nbar, eta, kappa):
+        self.check_span_table(area, nbar, kappa, eta)
+
     @staticmethod
-    def check_span_table(area, nbar, kappa):
-        pulse, m = _table_case(area, nbar)
-        table = lineshape._shot_table(pulse, m, kappa)
+    def check_span_table(area, nbar, kappa, eta=LINEWIDTH_CALIBRATED_ETA):
+        pulse, m = _table_case(area, nbar, eta)
+        table = span_table(pulse, m, kappa)
         grid = table.grid
-        # Bernstein: |p^(k)| <= tau^k / 2, with h tau = 2 area / intervals
+        # Bernstein: |p^(k)| <= tau^k / 2, with h tau = 2 area / intervals;
+        # the area as the table takes it, which may differ from the argument
+        # in its last bit
+        area = pulse.rabi * pulse.duration
         h_tau = 2.0 * area / round(2.0 * RABI * table.scale)
         assert table.linear_bound == \
             h_tau ** 2 / 16.0 + 2.0 * lineshape.TABLE_ROUNDING_SLACK
@@ -353,7 +367,7 @@ class TestShotTable:
         beyond = np.linspace(1.01, 1.5, 9) * grid[-1]
         before = np.linspace(0.0, 0.99, 9) * grid[0] if table.origin else np.array([])
         deltas = np.concatenate([mid, beyond, -beyond, before, -before])
-        linear, bounds = lineshape._tabulated_excitation(deltas, pulse, m, kappa)
+        linear, bounds = lineshape._tabulated_excitation(deltas, table)
         exact = np.array([thermal_excitation(d, pulse, m) for d in mid])
         err = np.abs(linear[:mid.size] - exact)
         assert err.max() <= 5e-7
@@ -383,7 +397,7 @@ class TestShotTable:
     def test_pitch_scales_with_inverse_duration(self):
         for area in (math.pi / 2, math.pi, 3 * math.pi):
             pulse, m = _table_case(area, 20.0)
-            table = lineshape._shot_table(pulse, m, 0.8)
+            table = span_table(pulse, m, 0.8)
             full_grid, _ = full_span_table(pulse, m)
             assert full_grid[-1] == pytest.approx(2.0 * RABI, rel=1e-12)
             assert (full_grid[1] - full_grid[0]) * pulse.duration == \
@@ -397,7 +411,7 @@ class TestShotTable:
         # the default config: nodes 600 .. 1039 of the 2049 over
         # [0, 2 Omega_0], each with the full table's p bit for bit
         pulse, m = _table_case(math.pi, 80.0)
-        table = lineshape._shot_table(pulse, m, 0.8)
+        table = span_table(pulse, m, 0.8)
         full_grid, full_values = full_span_table(pulse, m)
         assert full_grid.size == 2049
         assert (table.origin, table.grid.size) == (600, 440)
@@ -405,26 +419,26 @@ class TestShotTable:
 
     def test_no_table_beyond_four_pi(self):
         pulse, m = _table_case(4 * math.pi, 20.0)
-        table = lineshape._shot_table(pulse, m, 0.8)
+        table = span_table(pulse, m, 0.8)
         assert round(2.0 * RABI * table.scale) == lineshape.TABLE_MAX_INTERVALS
         assert table.origin + table.grid.size <= lineshape.TABLE_MAX_INTERVALS + 1
         pulse, m = _table_case(4.01 * math.pi, 20.0)
-        assert lineshape._shot_table(pulse, m, 0.8) is None
-        _, bounds = lineshape._tabulated_excitation(np.array([0.1, -0.7]) * RABI,
-                                                    pulse, m, 0.8)
+        assert lineshape._shot_table(pulse, m, 0.0, RABI) is None
+        assert span_table(pulse, m, 0.8) is None
+        _, bounds = lineshape._tabulated_excitation(np.array([0.1, -0.7]) * RABI, None)
         assert np.all(bounds == np.inf)
 
     @pytest.mark.parametrize("kappa", [0.3, 0.8, 0.95])
     def test_infinite_bound_outside_the_span(self, kappa):
         pulse, m = _table_case(math.pi, 80.0)
-        table = lineshape._shot_table(pulse, m, kappa)
+        table = span_table(pulse, m, kappa)
         lo, hi = float(table.grid[0]), float(table.grid[-1])
         # one ulp outside, at, and one ulp inside each end of the span
         inside = np.array([lo, math.nextafter(lo, hi), math.nextafter(hi, lo), hi])
         outside = np.array([math.nextafter(hi, math.inf)] +
                            ([math.nextafter(lo, 0.0)] if table.origin else []))
         _, bounds = lineshape._tabulated_excitation(
-            np.concatenate([outside, -outside, inside, -inside]), pulse, m, kappa)
+            np.concatenate([outside, -outside, inside, -inside]), table)
         assert np.all(bounds[:2 * outside.size] == np.inf)
         assert np.all(bounds[2 * outside.size:] == table.linear_bound)
 
@@ -433,7 +447,7 @@ class TestShotTable:
     @settings(max_examples=12, deadline=None)
     def test_span_equals_the_full_span_bit_for_bit(self, area, nbar, kappa):
         pulse, m = _table_case(area, nbar)
-        table = lineshape._shot_table.__wrapped__(pulse, m, kappa)
+        table = span_table(pulse, m, kappa)
         full_grid, full_values = full_span_table(pulse, m)
         nodes = slice(table.origin, table.origin + table.grid.size)
         assert np.array_equal(table.grid, full_grid[nodes])

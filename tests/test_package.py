@@ -1,7 +1,9 @@
-"""The top-level package re-exports each module's public names and
-loads nothing beyond numpy."""
+"""The top-level package re-exports each module's public names,
+loads nothing beyond numpy and keeps few caches."""
+import importlib
 import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -73,6 +75,19 @@ def test_only_the_run_configs_take_a_shot_count():
     takers = {name for name, fn in _public_callables()
               if "shots_per_side" in inspect.signature(fn).parameters}
     assert takers == {"TwoPointConfig.__init__", "RunConfig.__init__"}
+
+
+def test_the_only_caches_are_the_plan_and_the_kernels():
+    # The estimator's plan owns the per-shot table, which the simulator
+    # reads from it; lineshape caches only the Fock-term arrays its kernel
+    # reads.  Every other function of the package computes afresh.
+    modules = [iontrack] + [importlib.import_module(f"iontrack.{info.name}")
+                            for info in pkgutil.iter_modules(iontrack.__path__)]
+    cached = {f"{module.__name__}.{name}" for module in modules
+              for name, value in vars(module).items()
+              if hasattr(value, "cache_info") and value.__module__ == module.__name__}
+    assert cached == {"iontrack.estimator._plan", "iontrack.lineshape._motional_arrays",
+                      "iontrack.lineshape._omega2"}
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

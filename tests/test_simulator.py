@@ -149,7 +149,7 @@ class TestBrightShots:
         for uniforms in (rng.random(400), exact,
                          np.nextafter(exact, 0.0), np.nextafter(exact, 1.0),
                          exact + rng.uniform(-1e-6, 1e-6, 400)):
-            bright = simulator._bright_shots(deltas, uniforms, pulse, motion, 0.8)
+            bright = simulator._bright_shots(deltas, uniforms, TwoPointConfig(pulse, motion))
             assert np.array_equal(bright, uniforms < exact)
 
     @pytest.mark.parametrize("kappa", [0.3, 0.8, 0.95])
@@ -158,9 +158,10 @@ class TestBrightShots:
         # span, and further out, on both sides of the line, with uniforms
         # at, next to and near the exact p: the table decides those inside
         # the span within its bound, the exact sum the rest
-        pulse = PulseSpec.pi_pulse(RABI)
-        motion = MotionalModel(nbar=80.0, eta=0.026)
-        table = lineshape._shot_table(pulse, motion, kappa)
+        cfg = TwoPointConfig(pulse=PulseSpec.pi_pulse(RABI),
+                             motion=MotionalModel(nbar=80.0, eta=0.026), kappa=kappa)
+        pulse, motion = cfg.pulse, cfg.motion
+        table = estimator._plan(pulse, motion, kappa).table
         lo, hi = float(table.grid[0]), float(table.grid[-1])
         inside = [lo, math.nextafter(lo, hi), math.nextafter(hi, lo), hi]
         outside = [math.nextafter(hi, math.inf), 1.1 * hi]
@@ -169,14 +170,14 @@ class TestBrightShots:
         edges = np.array(inside + outside)
         deltas = np.repeat(np.concatenate([edges, -edges]), 8)
         exact = np.array([thermal_excitation(d, pulse, motion) for d in deltas])
-        _, bounds = lineshape._tabulated_excitation(deltas, pulse, motion, kappa)
+        _, bounds = lineshape._tabulated_excitation(deltas, table)
         assert np.array_equal(np.isinf(bounds),
                               np.isin(np.abs(deltas), outside))
         rng = np.random.default_rng(round(100 * kappa))
         for uniforms in (rng.random(deltas.size), exact,
                          np.nextafter(exact, 0.0), np.nextafter(exact, 1.0),
                          exact + rng.uniform(-1e-6, 1e-6, deltas.size)):
-            bright = simulator._bright_shots(deltas, uniforms, pulse, motion, kappa)
+            bright = simulator._bright_shots(deltas, uniforms, cfg)
             assert np.array_equal(bright, uniforms < exact)
 
     @pytest.mark.parametrize("kappa", [0.3, 0.8, 0.95])
@@ -189,7 +190,8 @@ class TestBrightShots:
         w, off = cfg.window_halfwidth, kappa * RABI
         truth = np.linspace(-w, w, 4001)
         deltas = np.concatenate([truth - off, truth + off])
-        _, bounds = lineshape._tabulated_excitation(deltas, cfg.pulse, cfg.motion, kappa)
+        _, bounds = lineshape._tabulated_excitation(
+            deltas, estimator._plan(cfg.pulse, cfg.motion, kappa).table)
         assert np.all(np.isfinite(bounds))
 
     def test_few_shots_take_the_exact_sum(self, monkeypatch):
@@ -197,7 +199,7 @@ class TestBrightShots:
         # 5 shots inside its span undecided; the shots outside it, those
         # of measurements whose resonance strayed out of the capture
         # window, take the exact sum too, a small fraction of all shots
-        table = lineshape._shot_table(CFG.pulse, CFG.motion, CFG.kappa)
+        table = estimator._plan(CFG.pulse, CFG.motion, CFG.kappa).table
         exact, inside, outside = simulator.thermal_excitation, [0], [0]
 
         def counted(detuning, pulse, motion):
@@ -239,7 +241,8 @@ class TestBatchedShots:
     def test_tracking_same_with_table_and_exact_sum(self, seed, monkeypatch):
         drift = replace(self.NOISY, seed=seed)
         tabulated = run_tracking(12, NU0, drift, CFG, TIMELINE)
-        monkeypatch.setattr(lineshape, "_shot_table", lambda *args: None)
+        monkeypatch.setattr(simulator, "_plan",
+                            lambda *args: estimator._plan(*args)._replace(table=None))
         exact = run_tracking(12, NU0, drift, CFG, TIMELINE)
         assert tabulated.samples == exact.samples
         assert tabulated.lost_lock == exact.lost_lock
