@@ -115,61 +115,60 @@ def _drift_model(tau: np.ndarray, white: float, drift: float) -> np.ndarray:
 LM_MAX_STEPS = 100
 
 
-def _levenberg_marquardt(evaluate, jacobian, p, inside, rtol):
+def _levenberg_marquardt(evaluate, p, inside, rtol):
     """Damped Gauss-Newton descent of the cost 0.5 |r|^2 from p.
 
-    `evaluate(p)` gives the residuals r and an auxiliary value that
-    `jacobian(p, aux)` takes to form the Jacobian at p.  The Jacobian may
-    carry extra columns after the first len(p): parameters that are
-    linear in the model and that `evaluate` solves for itself.  They are
-    eliminated from each step and left undamped; the other diagonal
-    entries are damped by Marquardt's scaling.  A step that lowers the
-    cost is taken and the damping divided by ten.  A step that does not,
-    or that would leave the open region `inside` where the parameters
-    are strictly within their bounds, is refused and the damping
-    multiplied by ten; so no residual is evaluated on or past a bound.
+    `evaluate(p)` gives the residuals r, the Jacobian J and an auxiliary
+    value at p.  J may carry extra columns after the first len(p):
+    parameters that are linear in the model and that `evaluate` solves
+    for itself.  They are eliminated from each step and left undamped;
+    the other diagonal entries are damped by Marquardt's scaling.  A step
+    that lowers the cost is taken and the damping divided by ten.  A step
+    that does not, or that would leave the open region `inside` where the
+    parameters are strictly within their bounds, is refused and the
+    damping multiplied by ten; so no residual is evaluated on or past a
+    bound.
 
     The loop stops with status "converged" when the Gauss-Newton step
     from p would lower the cost by at most `rtol` times the cost, as the
     linearised model predicts it, or when a step moves no parameter in
     floating point; "singular" when a normal matrix cannot be solved;
     and "cap" after LM_MAX_STEPS steps tried.  Returns
-    (p, r, aux, J, status), with r, aux and J at the returned p.
+    (p, r, J, aux, status), with r, J and aux at the returned p.
     """
     p = np.asarray(p, dtype=float)
-    r, aux = evaluate(p)
+    r, jac, aux = evaluate(p)
     cost = 0.5 * float(r @ r)
     n = p.size
     damping = 1e-3
     steps = 0
     while True:
-        jac = jacobian(p, aux)
         normal = jac.T @ jac
         gradient = jac.T @ r
         scaling = np.maximum(np.diag(normal)[:n], np.finfo(float).eps * normal.max())
         try:
             decrement = 0.5 * float(gradient @ np.linalg.solve(normal, gradient))
         except np.linalg.LinAlgError:
-            return p, r, aux, jac, "singular"
+            return p, r, jac, aux, "singular"
         if decrement <= rtol * cost:
-            return p, r, aux, jac, "converged"
+            return p, r, jac, aux, "converged"
         while True:
             if steps == LM_MAX_STEPS:
-                return p, r, aux, jac, "cap"
+                return p, r, jac, aux, "cap"
             damped = normal.copy()
             damped[range(n), range(n)] += damping * scaling
             try:
                 trial = p - np.linalg.solve(damped, gradient)[:n]
             except np.linalg.LinAlgError:
-                return p, r, aux, jac, "singular"
+                return p, r, jac, aux, "singular"
             if np.all(trial == p):
-                return p, r, aux, jac, "converged"
+                return p, r, jac, aux, "converged"
             steps += 1
             if inside(trial):
-                trial_r, trial_aux = evaluate(trial)
+                trial_r, trial_jac, trial_aux = evaluate(trial)
                 trial_cost = 0.5 * float(trial_r @ trial_r)
                 if trial_cost < cost:
-                    p, r, aux, cost = trial, trial_r, trial_aux, trial_cost
+                    p, r, jac, aux, cost = trial, trial_r, trial_jac, trial_aux, trial_cost
                     damping *= 0.1
                     break
             damping *= 10.0
@@ -181,17 +180,13 @@ def _allan_fit(tau: np.ndarray, adev: np.ndarray,
     if tau.size == 1:
         return float(adev[0] * math.sqrt(tau[0])), 0.0, 0.0
 
+    def residuals(p):
+        return (_drift_model(tau, p[0], p[1]) - adev) / sigma
+
     def evaluate(p):
         model = _drift_model(tau, p[0], p[1])
-        return (model - adev) / sigma, model
-
-    def cost(p):
-        r, _ = evaluate(p)
-        return 0.5 * float(r @ r)
-
-    def jacobian(p, model):
-        return np.column_stack((p[0] / (tau * model),
-                                p[1] * tau ** 2 / (2.0 * model))) / sigma[:, None]
+        jac = np.column_stack((p[0] / (tau * model), p[1] * tau ** 2 / (2.0 * model)))
+        return (model - adev) / sigma, jac / sigma[:, None], None
 
     # On each face the model is linear in the free parameter.
     target = adev / sigma
@@ -204,9 +199,9 @@ def _allan_fit(tau: np.ndarray, adev: np.ndarray,
     x0 = np.where(x0 > 0.0, x0, [white, drift])     # a zero end takes its face's value
     if np.all(x0 > 0.0):
         interior, *_ = _levenberg_marquardt(
-            evaluate, jacobian, x0, inside=lambda p: bool(np.all(p > 0.0)), rtol=0.0)
+            evaluate, x0, inside=lambda p: bool(np.all(p > 0.0)), rtol=0.0)
         candidates.append(interior)
-    costs = [cost(p) for p in candidates]
+    costs = [0.5 * float(r @ r) for r in map(residuals, candidates)]
     best = int(np.argmin(costs))
     return float(candidates[best][0]), float(candidates[best][1]), costs[best]
 
@@ -360,11 +355,11 @@ def fit_spectrum(detuning, excitation, shots,
         linear = np.linalg.lstsq(design, target, rcond=None)[0]
         centre = linear[0] * weight * delta * slope
         jac = np.column_stack((centre, centre * delta / p[1], design))
-        return design @ linear - target, (jac, linear)
+        return design @ linear - target, jac, linear
 
     # the data's peak and half-width lie strictly inside the bounds
-    p, r, (_, linear), jac, status = _levenberg_marquardt(
-        evaluate, lambda p, aux: aux[0], _guess_from_data(x, y)[:2],
+    p, r, jac, linear, status = _levenberg_marquardt(
+        evaluate, _guess_from_data(x, y)[:2],
         inside=lambda p: bool(np.all((lower < p) & (p < upper))),
         rtol=SPECTRUM_RTOL)
     if status != "converged":

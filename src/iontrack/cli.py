@@ -36,7 +36,7 @@ from .analysis import (
     position_statistics,
 )
 from .atomphys import EquilibriumConvergenceError, calibrate_gradient
-from .config import _SCHEMA, ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config
 from .estimator import (
     analytic_sigma,
     g_invert,
@@ -97,16 +97,6 @@ def _build_parser() -> _Parser:
 
 # ---------------------------------------------------------------------------
 # output helpers
-
-def _config_echo(cfg: RunConfig) -> dict:
-    echo: dict[str, dict] = {}
-    for section, keys in _SCHEMA.items():
-        echo[section] = {}
-        for key, (field_name, _parse) in keys.items():
-            value = getattr(cfg, field_name)
-            echo[section][key] = list(value) if isinstance(value, tuple) else value
-    return echo
-
 
 def _write_outputs(out_dir: str, fmt: str, command: str, tables: list[tuple],
                    summary: dict) -> None:
@@ -440,7 +430,7 @@ def main(argv=None) -> int:
         try:
             cfg = load_config(args.config, seed=args.seed)
             tables, summary = args.run(cfg, args)
-            summary.update(version=__version__, seed=cfg.seed, config=_config_echo(cfg))
+            summary.update(version=__version__, seed=cfg.seed, config=cfg.echo())
             _write_outputs(args.out, args.format, args.command.replace("-", "_"),
                            tables, summary)
         except (UsageError, ConfigError, OSError) as exc:

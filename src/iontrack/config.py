@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from .atomphys import CODATA, IonSpecies, TrapEnvironment, transition_frequency
-from .estimator import TwoPointConfig
+from .estimator import SLOPE_STEP, TwoPointConfig
 from .lineshape import (FWHM_SCAN_RABI, LINEWIDTH_CALIBRATED_ETA, MAX_PROFILE_ELEMENTS,
                         MotionalModel, PulseSpec, compute_eta)
 from .simulator import DriftModel, ExperimentTimeline, VoltageSchedule
@@ -165,6 +165,11 @@ class RunConfig:
                               "as an angular frequency")
         return nu0
 
+    def echo(self) -> dict[str, dict[str, object]]:
+        """section -> key -> value of every config key, as `emit` and the summaries give it."""
+        return {section: {key: getattr(self, name) for key, (name, _parse) in keys.items()}
+                for section, keys in _SCHEMA.items()}
+
     def resolved(self) -> "RunConfig":
         """Replace every `auto` with its computed value."""
         out = self
@@ -209,13 +214,18 @@ class RunConfig:
                 raise ConfigError(f"{name} must be at most {high}")
         if self.lineshape_detuning_min_rabi >= self.lineshape_detuning_max_rabi:
             raise ConfigError("empty lineshape detuning range")
+        if any(v < 0.0 for v in self.offsets_rabi):
+            raise ConfigError("offsets_rabi must be non-negative")
         rabi = TWO_PI * self.rabi_hz
         # _excitation's Omega_n^2 + delta^2, with Omega_n <= Omega_0, at the
-        # range edges as cmd_lineshape forms them and at the reach of fwhm's scan
+        # range edges as cmd_lineshape forms them, at the reach of fwhm's
+        # scan and at a sensitivity cell's farthest probe point, its slope's
         edges = [(f"[lineshape] {key} = {fraction!r}", fraction) for key, fraction in (
             ("detuning_min_rabi", self.lineshape_detuning_min_rabi),
             ("detuning_max_rabi", self.lineshape_detuning_max_rabi))]
         edges.append((f"fwhm's scan to {FWHM_SCAN_RABI!r} Rabi widths", FWHM_SCAN_RABI))
+        edges += [(f"[sensitivity] offsets_rabi = {offset!r}", offset + self.kappa + SLOPE_STEP)
+                  for offset in self.offsets_rabi]
         for where, fraction in edges:
             detuning = fraction * rabi
             if math.isfinite(rabi * rabi + detuning * detuning):
@@ -239,8 +249,6 @@ class RunConfig:
             if self.lineshape_n_points * terms > MAX_PROFILE_ELEMENTS:
                 raise ConfigError(f"lineshape_n_points x {terms} Fock terms at nbar = "
                                   f"{nbar!r} must be at most {MAX_PROFILE_ELEMENTS}")
-        if any(v < 0.0 for v in self.offsets_rabi):
-            raise ConfigError("offsets_rabi must be non-negative")
 
 
 def _parse_float(text: str) -> float:
@@ -362,9 +370,9 @@ def _format_value(value) -> str:
 def emit(cfg: RunConfig) -> str:
     """Serialise a resolved config; loads(emit(cfg)) round-trips."""
     out = io.StringIO()
-    for section, keys in _SCHEMA.items():
+    for section, keys in cfg.echo().items():
         out.write(f"[{section}]\n")
-        for key, (field_name, _parse) in keys.items():
-            out.write(f"{key} = {_format_value(getattr(cfg, field_name))}\n")
+        for key, value in keys.items():
+            out.write(f"{key} = {_format_value(value)}\n")
         out.write("\n")
     return out.getvalue()

@@ -14,9 +14,10 @@ Each bisection step of `g_invert` only asks whether g(mid) < g.  Each x
 at which an inversion reads g~, the band ends r -+ tol / 4 below
 included, lies within tol / 4 of the window, so its probe points
 |x -+ kappa Omega_0| lie in [max(0, (2 kappa - 1) Omega_0 - tol / 4),
-Omega_0 + tol / 4]: `_plan` tabulates p over that span with
-`lineshape._shot_table`, and `lineshape._cubic_read` gives each P from
-the four nodes around it within the table's cubic bound
+Omega_0 + tol / 4]: `_plan` tabulates p over that span, plus the
+cubic's neighbour nodes, with `lineshape._shot_table`, and
+`lineshape._cubic_read` gives each P from the four nodes around it (and
+raises for a read off the table) within the table's cubic bound
 eps = 3 (h tau)^4 / 256 + 2.25 TABLE_ROUNDING_SLACK, about 2.3e-10 at
 every pulse area (Bernstein's inequality, |P''''| <= tau^4 / 2; see
 `lineshape`).  With e+- = P~+- - P+- and S = P+ + P-,
@@ -152,11 +153,14 @@ def _plan(pulse: PulseSpec, motion: MotionalModel, kappa: float) -> _Plan:
     are NaN when an edge has no excitation at both probe points, and
     `g_invert` raises.  table is the per-shot table over the span the
     inversion reads (module docstring), which the simulator takes from
-    here too: this is the one cache that holds a table.  It holds
-    `lineshape`'s grid over [0, 2 Omega_0] from node origin on, so a read
-    at u pitches takes its floats at u - origin, which is exact: origin is
-    an integer <= u < 2^53.  table is None without a table (pulse area
-    above 4 pi) or with fewer than the 5 nodes the cubic needs.
+    here too: this is the one cache that holds a table.  Its nodes lie
+    at origin, origin + 1, ... pitches, origin >= -1, so a read at u
+    pitches takes its floats at u - origin.  That is exact for origin >= 0
+    (an integer <= u < 2^53); for origin -1 it rounds by at most half an
+    ulp of u, about 5e-13 pitch or 1e-15 of p, inside the 1e-14 of read
+    rounding `lineshape` allows.  A read off the table raises.  table is
+    None without a table (pulse area above 4 pi) or with fewer than the
+    5 nodes the cubic needs.
 
     grid is (x, g~) on a grid over [-w, w] where g is certified
     increasing, else None.  It has at least one node per table pitch.

@@ -27,9 +27,13 @@ The shot-by-shot simulator asks for the thermal excitation at a new
 detuning on every shot, the estimator's bisection at each probe point.
 For both, `_shot_table` tabulates p(|delta|) over the span of |delta|
 the estimator's plan names (see `estimator`): p is even in delta, and
-the table's nodes are those of a grid over [0, 2 Omega_0] with pitch
-h = 2 pi / (2048 tau) (about 3.07e-3 / tau, 2049 nodes for a pi pulse)
-that cover the span and the cubic's neighbour nodes.
+the table's nodes are those of a grid over [-h, 2 Omega_0] with pitch
+h = 2 pi / (2048 tau) (about 3.07e-3 / tau, 2049 nodes from 0 for a pi
+pulse) that cover the span and the cubic's neighbour nodes.  Node -1
+holds p(-h), whose Fock terms are p(h)'s bit for bit: the kernel squares
+delta.  Each node's p rounds like any thermal sum, within
+TABLE_ROUNDING_SLACK, and every read's bound carries that slack, so no
+node's last bits reach an output.
 
 Its error bounds come from Bernstein's inequality for entire functions
 of exponential type (Boas, Entire Functions, 1954, Thm 11.1.2): if f is
@@ -106,7 +110,7 @@ MAX_PROFILE_ELEMENTS = 1 << 24
 # sum for every shot.
 TABLE_INTERVALS_PER_PI = 2048      # table intervals per pi of pulse area
 TABLE_MAX_INTERVALS = 1 << 13
-TABLE_CHUNK_ELEMENTS = 1 << 14     # rows x Fock terms per kernel block and table chunk
+TABLE_CHUNK_ELEMENTS = 1 << 14     # rows x Fock terms per kernel block
 # Each thermal sum, tabulated or scalar, is within TABLE_ROUNDING_SLACK
 # of its exact value: a sum of n terms in [0, 1] with weights summing to
 # at most 1 rounds by at most about n 2^-53, 1.1e-11 at MAX_THERMAL_CUTOFF.
@@ -295,11 +299,11 @@ def _thermal_sums(detunings: np.ndarray, pulse: PulseSpec, motion: MotionalModel
 class _ShotTable(NamedTuple):
     """The per-shot table of p(|delta|) over its span and its read bounds."""
 
-    grid: np.ndarray      # |delta| at the nodes, rad/s
+    grid: np.ndarray      # delta at the nodes, rad/s (-pitch at node -1)
     values: np.ndarray    # p at the nodes
     floats: tuple         # the same p as Python floats, for scalar reads
     scale: float          # 1 / pitch
-    origin: int           # index of grid[0] in the grid over [0, 2 Omega_0]
+    origin: int           # grid[0] / pitch, -1 or more
     linear_bound: float   # on |linear read - thermal_excitation|
     cubic_bound: float    # on |_cubic_read - thermal_excitation|
 
@@ -309,11 +313,11 @@ def _shot_table(pulse: PulseSpec, motion: MotionalModel, lo: float, hi: float
     """The per-shot table over |delta| in [lo, hi], or None above TABLE_MAX_INTERVALS.
 
     Without a table, callers use the exact sum throughout.  The table
-    holds nodes origin, origin + 1, ... of the grid over [0, 2 Omega_0]
-    that cover [lo, hi] and the cubic's neighbour nodes, rounded out to
-    the full grid's chunks of rows, so each node's p has the bits the full
-    grid gives it.  `floats` serves the estimator's bisection, which reads
-    four entries a probe point: indexing the numpy array would box each one.
+    holds nodes floor(lo / h) - 1 .. floor(hi / h) + 2 of the grid of
+    pitch h, the last at most 2 Omega_0: [lo, hi] and the cubic's
+    neighbour nodes.  It is built in blocks of rows to bound its memory.
+    `floats` serves the estimator's bisection, which reads four entries a
+    probe point: indexing the numpy array would box each one.
     """
     area = pulse.rabi * pulse.duration
     intervals = max(1, round(area / math.pi * TABLE_INTERVALS_PER_PI))
@@ -321,8 +325,8 @@ def _shot_table(pulse: PulseSpec, motion: MotionalModel, lo: float, hi: float
         return None
     pitch = 2.0 * pulse.rabi / intervals
     rows = max(1, TABLE_CHUNK_ELEMENTS // (motion.n_cutoff + 1))
-    first = max(0, math.floor(lo / pitch) - 1) // rows * rows
-    last = min(intervals, (math.floor(hi / pitch) + 2) // rows * rows + rows - 1)
+    first = math.floor(lo / pitch) - 1
+    last = min(intervals, math.floor(hi / pitch) + 2)
     grid = np.arange(first, last + 1) * pitch
     values = np.concatenate([excitation_profile(grid[i:i + rows], pulse, motion)
                              for i in range(0, grid.size, rows)])
@@ -340,19 +344,16 @@ def _shot_table(pulse: PulseSpec, motion: MotionalModel, lo: float, hi: float
 
 
 def _cubic_read(floats: tuple, u: float) -> float:
-    """p at u >= 0 pitches by the Lagrange cubic through nodes i-1 .. i+2, i = int(u).
+    """p at u pitches by the Lagrange cubic through nodes i-1 .. i+2, i = int(u).
 
-    u counts from floats[0].  Node i + 2 must exist, and node i - 1
-    unless floats[0] is p(0): p is even, so at i = 0 node -1 is node 1.
-    Written as the linear read plus t (t - 1) / 6 times the second
-    differences at nodes i and i+1 weighted (2 - t, t + 1), t = u - i.
+    u counts from floats[0].  A read whose four nodes are not all in the
+    table raises ValueError.  Written as the linear read plus t (t - 1) / 6
+    times the second differences at nodes i and i+1 weighted (2 - t, t + 1),
+    t = u - i.
     """
     i = int(u)
     t = u - i
-    b = floats[i]
-    c = floats[i + 1]
-    a = floats[i - 1] if i else c
-    d = floats[i + 2]
+    a, b, c, d = floats[i - 1:i + 3] if i > 0 else ()
     return b + t * (c - b) + t * (t - 1.0) / 6.0 * (
         (2.0 - t) * (a - 2.0 * b + c) + (t + 1.0) * (b - 2.0 * c + d))
 

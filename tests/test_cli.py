@@ -476,6 +476,17 @@ class TestSensitivity:
             assert cells[(t, 0.7)]["sigma_analytic_over_rabi"] > \
                 cells[(t, 0.0)]["sigma_analytic_over_rabi"]
 
+    def test_overflowing_offset_is_usage_error(self, tmp_path, capsys):
+        # a cell's farthest probe point, (4e150 + kappa + SLOPE_STEP) Rabi
+        # widths, overflows when squared: rejected at load, naming the key
+        cfg = tmp_path / "far.ini"
+        cfg.write_text("[sensitivity]\noffsets_rabi = 0.0 4e150\nn_seeds = 4\n")
+        out = tmp_path / "out"
+        assert main(["sensitivity", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("iontrack: error: [sensitivity] offsets_rabi = "
+                                           "4e+150: the angular detuning overflows when squared\n")
+        assert not out.exists()
+
     def test_table_matches_summary(self, sensitivity_dir):
         rows = read_csv_rows(sensitivity_dir / "sensitivity.csv")
         assert rows[0] == ["duration_s", "offset_rabi", "shots_per_side",
@@ -783,8 +794,7 @@ class TestTopLevel:
     @pytest.mark.parametrize("command, ini", [
         ("track", "[drift]\nlinear_rate_hz_per_s = 1e300\n\n[tracking]\nn_cycles = 3\n"),
         ("track", "[timeline]\nrep_period_s = 1e300\n\n[tracking]\nn_cycles = 3\n"),
-        ("sensitivity", "[sensitivity]\noffsets_rabi = 1e300\n"),
-    ], ids=["drift-rate", "rep-period", "offset"])
+    ], ids=["drift-rate", "rep-period"])
     def test_float_overflow_is_numerical_failure(self, tmp_path, capsys, command, ini):
         cfg = tmp_path / "huge.ini"
         cfg.write_text(ini)

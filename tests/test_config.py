@@ -153,6 +153,14 @@ class TestLoads:
         cfg = loads("[lineshape]\ndetuning_min_rabi = -1e150\ndetuning_max_rabi = 1e150\n")
         assert cfg.lineshape_detuning_max_rabi == 1e150
 
+    def test_overflowing_sensitivity_offset_rejected(self):
+        # a cell probes out to (offset + kappa + SLOPE_STEP) Omega_0, which
+        # must square to a float: at 2pi x 640 Hz, 4e150 Rabi widths do not
+        message = "[sensitivity] offsets_rabi = 4e+150: the angular detuning overflows"
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            loads("[sensitivity]\noffsets_rabi = 0 4e150\n")
+        assert loads("[sensitivity]\noffsets_rabi = 0 3e150\n").offsets_rabi == (0.0, 3e150)
+
     @pytest.mark.parametrize("builder, name", [("pulse", "duration_s"), ("motion", "eta"),
                                                ("initial_nu0", "initial_nu0_hz")])
     def test_builders_reject_unresolved_auto(self, builder, name):

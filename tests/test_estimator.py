@@ -311,10 +311,10 @@ class TestCertifiedDecisions:
             assert g_invert(g, cfg) == plain_invert(g, cfg), g
 
     def test_tables_too_short_for_the_cubic_use_the_exact_sum(self):
-        # a 1.6e-3 rad pulse: one table interval, 2 nodes, fewer than the
-        # cubic's 5, so the plan keeps no table
+        # a 1.6e-3 rad pulse: one table interval, nodes -1 .. 1, fewer than
+        # the cubic's 5, so the plan keeps no table
         cfg = area_config(5e-4, 5.0, 0.8)
-        assert lineshape._shot_table(cfg.pulse, cfg.motion, 0.0, RABI).grid.size == 2
+        assert lineshape._shot_table(cfg.pulse, cfg.motion, 0.0, RABI).grid.size == 3
         assert plan_of(cfg).table is None
         w = cfg.window_halfwidth
         for g in np.linspace(g_forward(-w, cfg), g_forward(w, cfg), 7)[1:-1]:
@@ -540,8 +540,7 @@ class TestReplay:
         # each cubic read of a plan and its inversions, at count pairs and
         # one ulp inside the window's edges (where the band about the root
         # reaches tol / 4 past the window), takes nodes i - 1 .. i + 2 of
-        # the table, or mirrors node 1 at delta = 0; and the inversion is
-        # the plain bisection's
+        # the table; and the inversion is the plain bisection's
         cfg = replace(area_config(area, nbar, kappa), motion=MotionalModel(nbar=nbar, eta=eta),
                       shots_per_side=per_side)
         w = cfg.window_halfwidth
@@ -556,21 +555,16 @@ class TestReplay:
             assert reads
         for floats, u in reads:
             assert floats is table.floats
-            assert int(u) + 2 < len(table.floats)
-            assert int(u) >= 1 or table.origin == 0, (u, table.origin)
+            assert 1 <= int(u) and int(u) + 2 < len(table.floats), (u, table.origin)
         assert [g_invert(g, cfg) for g in g_values] == [plain_invert(g, cfg) for g in g_values]
 
     def test_band_ends_past_the_window_read_the_tables_first_node(self, monkeypatch):
-        # At cutoff 17,000 each chunk holds one row, so no node is rounded
-        # out, and at kappa = 1/2 + 614/2048 the probe point
-        # (2 kappa - 1) Omega_0 of the window's edge is node 614 of the pi
-        # pulse's grid, bit for bit.  A root at the edge puts its band end
-        # tol / 4 past it, where the probe point lies tol / 4 below node
-        # 614: its cubic reads node 612, the table's first, which only the
-        # span's tol / 4 margin holds.
-        cfg = replace(HOT, motion=MotionalModel(nbar=1700.0, eta=0.026),
-                      kappa=0.5 + 614 / 2048)
-        assert cfg.motion.n_cutoff + 1 >= lineshape.TABLE_CHUNK_ELEMENTS
+        # At kappa = 1/2 + 614/2048 the probe point (2 kappa - 1) Omega_0
+        # of the window's edge is node 614 of the pi pulse's grid, bit for
+        # bit.  A root at the edge puts its band end tol / 4 past it, where
+        # the probe point lies tol / 4 below node 614: its cubic reads node
+        # 612, the table's first, which only the span's tol / 4 margin holds.
+        cfg = replace(HOT, kappa=0.5 + 614 / 2048)
         w = cfg.window_halfwidth
         g_lo, g_hi = g_forward(-w, cfg), g_forward(w, cfg)
         g_values = [math.nextafter(g_lo, g_hi), math.nextafter(g_hi, g_lo)] + list(

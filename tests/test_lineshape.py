@@ -323,22 +323,13 @@ def span_table(pulse, m, kappa):
     return estimator._plan(pulse, m, kappa).table
 
 
-def full_span_table(pulse, m):
-    """(grid, p) of the per-shot table over all of [0, 2 Omega_0], in its chunks."""
-    area = pulse.rabi * pulse.duration
-    intervals = max(1, round(area / math.pi * lineshape.TABLE_INTERVALS_PER_PI))
-    grid = np.arange(intervals + 1) * (2.0 * pulse.rabi / intervals)
-    rows = max(1, lineshape.TABLE_CHUNK_ELEMENTS // (m.n_cutoff + 1))
-    return grid, np.concatenate([excitation_profile(grid[i:i + rows], pulse, m)
-                                 for i in range(0, grid.size, rows)])
-
-
 class TestShotTable:
     @pytest.mark.parametrize("area", [math.pi / 2, math.pi, 3 * math.pi, 4 * math.pi])
     @pytest.mark.parametrize("nbar", [0.0, 20.0, 80.0])
     def test_matches_exact_sum_on_dense_grid(self, area, nbar):
-        # at kappa 0.3 the span starts at delta = 0; at kappa 0.8 it starts
-        # at 0.6 Omega_0 less the nodes the pitch, the cubic and the chunks add
+        # at kappa 0.3 the span starts at delta = 0, the table at node -1;
+        # at kappa 0.8 it starts at 0.6 Omega_0 less the nodes the pitch
+        # and the cubic add
         for kappa in (0.3, 0.8):
             self.check_span_table(area, nbar, kappa)
 
@@ -353,6 +344,10 @@ class TestShotTable:
         pulse, m = _table_case(area, nbar, eta)
         table = span_table(pulse, m, kappa)
         grid = table.grid
+        # the span covers the estimator's probe points, |delta| in
+        # [max(0, 2 kappa - 1), 1] Omega_0
+        assert grid[0] <= max(0.0, 2.0 * kappa - 1.0) * RABI
+        assert grid[-1] >= RABI
         # Bernstein: |p^(k)| <= tau^k / 2, with h tau = 2 area / intervals;
         # the area as the table takes it, which may differ from the argument
         # in its last bit
@@ -365,7 +360,7 @@ class TestShotTable:
         mid = 0.5 * (grid[:-1] + grid[1:])
         mid[1::2] *= -1.0
         beyond = np.linspace(1.01, 1.5, 9) * grid[-1]
-        before = np.linspace(0.0, 0.99, 9) * grid[0] if table.origin else np.array([])
+        before = np.linspace(0.0, 0.99, 9) * grid[0] if grid[0] > 0.0 else np.array([])
         deltas = np.concatenate([mid, beyond, -beyond, before, -before])
         linear, bounds = lineshape._tabulated_excitation(deltas, table)
         exact = np.array([thermal_excitation(d, pulse, m) for d in mid])
@@ -377,12 +372,10 @@ class TestShotTable:
         assert np.all(bounds[mid.size:] == np.inf)
 
         # the cubic read, at a random point of every interval it can read
-        # (nodes i - 1 and i + 2 must exist), the first one included: from
-        # p(0) it mirrors node 1 to node -1
-        first = 0 if table.origin == 0 else 1
-        u = np.arange(first, grid.size - 2) + np.random.default_rng(grid.size).uniform(
-            size=grid.size - 2 - first)
-        u[0] = first + 0.3
+        # (nodes i - 1 and i + 2 must exist), the first one included
+        u = np.arange(1, grid.size - 2) + np.random.default_rng(grid.size).uniform(
+            size=grid.size - 3)
+        u[0] = 1.3
         cubic = np.array([lineshape._cubic_read(table.floats, x) for x in u])
         exact = np.array([thermal_excitation((x + table.origin) / table.scale, pulse, m)
                           for x in u])
@@ -391,31 +384,42 @@ class TestShotTable:
         # the truncation bound alone holds, with 1e-13 for the sums' rounding
         assert err.max() <= 3.0 * h_tau ** 4 / 256.0 + 1e-13
         # and the read is exact at the nodes
-        assert [lineshape._cubic_read(table.floats, float(i)) for i in range(8)] == \
-            list(table.floats[:8])
+        assert [lineshape._cubic_read(table.floats, float(i)) for i in range(1, 8)] == \
+            list(table.floats[1:8])
 
     def test_pitch_scales_with_inverse_duration(self):
         for area in (math.pi / 2, math.pi, 3 * math.pi):
             pulse, m = _table_case(area, 20.0)
             table = span_table(pulse, m, 0.8)
-            full_grid, _ = full_span_table(pulse, m)
-            assert full_grid[-1] == pytest.approx(2.0 * RABI, rel=1e-12)
-            assert (full_grid[1] - full_grid[0]) * pulse.duration == \
+            pitch = 2.0 * RABI / round(2.0 * RABI * table.scale)
+            assert pitch * pulse.duration == \
                 pytest.approx(2.0 * math.pi / lineshape.TABLE_INTERVALS_PER_PI, rel=1e-12)
-            # the table's nodes are the full grid's from origin on
+            # node k lies at origin + k pitches
             assert np.array_equal(
-                table.grid, full_grid[table.origin:table.origin + table.grid.size])
+                table.grid, np.arange(table.origin, table.origin + table.grid.size) * pitch)
             # the estimator's copy: the same values as Python floats, 1 / pitch
             assert table.floats == tuple(table.values.tolist())
-            assert table.scale == 1.0 / float(full_grid[1])
-        # the default config: nodes 600 .. 1039 of the 2049 over
-        # [0, 2 Omega_0], each with the full table's p bit for bit
+            assert table.scale == 1.0 / pitch
+        # the default config: nodes 613 .. 1026 of the grid of 2048
+        # intervals over [0, 2 Omega_0]; at kappa 0.3 from node -1 on
         pulse, m = _table_case(math.pi, 80.0)
-        table = span_table(pulse, m, 0.8)
-        full_grid, full_values = full_span_table(pulse, m)
-        assert full_grid.size == 2049
-        assert (table.origin, table.grid.size) == (600, 440)
-        assert np.array_equal(table.values, full_values[600:1040])
+        default, near = span_table(pulse, m, 0.8), span_table(pulse, m, 0.3)
+        assert round(2.0 * RABI * default.scale) == 2048
+        assert (default.origin, default.grid.size) == (613, 414)
+        assert (near.origin, near.grid.size) == (-1, 1028)
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.8])
+    def test_a_read_off_the_table_raises(self, kappa):
+        # the cubic needs nodes i - 1 .. i + 2, i = int(u): below node 1
+        # or past node len - 3 one of them is missing, at a table from
+        # node -1 (kappa 0.3) as at one from node 613
+        floats = span_table(*_table_case(math.pi, 80.0), kappa).floats
+        last = len(floats) - 3
+        assert lineshape._cubic_read(floats, 1.0) == floats[1]
+        assert lineshape._cubic_read(floats, float(last)) == floats[last]
+        for u in (0.999, 0.3, 0.0, -0.5, -1.0, -5.5, last + 1.0, last + 1.5, len(floats)):
+            with pytest.raises(ValueError):
+                lineshape._cubic_read(floats, u)
 
     def test_no_table_beyond_four_pi(self):
         pulse, m = _table_case(4 * math.pi, 20.0)
@@ -436,26 +440,11 @@ class TestShotTable:
         # one ulp outside, at, and one ulp inside each end of the span
         inside = np.array([lo, math.nextafter(lo, hi), math.nextafter(hi, lo), hi])
         outside = np.array([math.nextafter(hi, math.inf)] +
-                           ([math.nextafter(lo, 0.0)] if table.origin else []))
+                           ([math.nextafter(lo, 0.0)] if lo > 0.0 else []))
         _, bounds = lineshape._tabulated_excitation(
             np.concatenate([outside, -outside, inside, -inside]), table)
         assert np.all(bounds[:2 * outside.size] == np.inf)
         assert np.all(bounds[2 * outside.size:] == table.linear_bound)
-
-    @given(area=st.floats(0.3 * math.pi, 4 * math.pi), nbar=st.floats(0.0, 400.0),
-           kappa=st.floats(0.1, 0.9))
-    @settings(max_examples=12, deadline=None)
-    def test_span_equals_the_full_span_bit_for_bit(self, area, nbar, kappa):
-        pulse, m = _table_case(area, nbar)
-        table = span_table(pulse, m, kappa)
-        full_grid, full_values = full_span_table(pulse, m)
-        nodes = slice(table.origin, table.origin + table.grid.size)
-        assert np.array_equal(table.grid, full_grid[nodes])
-        assert np.array_equal(table.values, full_values[nodes])
-        # the span covers the estimator's probe points, |delta| in
-        # [max(0, 2 kappa - 1), 1] Omega_0
-        assert table.grid[0] <= max(0.0, 2.0 * kappa - 1.0) * RABI
-        assert table.grid[-1] >= RABI
 
 
 class TestFwhm:

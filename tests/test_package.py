@@ -1,5 +1,6 @@
 """The top-level package re-exports each module's public names,
-loads nothing beyond numpy and keeps few caches."""
+loads nothing beyond numpy, keeps few caches and shares few private names."""
+import ast
 import importlib
 import inspect
 import os
@@ -88,6 +89,27 @@ def test_the_only_caches_are_the_plan_and_the_kernels():
               if hasattr(value, "cache_info") and value.__module__ == module.__name__}
     assert cached == {"iontrack.estimator._plan", "iontrack.lineshape._motional_arrays",
                       "iontrack.lineshape._omega2"}
+
+
+def test_the_only_cross_module_private_imports():
+    # A private name that one module imports from another couples the two:
+    # the lineshape kernel's pass serves the spectrum fit, the table and
+    # its read serve the estimator's plan, and the plan's table serves the
+    # simulator.  A new coupling must be added here.
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported |= {f"{path.stem} <- {node.module}.{alias.name}" for alias in node.names
+                             if alias.name.startswith("_") and not alias.name.endswith("__")}
+    assert imported == {
+        "analysis <- lineshape._thermal_sums",
+        "estimator <- lineshape._cubic_read",
+        "estimator <- lineshape._shot_table",
+        "estimator <- lineshape._ShotTable",
+        "simulator <- estimator._plan",
+        "simulator <- lineshape._tabulated_excitation",
+    }
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

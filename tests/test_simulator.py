@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iontrack import estimator, lineshape, simulator
 from iontrack.cli import _table_text, main
@@ -165,7 +167,7 @@ class TestBrightShots:
         lo, hi = float(table.grid[0]), float(table.grid[-1])
         inside = [lo, math.nextafter(lo, hi), math.nextafter(hi, lo), hi]
         outside = [math.nextafter(hi, math.inf), 1.1 * hi]
-        if table.origin:        # the span starts above delta = 0
+        if lo > 0.0:            # the span starts above delta = 0
             outside += [math.nextafter(lo, 0.0), 0.9 * lo]
         edges = np.array(inside + outside)
         deltas = np.repeat(np.concatenate([edges, -edges]), 8)
@@ -179,6 +181,28 @@ class TestBrightShots:
                          exact + rng.uniform(-1e-6, 1e-6, deltas.size)):
             bright = simulator._bright_shots(deltas, uniforms, cfg)
             assert np.array_equal(bright, uniforms < exact)
+
+    @given(area=st.floats(0.3 * math.pi, 4 * math.pi), nbar=st.floats(0.0, 400.0),
+           eta=st.floats(0.0, 0.3), kappa=st.floats(0.1, 0.95),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_decisions_at_the_bound_on_random_lines(self, area, nbar, eta, kappa, seed):
+        # detunings out to past the span, on tables from node -1 (kappa up
+        # to 1/2) and from above it, with uniforms at the tabulated p plus
+        # and minus its bound and at the exact p, each moved by 0, +-1 and
+        # +-4 ulps: the table decides only what its bound certifies
+        cfg = TwoPointConfig(pulse=PulseSpec(RABI, area / RABI),
+                             motion=MotionalModel(nbar=nbar, eta=eta), kappa=kappa)
+        deltas = np.random.default_rng(seed).uniform(-2.2, 2.2, 60) * RABI
+        exact = np.array([thermal_excitation(d, cfg.pulse, cfg.motion) for d in deltas])
+        p, bound = lineshape._tabulated_excitation(
+            deltas, estimator._plan(cfg.pulse, cfg.motion, kappa).table)
+        bound[np.isinf(bound)] = 0.0
+        for centre in (p - bound, p + bound, exact):
+            for ulps in (0, 1, -1, 4, -4):
+                uniforms = centre + ulps * np.spacing(centre)
+                bright = simulator._bright_shots(deltas, uniforms, cfg)
+                assert np.array_equal(bright, uniforms < exact)
 
     @pytest.mark.parametrize("kappa", [0.3, 0.8, 0.95])
     @pytest.mark.parametrize("area", [0.5, 1.0, 3.0])
