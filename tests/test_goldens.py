@@ -7,11 +7,16 @@ leave the outputs alone must keep these digests; a change that moves
 them on purpose must say so and record the new ones.
 """
 import hashlib
+import math
 import os
 
 import pytest
 
 from iontrack.cli import main
+from iontrack.config import loads
+from iontrack.estimator import _plan
+from iontrack.lineshape import _motional_arrays
+from iontrack.simulator import DriftModel, ExperimentTimeline
 
 # A 25-point pi-pulse scan of the default line (640 Hz Rabi, nbar 80),
 # 100 shots per point.
@@ -34,6 +39,36 @@ SCAN_INI = "[voltage_scan]\nenabled = true\n"
 # The Breit-Rabi variant reaches the voltage shifts, eta and the position
 # slope of a scan, and the field inversion of a calibration.
 SINGLE_CROSS = "[tracking]\nvariant = single-cross\n"
+
+# Small runs on the paths the default config never reaches: 32 cycles,
+# and 50 seeds over 2 s and 8 s per sensitivity cell.
+SMALL_RUN = "[tracking]\nn_cycles = 32\n[sensitivity]\ndurations_s = 2 8\nn_seeds = 50\n"
+
+# branch -> (config text over SMALL_RUN, the commands it runs, check on the
+# loaded config and its estimator plan that the run reaches the branch)
+BRANCHES = {
+    # the table holds node -1, p(-h)
+    "kappa-0.3": ("[two_point]\nkappa = 0.3\n", ("track", "sensitivity"),
+                  lambda cfg, plan: plan.table.origin == -1 and plan.grid is not None),
+    # g falls inside the window: a table, but no certified grid
+    "three-pi": ("[pulse]\nduration_s = 0.00234375\n", ("track", "sensitivity"),
+                 lambda cfg, plan: plan.table is not None and plan.grid is None),
+    # no table: every shot and step is exact.  At kappa 0.8 g falls through
+    # the line centre, and the default ramp loses lock at kappa 0.5.
+    "five-pi": ("[pulse]\nduration_s = 0.00390625\n[two_point]\nkappa = 0.5\n"
+                "[drift]\nlinear_rate_hz_per_s = 0\n", ("track", "sensitivity"),
+                lambda cfg, plan: plan.table is None),
+    "blocked-errors": ("[timeline]\nshot_order = blocked\ndetection_error_bright = 0.05\n"
+                       "detection_error_dark = 0.02\n", ("track",),
+                       lambda cfg, plan: cfg.timeline() == ExperimentTimeline(
+                           0.02, 0.05, 0.02, "blocked")),
+    "walk-line": ("[drift]\nrandom_walk_hz_per_rt_s = 2\nline_amplitude_hz = 5\n", ("track",),
+                  lambda cfg, plan: cfg.drift() == DriftModel(
+                      2 * math.pi * 8.2, 2 * math.pi * 2, 2 * math.pi * 5, 777)),
+    # only the motional ground state is populated
+    "nbar-0": ("[motion]\nnbar = 0\n", ("track", "sensitivity"),
+               lambda cfg, plan: _motional_arrays(cfg.motion())[0].tolist() == [1.0] + [0.0] * 30),
+}
 
 # case -> (argv, inputs the test writes); "{name}" in argv is that input's path
 CASES = {
@@ -58,6 +93,9 @@ CASES = {
                                {"freqs.txt": FREQUENCIES_TXT,
                                 "calib.ini": CALIBRATE_INI + SINGLE_CROSS}),
 }
+CASES.update({f"{branch}-{command}": ([command, "--seed", "777", "--config", "{case.ini}"],
+                                      {"case.ini": text + SMALL_RUN})
+              for branch, (text, commands, _check) in BRANCHES.items() for command in commands})
 
 # case -> {output file: SHA-256}
 # The track summaries' Allan fields (drift rate, white level, fit
@@ -71,6 +109,12 @@ CASES = {
 # 2.4e-6 Hz (3.3e-7 of its standard error) and each standard error by at
 # most 3.3e-6 of itself.  Every other case is unchanged.
 GOLDENS = {
+    "blocked-errors-track": {
+        "track_record.csv":
+            "bcb60bba47b48d93de0508f2f06de1395df40077779841dfc046bc55d8da1a8b",
+        "track_summary.json":
+            "3bedb52b2eda71fa05662b38053107ff4f45292e1964711ac56fc7afdd0bb921",
+    },
     "calibrate": {
         "calibrate.csv":
             "0f4cc2ef852c547a5eb8306e6015a4e8a34b4845a2cb9b2a5b033c540c7a5f35",
@@ -83,6 +127,30 @@ GOLDENS = {
         "fit_spectrum_summary.json":
             "fe9af44f49e323f2c5cb93e22b08b84bb5f1de109052379218c63768ab355bd5",
     },
+    "five-pi-sensitivity": {
+        "sensitivity.csv":
+            "89fcc8120c1ca8e8dfef16a132c79b954ad6e045dca45e9beb7c66138477a9ed",
+        "sensitivity_summary.json":
+            "8d30bb1a1cf2d0a3cedeb6dcad6b2704a6033279db166a2a7c980345aebe3386",
+    },
+    "five-pi-track": {
+        "track_record.csv":
+            "fd266f8cdfb9e21360a7bb0b4f318ccf89771f94cff25222e066bd6ca7996c52",
+        "track_summary.json":
+            "3db37ca07635517442508821b5d5b5f2f8068ed8b245f163334002d1cc2e97b7",
+    },
+    "kappa-0.3-sensitivity": {
+        "sensitivity.csv":
+            "a54708a64b3799ae04a8f9573129af251b8efff8f25c967ba400651985086222",
+        "sensitivity_summary.json":
+            "20eeed85301dde8047bc99ef68f24c52566512cea63006983be937fba7933dc0",
+    },
+    "kappa-0.3-track": {
+        "track_record.csv":
+            "99a4488bc7323b876b43f9384a56f6864464a98063fbf1a3799e9666441c4c7d",
+        "track_summary.json":
+            "e9b91e375b1ffb83ab72e692420179600760f2db14eb7c65cd6d30d12306f8ec",
+    },
     "lineshape-csv": {
         "lineshape.csv":
             "591b24b9772dada2c1f49a40292978ec330d6b532a14193ed02a7bec1533f4a9",
@@ -94,6 +162,18 @@ GOLDENS = {
             "f012861ecf44f5999d2070244ba0debf5ff1d5efba84981e085d8a4beb8c41be",
         "lineshape_summary.json":
             "cd1636134cde9ecfecce9fbf8367bdeb3e0ac24c2f9b8544d0f861ac674e2ab2",
+    },
+    "nbar-0-sensitivity": {
+        "sensitivity.csv":
+            "e7715eb7c14adf4aa6b6b8bfc28604003725339da1e4fc21f10a6020f3c2d603",
+        "sensitivity_summary.json":
+            "2996b8833aa86db930f04c1380052f1b1356b77c571ea3665cb9f13f971f4cb5",
+    },
+    "nbar-0-track": {
+        "track_record.csv":
+            "741ca54048365478cb4413b319027adde129e00a286d0e38b14b1a49d8abcc3d",
+        "track_summary.json":
+            "6fe21d9ab889365defe566931c0d8e34fb8c9979b30d706d89affda94df971b0",
     },
     "sensitivity-csv": {
         "sensitivity.csv":
@@ -121,6 +201,18 @@ GOLDENS = {
         "track_summary.json":
             "796fcb0df28337cb4434cd69e0d7520d66f870c316a5248e68b06a6cf74743f2",
     },
+    "three-pi-sensitivity": {
+        "sensitivity.csv":
+            "c9001852ca6466f31787c82bf4c33f90f4538ae4da30a1d9474df84e09825d99",
+        "sensitivity_summary.json":
+            "f10badf955da9028598c065b744ab2d3339aea23d240e084319040227b029315",
+    },
+    "three-pi-track": {
+        "track_record.csv":
+            "432745338a3996121398ddfc13610ef3ad1ce25432b850e245e8be3d8b4dc21d",
+        "track_summary.json":
+            "e9c7319e4d1140e2fe691f17065f50f43a9d19585ae87e9453324618786625cb",
+    },
     "track-csv": {
         "track_record.csv":
             "bd887c1bf059be112bf4c7c09b22b36895080751bbe9563d25320f3bd7fb4e23",
@@ -141,6 +233,12 @@ GOLDENS = {
         "track_summary.json":
             "ffd7075d60692471ee5bc8b2ca3863ab29029c19740a369be34c1644312d1885",
     },
+    "walk-line-track": {
+        "track_record.csv":
+            "d8c191ce2fc7ed1370f7e79d5c0207186f147a3e153686d002f5220329be67a3",
+        "track_summary.json":
+            "404dfa76ad0db6e269eb5dd4e558d0dda648a8fd382594e524f749b478ec50d9",
+    },
 }
 
 
@@ -159,3 +257,10 @@ def test_outputs_match_goldens(case, tmp_path):
     out = tmp_path / "out"
     assert main([paths.get(arg, arg) for arg in argv] + ["--out", str(out)]) == 0
     assert _digests(out) == GOLDENS[case]
+
+
+@pytest.mark.parametrize("branch", sorted(BRANCHES))
+def test_branch_cases_reach_their_branches(branch):
+    text, _commands, check = BRANCHES[branch]
+    cfg = loads(text + SMALL_RUN, seed=777)
+    assert check(cfg, _plan(cfg.pulse(), cfg.motion(), cfg.kappa))
