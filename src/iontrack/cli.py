@@ -338,7 +338,7 @@ def _sensitivity_cell(cfg: RunConfig, duration: float, offset_rabi: float,
     if abs(delta) < cell_cfg.window_halfwidth:
         # Each distinct g is inverted once, then read back per seed.  g is
         # estimate_from_counts' g, and the cell needs only its delta, not
-        # the sigma that would cost two more exact g_forward calls.
+        # its sigma.
         plus, minus = c_plus / per_side, c_minus / per_side
         g_values, seed_g = np.unique((plus - minus) / (plus + minus), return_inverse=True)
         estimates = np.array([g_invert(g, cell_cfg)[0] for g in g_values.tolist()])[seed_g]

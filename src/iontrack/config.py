@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from .atomphys import CODATA, IonSpecies, TrapEnvironment, transition_frequency
-from .estimator import SLOPE_STEP, TwoPointConfig
+from .estimator import TwoPointConfig
 from .lineshape import (FWHM_SCAN_RABI, LINEWIDTH_CALIBRATED_ETA, MAX_PROFILE_ELEMENTS,
                         MotionalModel, PulseSpec, compute_eta)
 from .simulator import DriftModel, ExperimentTimeline, VoltageSchedule
@@ -219,12 +219,12 @@ class RunConfig:
         rabi = TWO_PI * self.rabi_hz
         # _excitation's Omega_n^2 + delta^2, with Omega_n <= Omega_0, at the
         # range edges as cmd_lineshape forms them, at the reach of fwhm's
-        # scan and at a sensitivity cell's farthest probe point, its slope's
+        # scan and at a sensitivity cell's farthest probe point
         edges = [(f"[lineshape] {key} = {fraction!r}", fraction) for key, fraction in (
             ("detuning_min_rabi", self.lineshape_detuning_min_rabi),
             ("detuning_max_rabi", self.lineshape_detuning_max_rabi))]
         edges.append((f"fwhm's scan to {FWHM_SCAN_RABI!r} Rabi widths", FWHM_SCAN_RABI))
-        edges += [(f"[sensitivity] offsets_rabi = {offset!r}", offset + self.kappa + SLOPE_STEP)
+        edges += [(f"[sensitivity] offsets_rabi = {offset!r}", offset + self.kappa)
                   for offset in self.offsets_rabi]
         for where, fraction in edges:
             detuning = fraction * rabi
@@ -339,6 +339,10 @@ def loads(text: str, seed: int | None = None) -> RunConfig:
                 updates[field_name] = parse(raw)
             except ConfigError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    # numpy seeds only from non-negative integers
+    for where, value in (("[drift] seed =", updates.get("seed")), ("--seed", seed)):
+        if value is not None and value < 0:
+            raise ConfigError(f"{where} {value}: the seed must be non-negative")
     cfg = replace(RunConfig(), **updates)
     if seed is not None:
         cfg = replace(cfg, seed=int(seed))

@@ -45,6 +45,25 @@ arithmetic and reads the table only for midpoints inside the band: about
 5 cubic reads per inversion instead of 38.  Without a certificate (no
 usable table, or g falling in the window, as at 3 pi and nbar 80) or
 with an undecided end, the band is (-inf, inf) and every step runs as above.
+
+The standard error divides the propagated sigma_g by |g'|, where
+g' = dg/ddelta = 2 (a' b - a b') / S^2 with a = P+, b = P- and a', b'
+their slopes in delta (`g_slope`).  Inside the window, with a table,
+all four come from the plan's table: a~ and b~ within eps by
+`_cubic_read`, a~' and b~' within eps' = tau (h tau)^3 / 24
++ 3 tau (h tau)^4 / 1280 + (7/3) TABLE_ROUNDING_SLACK / h, about
+7.7e-8 tau, by `lineshape._cubic_slope` (see `lineshape`).  Then, with
+S_lo = S~ - 2 eps > 0 and N~ = a~' b~ - a~ b~',
+
+    |g~' - g'| <= 2 (eps' (S~ + 2 eps) + eps (|a~'| + |b~'|)) / S_lo^2
+                  + 8 eps |N~| (S~ + eps) / (S~^2 S_lo^2),
+
+about 1.5e-7 tau / S~ where S~ is not small, against |g'| <= tau / S;
+over the default window the table's slope is within 3.4e-10 of g'.
+Outside the window, without a table and where S~ <= 2 eps, one exact
+kernel pass (`lineshape._thermal_sums`) gives a, b and G at both probe
+points, with dp/ddelta = -delta G.  The slope feeds sigma alone, never
+a decision, so neither path moves an estimate.
 """
 from __future__ import annotations
 
@@ -54,8 +73,10 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lineshape import (MotionalModel, PulseSpec, _cubic_read, _shot_table, _ShotTable,
-                        thermal_excitation)
+import numpy as np
+
+from .lineshape import (MotionalModel, PulseSpec, _cubic_read, _cubic_slope, _shot_table,
+                        _ShotTable, _thermal_sums, thermal_excitation)
 
 __all__ = [
     "TwoPointConfig",
@@ -71,7 +92,6 @@ __all__ = [
 ]
 
 INVERSION_TOLERANCE = 1e-6   # of Omega_0
-SLOPE_STEP = 1e-3            # of Omega_0, central difference
 
 DECISION_SLACK = 1e-12       # of g: rounding in g~ and g, a few 1e-16 each
 
@@ -113,9 +133,35 @@ def g_forward(delta: float, cfg: TwoPointConfig) -> float:
 
 
 def g_slope(delta: float, cfg: TwoPointConfig) -> float:
-    """dg/ddelta by central difference with step 1e-3 * Omega_0, 1/(rad/s)."""
-    h = SLOPE_STEP * cfg.pulse.rabi
-    return (g_forward(delta + h, cfg) - g_forward(delta - h, cfg)) / (2.0 * h)
+    """dg/ddelta at a true offset delta (rad/s), 1/(rad/s).
+
+    g' = 2 (a' b - a b') / S^2 with a = P+, b = P- and S = a + b.  Inside
+    the capture window the four come from the plan's table, within the
+    bound of the module docstring; elsewhere, without a table, and where
+    the table cannot prove S > 0, from one exact kernel pass.
+    """
+    delta = float(delta)
+    if not math.isfinite(delta):
+        raise ValueError("pulse detuning must be finite")
+    w, _g_lo, _g_hi, off, _tol, table, _grid = _plan(cfg.pulse, cfg.motion, cfg.kappa)
+    if table is not None and abs(delta) <= w:
+        (a, slope_a), (b, slope_b) = (_table_probe(x, table) for x in (delta - off, delta + off))
+        if a + b > 2.0 * table.cubic_bound:
+            return 2.0 * (slope_a * b - a * slope_b) / (a + b) ** 2
+    p, sums = _thermal_sums(np.array([delta - off, delta + off]), cfg.pulse, cfg.motion,
+                            slope=True)
+    (a, b), (sum_a, sum_b) = p.tolist(), sums.tolist()
+    if a + b <= 0.0:
+        raise ValueError("zero excitation at both probe points")
+    # dp/ddelta = -delta G at each probe point
+    return 2.0 * ((delta + off) * sum_b * a - (delta - off) * sum_a * b) / (a + b) ** 2
+
+
+def _table_probe(x: float, table: _ShotTable) -> tuple[float, float]:
+    """(p, dp/ddelta) at detuning x from the table's cubic: p is even in x."""
+    u = abs(x) * table.scale - table.origin
+    slope = _cubic_slope(table.floats, u) * table.scale
+    return _cubic_read(table.floats, u), (-slope if x < 0.0 else slope)
 
 
 def _table_g(x: float, off: float, table: _ShotTable) -> tuple[float, float, float] | None:

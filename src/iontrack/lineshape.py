@@ -54,14 +54,26 @@ h tau = 2 area / intervals, about 2 pi / 2048 at every tabulated area:
   5.9e-7;
 - the Lagrange cubic through nodes i-1 .. i+2, read at x_i + t h with
   0 <= t < 1, errs by at most max|(t+1) t (t-1) (t-2)| h^4 / 24 max|p''''|
-  = 3 (h tau)^4 / 256, 1.0e-12 (the maximum 9/16 is at t = 1/2).
+  = 3 (h tau)^4 / 256, 1.0e-12 (the maximum 9/16 is at t = 1/2);
+- that cubic's derivative errs from p' by at most
+  2 h^3 / 24 max|p^(4)| + 9/16 h^4 / 120 max|p^(5)|
+  = tau (h tau)^3 / 24 + 3 tau (h tau)^4 / 1280, 1.2e-9 tau: the cubic's
+  error e = p[x_i-1, .., x_i+2, x] w(x), w(x) = (t+1) t (t-1) (t-2) h^4,
+  has e' = p[x_i-1, .., x_i+2, x, x] w + p[x_i-1, .., x_i+2, x] w', the
+  divided differences are p^(5) / 120 and p^(4) / 24 at points between
+  the nodes, and |w'| <= 2 h^3 for 0 <= t < 1.
 
 `_tabulated_excitation` reads p and the linear bound off the table, with
 an infinite bound outside the span and for pulses too long to tabulate
 (area above 4 pi), so that the simulator can fall back to
 `thermal_excitation` for every shot the table cannot decide.  The
 estimator's bisection reads its probe points with `_cubic_read` under
-the cubic bound (see `estimator`).
+the cubic bound (see `estimator`), and its slope dg/d delta reads them
+with `_cubic_slope` too.  A node's rounding reaches a slope read through
+the derivatives of the cubic's weights, L_k'(t) / h with
+sum |L_k'(t)| <= 7/3 (at t = 1/2), so a slope read is within
+tau (h tau)^3 / 24 + 3 tau (h tau)^4 / 1280 + (7/3) TABLE_ROUNDING_SLACK / h,
+about 7.7e-8 tau, of dp/d|delta|: the nodes' slack dominates.
 """
 from __future__ import annotations
 
@@ -356,6 +368,21 @@ def _cubic_read(floats: tuple, u: float) -> float:
     a, b, c, d = floats[i - 1:i + 3] if i > 0 else ()
     return b + t * (c - b) + t * (t - 1.0) / 6.0 * (
         (2.0 - t) * (a - 2.0 * b + c) + (t + 1.0) * (b - 2.0 * c + d))
+
+
+def _cubic_slope(floats: tuple, u: float) -> float:
+    """dp/du at u pitches: the derivative of `_cubic_read`'s cubic there.
+
+    It takes the same nodes i-1 .. i+2, i = int(u), and raises ValueError
+    where `_cubic_read` does.  Per pitch: times the table's scale it is
+    dp/d|delta|.
+    """
+    i = int(u)
+    t = u - i
+    a, b, c, d = floats[i - 1:i + 3] if i > 0 else ()
+    second_i, second_next = a - 2.0 * b + c, b - 2.0 * c + d
+    return c - b + ((2.0 * t - 1.0) * ((2.0 - t) * second_i + (t + 1.0) * second_next)
+                    + t * (t - 1.0) * (second_next - second_i)) / 6.0
 
 
 def _tabulated_excitation(detunings: np.ndarray, table: _ShotTable | None

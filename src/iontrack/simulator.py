@@ -76,6 +76,8 @@ class DriftModel:
             raise ValueError("drift rates and amplitudes must be finite")
         if self.random_walk < 0.0 or self.line_amplitude < 0.0:
             raise ValueError("noise strengths must be non-negative")
+        if self.seed < 0:
+            raise ValueError("the seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -468,7 +468,7 @@ class TestSensitivity:
         assert cells[(2.0, 0.0)]["sigma_mc_over_rabi"] == pytest.approx(
             0.05, rel=0.2)
         assert cells[(2.0, 0.0)]["sigma_analytic_over_rabi"] == pytest.approx(
-            0.05405998199187886, rel=1e-9)
+            0.054059942038054976, rel=1e-9)
         # detuned rows always degrade the resolution
         for t in (2.0, 8.0, 32.0):
             assert cells[(t, 0.7)]["sigma_mc_over_rabi"] > \
@@ -477,8 +477,8 @@ class TestSensitivity:
                 cells[(t, 0.0)]["sigma_analytic_over_rabi"]
 
     def test_overflowing_offset_is_usage_error(self, tmp_path, capsys):
-        # a cell's farthest probe point, (4e150 + kappa + SLOPE_STEP) Rabi
-        # widths, overflows when squared: rejected at load, naming the key
+        # a cell's farthest probe point, (4e150 + kappa) Rabi widths,
+        # overflows when squared: rejected at load, naming the key
         cfg = tmp_path / "far.ini"
         cfg.write_text("[sensitivity]\noffsets_rabi = 0.0 4e150\nn_seeds = 4\n")
         out = tmp_path / "out"
@@ -776,6 +776,21 @@ class TestTopLevel:
                            [("track_record", ["value"], [[1.0]])],
                            {"value": float("nan")})
         assert tree_bytes(tmp_path) == {}
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["track", "sensitivity"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command, source):
+        # numpy seeds only from non-negative integers: rejected at load,
+        # naming the flag or the key, before anything is written
+        cfg = tmp_path / "seed.ini"
+        cfg.write_text("[drift]\nseed = -1\n" if source == "config" else "")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        assert main(argv + (["--seed", "-1"] if source == "flag" else [])) == 1
+        where = "--seed" if source == "flag" else "[drift] seed ="
+        assert capsys.readouterr().err == \
+            f"iontrack: error: {where} -1: the seed must be non-negative\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, section, key", [
         ("track", "tracking", "n_cycles"),

@@ -154,8 +154,8 @@ class TestLoads:
         assert cfg.lineshape_detuning_max_rabi == 1e150
 
     def test_overflowing_sensitivity_offset_rejected(self):
-        # a cell probes out to (offset + kappa + SLOPE_STEP) Omega_0, which
-        # must square to a float: at 2pi x 640 Hz, 4e150 Rabi widths do not
+        # a cell probes out to (offset + kappa) Omega_0, which must square
+        # to a float: at 2pi x 640 Hz, 4e150 Rabi widths do not
         message = "[sensitivity] offsets_rabi = 4e+150: the angular detuning overflows"
         with pytest.raises(ConfigError, match="^" + re.escape(message)):
             loads("[sensitivity]\noffsets_rabi = 0 4e150\n")
@@ -167,6 +167,14 @@ class TestLoads:
         unresolved = replace(default_config(), **{name: "auto"})
         with pytest.raises(ConfigError, match=f"^{name} must be resolved before use$"):
             getattr(unresolved, builder)()
+
+    def test_negative_seed_rejected(self):
+        for text, seed, where in (("[drift]\nseed = -1\n", None, "[drift] seed ="),
+                                  ("", -1, "--seed"),
+                                  ("[drift]\nseed = -3\n", 5, "[drift] seed =")):
+            with pytest.raises(ConfigError, match="^" + re.escape(where) + " -"):
+                loads(text, seed=seed)
+        assert loads("", seed=0).seed == 0
 
     def test_seed_override(self):
         assert loads("", seed=777).seed == 777

@@ -387,6 +387,28 @@ class TestShotTable:
         assert [lineshape._cubic_read(table.floats, float(i)) for i in range(1, 8)] == \
             list(table.floats[1:8])
 
+    @given(area=st.floats(0.3 * math.pi, 4 * math.pi), nbar=st.floats(0.0, 400.0),
+           eta=st.floats(0.0, 0.3), kappa=st.floats(0.1, 0.95),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_slope_read_within_its_bound(self, area, nbar, eta, kappa, seed):
+        # _cubic_slope at a random point of 60 intervals it can read, the
+        # first one included, against the kernel's dp/d|delta| = -|delta| G
+        pulse, m = _table_case(area, nbar, eta)
+        table = span_table(pulse, m, kappa)
+        rng = np.random.default_rng(seed)
+        u = rng.integers(1, table.grid.size - 2, 60) + rng.uniform(size=60)
+        u[0] = 1.0 + rng.uniform()
+        slopes = np.array([lineshape._cubic_slope(table.floats, x) for x in u]) * table.scale
+        d = (u + table.origin) / table.scale
+        _p, g = lineshape._thermal_sums(d, pulse, m, slope=True)
+        err = np.abs(slopes + d * g)
+        h_tau = pulse.duration / table.scale
+        truncation = pulse.duration * (h_tau ** 3 / 24.0 + 3.0 * h_tau ** 4 / 1280.0)
+        assert err.max() <= truncation + 7.0 / 3.0 * lineshape.TABLE_ROUNDING_SLACK * table.scale
+        # the truncation bound alone holds, with 1e-13 for each node's rounding
+        assert err.max() <= truncation + 7.0 / 3.0 * 1e-13 * table.scale
+
     def test_pitch_scales_with_inverse_duration(self):
         for area in (math.pi / 2, math.pi, 3 * math.pi):
             pulse, m = _table_case(area, 20.0)

@@ -53,6 +53,14 @@ class TestTimeline:
             ExperimentTimeline(shot_order="random")
 
 
+class TestDriftModel:
+    def test_negative_seed_rejected(self):
+        # numpy's generators seed only from non-negative integers
+        with pytest.raises(ValueError, match="^the seed must be non-negative$"):
+            DriftModel(seed=-1)
+        assert DriftModel(seed=0).seed == 0
+
+
 class TestRunMeasurement:
     @pytest.mark.parametrize("shots", [10, 50])
     def test_advances_clock_exactly(self, shots):
