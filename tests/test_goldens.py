@@ -67,7 +67,8 @@ BRANCHES = {
                       2 * math.pi * 8.2, 2 * math.pi * 2, 2 * math.pi * 5, 777)),
     # only the motional ground state is populated
     "nbar-0": ("[motion]\nnbar = 0\n", ("track", "sensitivity"),
-               lambda cfg, plan: _motional_arrays(cfg.motion())[0].tolist() == [1.0] + [0.0] * 30),
+               lambda cfg, plan: (_motional_arrays(cfg.motion())[0].tolist()
+                                  == [1.0] + [0.0] * 30)),
 }
 
 # case -> (argv, inputs the test writes); "{name}" in argv is that input's path
@@ -114,8 +115,8 @@ CASES.update({f"{branch}-{command}": ([command, "--seed", "777", "--config", "{c
 # it.  Only sigma-derived fields moved: each record's sigma_nu_hz, the
 # displacements' sigma columns, the summaries' position and force fields,
 # every analytic column, and the Monte-Carlo column of out-of-window cells.
-# At a pi pulse they moved by at most 7.5e-7 of themselves, at kappa 0.3 by
-# 1.3e-7, at 3 pi by 5.2e-5 and at 5 pi by 3.6e-5: the old step's error
+# At a pi pulse they moved by at most 7.8e-7 of themselves, at kappa 0.3 by
+# 1.3e-7, at 3 pi by 5.2e-5 and at 5 pi by 3.5e-5: the old step's error
 # grows with the pulse area.  Every estimate, true_nu, in_window flag and
 # in-window Monte-Carlo value is as before.
 GOLDENS = {
