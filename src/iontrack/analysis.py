@@ -6,15 +6,15 @@ resonance lines, conversion of frequency records to positions, and the
 force metrology chain (stiffness, force resolution, sensitivity,
 single-charge detection range).
 
-Both fits are small numpy solvers built on one damped Gauss-Newton
-(Levenberg-Marquardt) loop, `_levenberg_marquardt`, which refuses any
-step that would reach a parameter bound.  The Allan fit enumerates the
-cases of its two bounds a >= 0, d >= 0 (each face in closed form, the
-interior by the loop) and keeps the cheapest; the spectrum fit projects
-out its two linear parameters (variable projection) and runs the loop
-on centre and Rabi frequency alone, whose Jacobian columns come
-analytically from the same lineshape-kernel pass as the model (no
-forward differences).  Neither has a fallback solver.
+The Allan fit is closed-form: its squared model is linear in two
+non-negative parameters, solved as a 2x2 system or on one face of its
+bounds, with no iteration.  The spectrum fit projects out its two
+linear parameters (variable projection) and runs a damped Gauss-Newton
+(Levenberg-Marquardt) loop, `_levenberg_marquardt`, on centre and Rabi
+frequency alone; the loop refuses any step that would reach a bound, and
+the Jacobian columns come analytically from the same lineshape-kernel
+pass as the model (no forward differences).  Neither fit has a fallback
+solver.
 """
 from __future__ import annotations
 
@@ -114,26 +114,27 @@ def _drift_model(tau: np.ndarray, white: float, drift: float) -> np.ndarray:
 # Steps the damped Gauss-Newton loop may try before it gives up.
 LM_MAX_STEPS = 100
 
+# The spectrum fit converges when a Gauss-Newton step would lower its
+# cost by no more than this fraction.  A step predicted to gain
+# 1e-10 of a cost near n/2 is about 1e-5 standard errors long.
+SPECTRUM_RTOL = 1e-10
 
-def _levenberg_marquardt(evaluate, p, inside, rtol):
-    """Damped Gauss-Newton descent of the cost 0.5 |r|^2 from p.
 
-    `evaluate(p)` gives the residuals r, the Jacobian J and an auxiliary
-    value at p.  J may carry extra columns after the first len(p):
-    parameters that are linear in the model and that `evaluate` solves
-    for itself.  They are eliminated from each step and left undamped;
-    the other diagonal entries are damped by Marquardt's scaling.  A step
-    that lowers the cost is taken and the damping divided by ten.  A step
-    that does not, or that would leave the open region `inside` where the
-    parameters are strictly within their bounds, is refused and the
-    damping multiplied by ten; so no residual is evaluated on or past a
-    bound.
+def _levenberg_marquardt(evaluate, p, inside):
+    """Damped Gauss-Newton descent of the spectrum fit's cost 0.5 |r|^2 from p.
 
-    The loop stops with status "converged" when the Gauss-Newton step
-    from p would lower the cost by at most `rtol` times the cost, as the
-    linearised model predicts it, or when a step moves no parameter in
-    floating point; "singular" when a normal matrix cannot be solved;
-    and "cap" after LM_MAX_STEPS steps tried.  Returns
+    `evaluate(p)` gives the residuals r, the Jacobian J and the linear
+    parameters at p; J's columns after the first len(p) belong to those
+    linear parameters, which are eliminated from each step and left
+    undamped.  The other diagonal entries are damped by Marquardt's
+    scaling.  A step that lowers the cost is taken and the damping
+    divided by ten; one that does not, or that would leave the open
+    region `inside`, is refused and the damping multiplied by ten.
+
+    Status "converged" when the Gauss-Newton step would lower the cost by
+    at most SPECTRUM_RTOL of it, as the linearised model predicts, or
+    moves no parameter in floating point; "singular" when a normal matrix
+    cannot be solved; "cap" after LM_MAX_STEPS steps tried.  Returns
     (p, r, J, aux, status), with r, J and aux at the returned p.
     """
     p = np.asarray(p, dtype=float)
@@ -150,7 +151,7 @@ def _levenberg_marquardt(evaluate, p, inside, rtol):
             decrement = 0.5 * float(gradient @ np.linalg.solve(normal, gradient))
         except np.linalg.LinAlgError:
             return p, r, jac, aux, "singular"
-        if decrement <= rtol * cost:
+        if decrement <= SPECTRUM_RTOL * cost:
             return p, r, jac, aux, "converged"
         while True:
             if steps == LM_MAX_STEPS:
@@ -175,35 +176,33 @@ def _levenberg_marquardt(evaluate, p, inside, rtol):
 
 
 def _allan_fit(tau: np.ndarray, adev: np.ndarray,
-               sigma: np.ndarray) -> tuple[float, float, float]:
-    """(white, drift, cost) of the bounded drift-model fit; see allan_deviation."""
+               pairs: np.ndarray) -> tuple[float, float, float]:
+    """(white, drift, chi-square in adev) of the drift-model fit; see allan_deviation."""
     if tau.size == 1:
         return float(adev[0] * math.sqrt(tau[0])), 0.0, 0.0
-
-    def residuals(p):
-        return (_drift_model(tau, p[0], p[1]) - adev) / sigma
-
-    def evaluate(p):
-        model = _drift_model(tau, p[0], p[1])
-        jac = np.column_stack((p[0] / (tau * model), p[1] * tau ** 2 / (2.0 * model)))
-        return (model - adev) / sigma, jac / sigma[:, None], None
-
-    # On each face the model is linear in the free parameter.
-    target = adev / sigma
-    white_col = 1.0 / (np.sqrt(tau) * sigma)
-    drift_col = tau / (math.sqrt(2.0) * sigma)
-    white = max(float(white_col @ target / (white_col @ white_col)), 0.0)
-    drift = max(float(drift_col @ target / (drift_col @ drift_col)), 0.0)
-    candidates = [np.array([white, 0.0]), np.array([0.0, drift])]
-    x0 = np.array([adev[0] * math.sqrt(tau[0]), adev[-1] * math.sqrt(2.0) / tau[-1]])
-    x0 = np.where(x0 > 0.0, x0, [white, drift])     # a zero end takes its face's value
-    if np.all(x0 > 0.0):
-        interior, *_ = _levenberg_marquardt(
-            evaluate, x0, inside=lambda p: bool(np.all(p > 0.0)), rtol=0.0)
-        candidates.append(interior)
-    costs = [0.5 * float(r @ r) for r in map(residuals, candidates)]
-    best = int(np.argmin(costs))
-    return float(candidates[best][0]), float(candidates[best][1]), costs[best]
+    # On adev / 2^k and tau / 2^j (j even) no square over- or underflows,
+    # and (a, d) scale back exactly by 2^(k + j/2) and 2^(k - j).
+    k = math.frexp(adev.max())[1]
+    j = math.frexp(tau.max())[1] // 2 * 2
+    y, u = np.ldexp(adev, -k), np.ldexp(tau, -j)
+    floored = np.where(y > 0.0, y, y[y > 0.0].min())
+    sigma = floored / np.sqrt(pairs)
+    weight = 1.0 / (2.0 * floored * sigma)
+    design = np.column_stack((1.0 / u, u ** 2)) * weight[:, None]
+    gram = design.T @ design
+    moment = design.T @ (y ** 2 * weight)
+    det = gram[0, 0] * gram[1, 1] - gram[0, 1] ** 2
+    # Cramer's rule: the unconstrained solution is `solved` / det
+    solved = np.array([gram[1, 1] * moment[0] - gram[0, 1] * moment[1],
+                       gram[0, 0] * moment[1] - gram[0, 1] * moment[0]])
+    if det > 0.0 and np.all(solved >= 0.0):
+        params = solved / det
+    else:   # row i: the optimum on the face where only part i is free
+        faces = np.diag(np.maximum(moment, 0.0) / np.diag(gram))
+        params = faces[np.argmax(faces @ moment)]   # the larger drop in cost
+    white, drift = math.sqrt(params[0]), math.sqrt(2.0 * params[1])
+    r = (_drift_model(u, white, drift) - y) / sigma
+    return math.ldexp(white, k + j // 2), math.ldexp(drift, k - j), float(r @ r)
 
 
 def allan_deviation(series: FrequencySeries, taus) -> AllanResult:
@@ -216,19 +215,23 @@ def allan_deviation(series: FrequencySeries, taus) -> AllanResult:
 
         adev(tau) = sqrt((a tau^-1/2)^2 + (d tau / sqrt(2))^2)
 
-    weighted by adev/sqrt(n_pairs), with a >= 0 and d >= 0, and the
-    linear drift rate d is reported.  A pure linear drift gives
-    adev = d tau / sqrt(2) exactly.
+    with a >= 0 and d >= 0, and the linear drift rate d is reported.  A
+    pure linear drift gives adev = d tau / sqrt(2) exactly.
 
-    The fit takes the cheapest of three candidates (its KKT cases): the
-    face d = 0 and the face a = 0, each a weighted linear fit in closed
-    form, and an interior point from damped Gauss-Newton started at
-    a = adev_0 sqrt(tau_0), d = sqrt(2) adev_last / tau_last, which
-    refuses steps onto a bound (the faces cover that case) and runs
-    until no step lowers the cost in floating point.  A single tau
-    cannot separate a from d: it is read as white noise, d = 0 and
-    a = adev sqrt(tau), a zero-cost fit.  The fit itself never raises;
-    a deviation that overflows raises ValueError before it.
+    The fit is closed-form, with no iteration: adev^2 = A / tau + D tau^2
+    is linear in A = a^2 and D = d^2 / 2, fitted by least squares with
+    each point weighted by 1 / (2 adev sigma), sigma = adev / sqrt(n_pairs)
+    (both adev floored at the smallest positive one), the first-order
+    image of weights 1 / sigma on adev.  With A, D >= 0 this convex
+    problem's optimum is the unconstrained 2x2 solution when both parts
+    are >= 0, and otherwise the cheaper face A = 0 or D = 0.  It is
+    formed on adev / 2^k and tau / 2^j, powers of two from the largest
+    adev and tau (j even), so no square over- or underflows and (a, d)
+    scale exactly with the data and with its time unit.
+    fit_residual is the reduced chi-square in adev at the fitted (a, d).
+    A single tau cannot separate a from d: it is read as white noise,
+    d = 0 and a = adev sqrt(tau), a zero-cost fit.  The fit itself never
+    raises; a deviation that overflows raises ValueError before it.
     """
     tau0 = series.sample_period
     requested = np.atleast_1d(np.asarray(taus, dtype=float))
@@ -254,10 +257,8 @@ def allan_deviation(series: FrequencySeries, taus) -> AllanResult:
     if np.all(adev == 0.0):
         return AllanResult(tau, adev, pairs, 0.0, 0.0, 0.0)
 
-    sigma = np.where(adev > 0.0, adev, adev[adev > 0.0].min()) / np.sqrt(pairs)
-    white, drift, cost = _allan_fit(tau, adev, sigma)
-    dof = max(tau.size - 2, 1)
-    return AllanResult(tau, adev, pairs, drift, white, 2.0 * cost / dof)
+    white, drift, chisq = _allan_fit(tau, adev, pairs)
+    return AllanResult(tau, adev, pairs, drift, white, chisq / max(tau.size - 2, 1))
 
 
 class SpectrumFitError(RuntimeError):
@@ -295,12 +296,6 @@ def _guess_from_data(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     width = float(above.max() - above.min()) if above.size >= 2 else 2.0 * spacing
     rabi = max(width / 1.6, 1e-6 * (spacing + 1.0))
     return np.array([center, rabi, amplitude, baseline])
-
-
-# The spectrum fit converges when a Gauss-Newton step would lower its
-# cost by no more than this fraction.  A step predicted to gain
-# 1e-10 of a cost near n/2 is about 1e-5 standard errors long.
-SPECTRUM_RTOL = 1e-10
 
 
 def fit_spectrum(detuning, excitation, shots,
@@ -360,8 +355,7 @@ def fit_spectrum(detuning, excitation, shots,
     # the data's peak and half-width lie strictly inside the bounds
     p, r, jac, linear, status = _levenberg_marquardt(
         evaluate, _guess_from_data(x, y)[:2],
-        inside=lambda p: bool(np.all((lower < p) & (p < upper))),
-        rtol=SPECTRUM_RTOL)
+        inside=lambda p: bool(np.all((lower < p) & (p < upper))))
     if status != "converged":
         raise SpectrumFitError(f"spectrum fit did not converge ({status})",
                                np.concatenate((p, linear)))

@@ -237,6 +237,11 @@ class RunConfig:
         for name in ("allan_taus_s", "durations_s"):
             if any(v <= 0.0 for v in getattr(self, name)):
                 raise ConfigError(f"{name} values must be positive")
+        for duration in self.durations_s:   # a sensitivity cell's shots per side
+            if duration / self.rep_period_s / 2.0 > MAX_SHOTS_PER_SIDE:
+                raise ConfigError(f"[sensitivity] durations_s = {duration!r} at [timeline] "
+                                  f"rep_period_s = {self.rep_period_s!r} gives more than "
+                                  f"{MAX_SHOTS_PER_SIDE} shots per side")
         if not self.lineshape_nbar_values:
             raise ConfigError("lineshape_nbar_values must not be empty")
         for i, nbar in enumerate(self.lineshape_nbar_values):

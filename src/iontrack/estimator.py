@@ -339,6 +339,15 @@ def _propagate_g_sigma(p_plus: float, p_minus: float,
     return math.sqrt((dg_dplus ** 2) * var_plus + (dg_dminus ** 2) * var_minus)
 
 
+def _offset_sigma(sigma_g: float, delta: float, cfg: TwoPointConfig) -> float:
+    """sigma_g / |dg/ddelta| at delta; a zero slope raises ZeroDivisionError naming delta."""
+    slope = g_slope(delta, cfg)
+    if slope == 0.0:
+        raise ZeroDivisionError(f"dg/ddelta = 0 at the offset delta = {delta!r} rad/s: "
+                                "the estimate's standard error is unbounded")
+    return sigma_g / abs(slope)
+
+
 class NoSignalError(ValueError):
     """Both probe sides returned zero bright events: nothing to invert."""
 
@@ -373,11 +382,9 @@ def estimate_from_counts(counts_plus: int, counts_minus: int,
         p_plus, p_minus,
         binomial_variance(p_plus, n), binomial_variance(p_minus, n),
     )
-    slope = g_slope(delta, cfg)
-    sigma_delta = sigma_g / abs(slope)
     return EstimateResult(
         delta=delta,
-        sigma_delta=sigma_delta,
+        sigma_delta=_offset_sigma(sigma_g, delta, cfg),
         g_measured=g,
         in_window=in_window,
         p_plus=p_plus,
@@ -391,7 +398,8 @@ def analytic_sigma(cfg: TwoPointConfig, delta: float) -> float:
     Uses the noise-free probe probabilities at the true offset, exact
     binomial variances, and the local slope dg/ddelta.  Valid at any
     offset where the slope is non-zero, including outside the capture
-    window (there it describes the locally linearised estimate).
+    window (there it describes the locally linearised estimate); a zero
+    slope raises ZeroDivisionError naming the offset.
     """
     p_plus, p_minus = probe_probabilities(float(delta), cfg)
     if p_plus + p_minus <= 0.0:
@@ -401,5 +409,5 @@ def analytic_sigma(cfg: TwoPointConfig, delta: float) -> float:
         p_plus * (1.0 - p_plus) / cfg.shots_per_side,
         p_minus * (1.0 - p_minus) / cfg.shots_per_side,
     )
-    return sigma_g / abs(g_slope(float(delta), cfg))
+    return _offset_sigma(sigma_g, float(delta), cfg)
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, lsq_linear
 
 from iontrack import analysis, lineshape
 from iontrack.analysis import (
@@ -104,6 +104,33 @@ class TestAllanDeviation:
         values = d * t + rng.normal(0.0, TWO_PI * 34.6, size=t.size)
         result = allan_deviation(series(values), [2, 4, 8, 16, 32, 64])
         assert result.drift_rate == pytest.approx(d, rel=0.15)
+
+    def _drift_and_noise(self):
+        rng = np.random.default_rng(5)
+        values = TWO_PI * 8.2 * np.arange(128) * 2.0 + rng.normal(0.0, TWO_PI * 34.6, 128)
+        return values, np.array([2.0, 4.0, 8.0, 16.0, 32.0])
+
+    @pytest.mark.parametrize("k", [-500, -300, 300, 480])
+    def test_scale_equivariance(self, k):
+        # the fit is formed on adev / 2^e: scaling the data by 2^k moves no bit
+        values, taus = self._drift_and_noise()
+        base = allan_deviation(series(values), taus)
+        scaled = allan_deviation(series(np.ldexp(values, k)), taus)
+        assert base.drift_rate > 0.0 and base.white_level > 0.0
+        assert scaled.white_level == math.ldexp(base.white_level, k)
+        assert scaled.drift_rate == math.ldexp(base.drift_rate, k)
+        assert scaled.fit_residual == base.fit_residual
+
+    @pytest.mark.parametrize("j", [-300, -100, 100, 300])
+    def test_time_unit_equivariance(self, j):
+        # and on tau / 2^i, i even: a sample period 2^j times as long, j even,
+        # scales a = adev sqrt(tau) by 2^(j/2) and d = sqrt(2) adev / tau by 2^-j
+        values, taus = self._drift_and_noise()
+        base = allan_deviation(series(values), taus)
+        scaled = allan_deviation(series(values, dt=math.ldexp(2.0, j)), np.ldexp(taus, j))
+        assert scaled.white_level == math.ldexp(base.white_level, j // 2)
+        assert scaled.drift_rate == math.ldexp(base.drift_rate, -j)
+        assert scaled.fit_residual == base.fit_residual
 
     def test_tau_snapping_drops_infeasible(self):
         result = allan_deviation(series(np.arange(16.0)), [2, 4, 1000])
@@ -274,22 +301,25 @@ class TestFitProfileReuse:
 
 
 def _scipy_allan(result):
-    """scipy's bounded fit of `allan_deviation`'s model to its points.
+    """scipy's bounded linear least squares on `allan_deviation`'s squared problem.
 
-    The call the package made before its fits went numpy-only, but run to
-    scipy's tightest tolerances, so that the reference is scipy's optimum
-    rather than the point where its xtol = 1e-12 stopped.
+    adev^2 = A / tau + D tau^2 with A, D >= 0, each point weighted by
+    1 / (2 adev sigma), where sigma = adev / sqrt(n_pairs) and both adev
+    are floored at the smallest positive one.  Returns scipy's (A, D) and
+    the cost 0.5 |r|^2 of the weighted residuals r.
     """
     tau, adev = result.taus, result.adev
-    sigma = np.where(adev > 0.0, adev, adev[adev > 0.0].min()) / np.sqrt(result.n_pairs)
-    x0 = np.array([adev[0] * math.sqrt(tau[0]), adev[-1] * math.sqrt(2.0) / tau[-1]])
+    floored = np.where(adev > 0.0, adev, adev[adev > 0.0].min())
+    weight = np.sqrt(result.n_pairs) / (2.0 * floored ** 2)
+    design = np.column_stack((1.0 / tau, tau ** 2)) * weight[:, None]
+    target = adev ** 2 * weight
 
-    def residuals(p):
-        return (np.sqrt(p[0] ** 2 / tau + (p[1] * tau) ** 2 / 2.0) - adev) / sigma
+    def cost(p):
+        r = design @ p - target
+        return 0.5 * float(r @ r)
 
-    fit = least_squares(residuals, x0, bounds=([0.0, 0.0], [np.inf, np.inf]),
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    return fit.x, lambda p: 0.5 * float(residuals(p) @ residuals(p))
+    fit = lsq_linear(design, target, bounds=(0.0, np.inf), method="bvls")
+    return fit.x, cost
 
 
 def _scipy_spectrum(x, y, shots, motion):
@@ -350,6 +380,8 @@ class TestFitsMatchScipy:
             short = rng.normal(0.0, 40.0, 12) + rng.uniform(0.0, 20.0) * np.arange(12) * 2.0
             yield series(short), (2.0, 4.0)
             yield series(short), (2.0,)
+        # adev is 0 at tau >= 4 s: the weights' floor
+        yield series(np.tile([1.0, -1.0], 64)), (2.0, 4.0, 8.0)
 
     def test_allan_fit(self):
         n_inputs = n_compared = 0
@@ -362,17 +394,19 @@ class TestFitsMatchScipy:
             reference, cost = _scipy_allan(result)
             ours = np.array([result.white_level, result.drift_rate])
             assert np.all(ours >= 0.0) and np.all(np.isfinite(ours))
-            assert cost(ours) <= cost(reference) * (1.0 + 1e-12) + 1e-30
+            squared = np.array([ours[0] ** 2, ours[1] ** 2 / 2.0])
+            # rounding in the cost is relative to its scale, the cost at (0, 0)
+            assert cost(squared) <= cost(reference) + 1e-15 * cost(np.zeros(2))
             if result.taus.size == 1:
                 # one tau cannot separate the terms: it is read as white noise
                 assert result.drift_rate == 0.0 and result.fit_residual == 0.0
                 assert result.white_level == result.adev[0] * math.sqrt(result.taus[0])
                 continue
             for i in range(2):
-                if ours[i] > 0.0 and reference[i] > 0.0 and _moves_cost(cost, reference, i):
+                if squared[i] > 0.0 and reference[i] > 0.0 and _moves_cost(cost, reference, i):
                     n_compared += 1
-                    assert ours[i] == pytest.approx(reference[i], rel=1e-7)
-        assert n_inputs >= 100 and n_compared >= 120
+                    assert squared[i] == pytest.approx(reference[i], rel=1e-12)
+        assert n_inputs >= 100 and n_compared >= 150
 
     def _spectra(self):
         rng = np.random.default_rng(2025)

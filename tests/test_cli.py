@@ -522,6 +522,23 @@ class TestSensitivity:
                      "--out", str(tmp_path)]) == 2
         assert "no complete shot pair" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ini, duration, rep_period", [
+        ("[sensitivity]\ndurations_s = 1e300\n", "1e+300", "0.02"),
+        ("[timeline]\nrep_period_s = 1e-300\n", "2.0", "1e-300"),
+    ], ids=["duration", "rep-period"])
+    def test_too_many_shots_per_side_is_usage_error(self, tmp_path, capsys, ini,
+                                                    duration, rep_period):
+        # a cell's shots per side, duration / rep_period / 2, has the bound
+        # of [two_point] shots_per_side: rejected at load, naming both keys
+        cfg = tmp_path / "long.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "out"
+        assert main(["sensitivity", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"iontrack: error: [sensitivity] durations_s = {duration} at [timeline] "
+            f"rep_period_s = {rep_period} gives more than 1000000 shots per side\n")
+        assert not out.exists()
+
     def test_same_seed_identical_bytes(self, sensitivity_dir, tmp_path):
         assert main(["sensitivity", "--out", str(tmp_path)]) == 0
         assert tree_bytes(tmp_path) == tree_bytes(sensitivity_dir)
@@ -804,6 +821,20 @@ class TestTopLevel:
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert "must be at most" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["track", "sensitivity"])
+    def test_zero_slope_is_numerical_failure(self, tmp_path, capsys, command):
+        # kappa = 1e-300 puts both probes on one point: dg/ddelta is 0, and
+        # the estimate's sigma is unbounded
+        cfg = tmp_path / "flat.ini"
+        cfg.write_text("[two_point]\nkappa = 1e-300\n\n[tracking]\nn_cycles = 3\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("iontrack: numerical failure: ZeroDivisionError: "
+                              "dg/ddelta = 0 at the offset delta = ")
+        assert err.endswith(" rad/s: the estimate's standard error is unbounded\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, ini", [

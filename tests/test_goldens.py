@@ -119,12 +119,26 @@ CASES.update({f"{branch}-{command}": ([command, "--seed", "777", "--config", "{c
 # 1.3e-7, at 3 pi by 5.2e-5 and at 5 pi by 3.5e-5: the old step's error
 # grows with the pulse area.  Every estimate, true_nu, in_window flag and
 # in-window Monte-Carlo value is as before.
+# The ten track summaries (track-csv, track-json, voltage-scan,
+# single-cross-scan and the kappa-0.3, three-pi, five-pi, blocked-errors,
+# walk-line and nbar-0 track cases) moved in their Allan fields alone
+# (drift rate, white level, fit residual) when the Allan fit became the
+# closed-form fit of adev^2 = A / tau + D tau^2, weighted by 1 / (2 adev
+# sigma), in place of Gauss-Newton on adev weighted by 1 / sigma.  The two
+# objectives agree to first order in the residual: the default run's drift
+# rate moved 8.18758 -> 8.18708 Hz/s and its white level 50.570 -> 50.559
+# Hz rt(s).  The scans' fits sit on the d = 0 face in both, but the model
+# fits a stepped 13-cycle record badly at its three taus, so the
+# second-order difference shows: the voltage-scan white level moved
+# 208.77 -> 147.83 Hz rt(s) (reduced chi-square 12.0 -> 13.4) and the
+# single-cross scan's 210.31 -> 164.44 (5.0 -> 6.1).  Every record,
+# displacement file and other command's output is as before.
 GOLDENS = {
     "blocked-errors-track": {
         "track_record.csv":
             "25dbb87768e9bd9fcadf78dc2c9660a068fc6c94374742d0253b5f23820ae1b4",
         "track_summary.json":
-            "23a8680431af3bc925fc5c427ef68e561c2fa6cf301466a354db4695a8d28e78",
+            "431a4b9ac2e7b761bf15af4081f49150d452b34447c07cacf258b5fae230b194",
     },
     "calibrate": {
         "calibrate.csv":
@@ -148,7 +162,7 @@ GOLDENS = {
         "track_record.csv":
             "e43bd2d822d8dd00da7fb519740f8aafe200f242858ae84b776db094ab261f2e",
         "track_summary.json":
-            "15d7806504cd8b4427baa0f81dfe9f044f00ef9cf1854cebf50e687cc6ca28e5",
+            "5463da0d0cfc3518384de97cc2c397760c5673199bb455d5105ff498b6637103",
     },
     "kappa-0.3-sensitivity": {
         "sensitivity.csv":
@@ -160,7 +174,7 @@ GOLDENS = {
         "track_record.csv":
             "b55b58cc3adc744afb0cd9f7bc1fce5a88079276e6d1c3ea04558646c8038181",
         "track_summary.json":
-            "5b2cd74670efbf16885537366051f380a6e36f5e3bfef25837fa0870982ed0a5",
+            "840bb170b35645b41729e4f1e8b99aa8045584d3e105ca43e6f3a84e3290155d",
     },
     "lineshape-csv": {
         "lineshape.csv":
@@ -184,7 +198,7 @@ GOLDENS = {
         "track_record.csv":
             "077b733db76e982c3a5f834a07d96990e4eabfd53901aa6b931fbf55ce3416aa",
         "track_summary.json":
-            "394437d53a096bea22e71be7146dd0969e08e8d5a546366aa3309272dfa40be5",
+            "8d26980f8ffcaf1c0566942d2cf3d474efe7a3cfd1730d8c6b92289a2acf019f",
     },
     "sensitivity-csv": {
         "sensitivity.csv":
@@ -210,7 +224,7 @@ GOLDENS = {
         "track_record.csv":
             "6983a055af14a41ade81ae4b7ee8850516cea5b721c03fd6446523dfdd0abf39",
         "track_summary.json":
-            "7d581c80b5732fb01eac842641932e6a133a6b474541516666c0e7cc620b6235",
+            "bac2d51281270b512fb322065bf2866293c244aa0c894b9bdbce2dae3bd2526c",
     },
     "three-pi-sensitivity": {
         "sensitivity.csv":
@@ -222,19 +236,19 @@ GOLDENS = {
         "track_record.csv":
             "cf17e95a95b15e49bf061a7c56aa198e29ea14c8a16c514c6d639319c686e00b",
         "track_summary.json":
-            "fec6e5835731f069d3d0daf40be0fad5cace808ac3725a42381cb86f0a763d4a",
+            "7d2d7302044be955ccd3298aec0472a7a3ce9f58d24c075e9c0c6ad199816994",
     },
     "track-csv": {
         "track_record.csv":
             "afce121404ec87ac603dc41894a8b4453a43bde2a6389011f9c29696b0224ff6",
         "track_summary.json":
-            "6ec4f5f998a571b41e5bb4fd6efd4674c0c1640a374c5bb81f64afcd40df1fa9",
+            "2bd4080412a5acfe176699d56a60a40f7c282d25cc517536ec6cba36f087e09d",
     },
     "track-json": {
         "track_record.json":
             "c4714dff4daefbd2edc86864be79dff749f38b33d8bfcd5240754a13de855a9a",
         "track_summary.json":
-            "2f61e9e9d3049588e68149a8be2f35c12b27bcd3b9619e3655af0fc6c0eb3326",
+            "b551bba62b8d5554ff874e7b9b713fe0054079522f1f4ad6aef7b6fb85a5e98e",
     },
     "voltage-scan": {
         "track_displacements.csv":
@@ -242,13 +256,13 @@ GOLDENS = {
         "track_record.csv":
             "47e4bf91dd4e60a8c74a9959b2146bda17b4f9b94746ea88317f43af8d3eab92",
         "track_summary.json":
-            "b5eb16f6862564853f71e2d90747caaf06472861525344667c3389da552d3643",
+            "91a18a53e934ff25dd84aff03a6f3642b2362a4bb72eeabde00c2966628f72de",
     },
     "walk-line-track": {
         "track_record.csv":
             "491bd4db7403d7b4049e91c2afd3cbeddbd614eeb488170a8f675a210ab45169",
         "track_summary.json":
-            "bcb4cef4946629d8e3833b6f33ed6a49fb38277d3e2c531ad75b3e60bae27c4f",
+            "3721662df6fa0a95f2dc265aa0a1563f28478fd9d039fca01707c884dadf4a2e",
     },
 }
 
