@@ -332,9 +332,7 @@ def _sensitivity_cell(cfg: RunConfig, duration: float, offset_rabi: float,
     c_plus = rng.binomial(per_side, p_plus, size=cfg.n_seeds)
     c_minus = rng.binomial(per_side, p_minus, size=cfg.n_seeds)
     if not np.all(c_plus + c_minus):
-        raise NumericalError(f"sensitivity cell duration {duration} s, offset "
-                             f"{offset_rabi} Rabi: no bright events on either side: "
-                             "no signal to invert")
+        raise ValueError("no bright events on either side: no signal to invert")
     if abs(delta) < cell_cfg.window_halfwidth:
         # Each distinct g is inverted once, then read back per seed.  g is
         # estimate_from_counts' g, and the cell needs only its delta, not
@@ -359,8 +357,12 @@ def cmd_sensitivity(cfg: RunConfig, args: argparse.Namespace) -> tuple[list, dic
     children = np.random.SeedSequence(cfg.seed).spawn(len(cells))
     rows = []
     for (duration, offset), child in zip(cells, children):
-        mc, analytic, per_side = _sensitivity_cell(
-            cfg, duration, offset, np.random.default_rng(child))
+        try:
+            mc, analytic, per_side = _sensitivity_cell(
+                cfg, duration, offset, np.random.default_rng(child))
+        except ValueError as exc:
+            raise NumericalError(f"sensitivity cell duration {duration} s, offset "
+                                 f"{offset} Rabi: {exc}") from exc
         rows.append([duration, offset, per_side, mc, analytic])
     header = ["duration_s", "offset_rabi", "shots_per_side",
               "sigma_mc_over_rabi", "sigma_analytic_over_rabi"]

@@ -277,7 +277,9 @@ def g_invert(g_value: float, cfg: TwoPointConfig) -> tuple[float, bool]:
 
     Returns (delta, in_window).  Values of g beyond the window edges
     clamp to the corresponding edge with in_window = False; clamping is
-    a flagged result, not an error, and a NaN g raises ValueError.
+    a flagged result, not an error.  A NaN g, and a window whose edges
+    have g(-w) > g(w) (g falls across it, as at 2 pi and kappa 0.8),
+    raise ValueError.
     Resolution is 1e-6 * Omega_0.  A step whose midpoint lies below the
     band about the table root (`_root_band`) goes up, one above it goes
     down; any other step is decided from the per-shot table's cubic
@@ -291,6 +293,10 @@ def g_invert(g_value: float, cfg: TwoPointConfig) -> tuple[float, bool]:
     w, g_lo, g_hi, off, tol, table, grid = _plan(cfg.pulse, cfg.motion, cfg.kappa)
     if math.isnan(g_lo):
         raise ValueError("zero excitation at both probe points")
+    if g_lo > g_hi:
+        area = cfg.pulse.rabi * cfg.pulse.duration / math.pi
+        raise ValueError(f"g falls across the capture window at kappa = {cfg.kappa!r} and "
+                         f"pulse area {area:.6g} pi: g(-w) = {g_lo!r} > g(w) = {g_hi!r}")
     if g_value >= g_hi:
         return w, g_value <= g_hi
     if g_value <= g_lo:

@@ -225,7 +225,7 @@ def _motional_arrays(motion: MotionalModel) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=128)
 def _omega2(rabi: float, motion: MotionalModel) -> np.ndarray:
-    """Squared Fock-state Rabi frequencies (rabi * |L_n(eta^2)|)^2."""
+    """Squared Fock-state Rabi frequencies (rabi * |L_n(eta^2)|)^2, for the scalar sum."""
     omega2 = (rabi * _motional_arrays(motion)[1]) ** 2
     omega2.flags.writeable = False
     return omega2
@@ -297,8 +297,9 @@ def _thermal_sums(detunings: np.ndarray, pulse: PulseSpec, motion: MotionalModel
     is one product over all rows (module docstring).
     """
     d = detunings.reshape(-1, 1)
-    weights = _motional_arrays(motion)[0]
-    omega2 = _omega2(pulse.rabi, motion)
+    weights, ratios = _motional_arrays(motion)
+    # formed afresh: each step of a fit has its own Rabi frequency
+    omega2 = (pulse.rabi * ratios) ** 2
     rows = max(1, TABLE_CHUNK_ELEMENTS // omega2.size)
     p = np.empty((d.shape[0], omega2.size))
     a = np.empty_like(p) if slope else None

@@ -10,10 +10,13 @@ anchor a linear drift correction.
 All randomness flows through one numpy Generator seeded from the drift
 model, so identical configurations and seeds give bit-identical
 records.  The tracking loop holds it, the drifting resonance and the
-clock, and passes them through `run_measurement` cycle by cycle.  Every repetition tick consumes the same number of draws
-(two uniforms for the detection, then one Gaussian for the drift
-increment) regardless of which noise terms are enabled, so switching a
-term off does not shift the rest of the stream.
+clock, and passes them through `run_measurement` cycle by cycle; each
+cycle's counts go to `estimate_from_counts` afresh, so an estimate
+depends on its counts and the configuration alone.  Every repetition
+tick consumes the same number of draws (two uniforms for the detection,
+then one Gaussian for the drift increment) regardless of which noise
+terms are enabled, so switching a term off does not shift the rest of
+the stream.
 """
 from __future__ import annotations
 
@@ -47,10 +50,6 @@ __all__ = [
 
 LINE_FREQUENCY_HZ = 50.0
 LOSS_OF_LOCK_STREAK = 3
-# A tracking run estimates each count pair once and keeps the estimate
-# for the cycles that repeat it, up to this many pairs: a full dict
-# holds at most about 17 MB (measured).
-ESTIMATE_CACHE_CAP = 1 << 16
 TWO_PI = 2.0 * math.pi
 
 
@@ -265,17 +264,10 @@ CSV_HEADER = [column for _name, column, _divisor in _COLUMNS]
 def _run_cycles(cycle_voltages, initial_nu0: float, drift: DriftModel,
                 cfg: TwoPointConfig, timeline: ExperimentTimeline,
                 shift_of_voltage) -> TrackingRecord:
-    """The tracking loop of run_tracking and run_voltage_scan.
-
-    A count pair that repeats within the run is estimated once: the loop
-    keeps each pair's estimate, for up to ESTIMATE_CACHE_CAP pairs.  The
-    no-signal pair (0, 0) is not kept, so each such cycle reaches
-    `estimate_from_counts`.
-    """
+    """The tracking loop of run_tracking and run_voltage_scan."""
     rng = np.random.default_rng(drift.seed)
     base_nu, time = float(initial_nu0), 0.0
     rows = []
-    estimates: dict[tuple[int, int], tuple[float, float, bool]] = {}
     base_estimate = float(initial_nu0)
     streak = 0
     lost = False
@@ -285,21 +277,16 @@ def _run_cycles(cycle_voltages, initial_nu0: float, drift: DriftModel,
         t_start = time
         count_plus, count_minus, true_mean, base_nu, time = run_measurement(
             nu0, rng, cfg, timeline, drift, base_nu, time, shift)
-        estimate = estimates.get((count_plus, count_minus))
-        if estimate is None:
-            try:
-                result = estimate_from_counts(count_plus, count_minus, cfg)
-            except NoSignalError:
-                # zero bright events on both sides: the resonance is far out
-                # of the window.  Hold the reference, flag the cycle, and
-                # let the loss-of-lock streak terminate the run; the sigma
-                # sentinel is the whole capture half-window.
-                estimate = 0.0, cfg.window_halfwidth, False
-            else:
-                estimate = result.delta, result.sigma_delta, result.in_window
-                if len(estimates) < ESTIMATE_CACHE_CAP:
-                    estimates[count_plus, count_minus] = estimate
-        delta, sigma, in_window = estimate
+        try:
+            result = estimate_from_counts(count_plus, count_minus, cfg)
+        except NoSignalError:
+            # zero bright events on both sides: the resonance is far out of
+            # the window.  Hold the reference, flag the cycle, and let the
+            # loss-of-lock streak terminate the run; the sigma sentinel is
+            # the whole capture half-window.
+            delta, sigma, in_window = 0.0, cfg.window_halfwidth, False
+        else:
+            delta, sigma, in_window = result.delta, result.sigma_delta, result.in_window
         rows.append((t_start, nu0, delta, nu0 + delta, sigma, true_mean,
                      in_window, voltage))
         base_estimate = nu0 + delta - shift

@@ -299,6 +299,15 @@ class TestFitProfileReuse:
             fit_spectrum(x, y, shots, self.MOTION)
             assert len(set(calls)) == len(calls) <= most
 
+    def test_fit_leaves_the_omega2_cache_unchanged(self):
+        # each step's Rabi frequency is new, so a cached Fock-term array
+        # per step would never be read again
+        spectra = self._criterion_10_spectra(2) + [self._noise_spectrum()]
+        before = lineshape._omega2.cache_info().currsize
+        for x, y in spectra:
+            fit_spectrum(x, y, 20, self.MOTION)
+        assert lineshape._omega2.cache_info().currsize == before
+
 
 def _scipy_allan(result):
     """scipy's bounded linear least squares on `allan_deviation`'s squared problem.

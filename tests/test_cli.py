@@ -837,6 +837,24 @@ class TestTopLevel:
         assert err.endswith(" rad/s: the estimate's standard error is unbounded\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["track", "sensitivity"])
+    @pytest.mark.parametrize("duration, area, g_edge", [
+        ("0.0015625", "2", "0.5700138309945268"),
+        ("0.00390625", "5", "0.30776119911995575"),
+    ], ids=["2pi", "5pi"])
+    def test_falling_window_is_numerical_failure(self, tmp_path, capsys, command,
+                                                 duration, area, g_edge):
+        # at 2 pi and 5 pi, kappa 0.8, g falls from edge to edge of the
+        # capture window: no offset in it can be inverted
+        cfg = tmp_path / "falling.ini"
+        cfg.write_text(f"[pulse]\nduration_s = {duration}\n\n[tracking]\nn_cycles = 8\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"g falls across the capture window at kappa = 0.8 and pulse area {area} pi: "
+            f"g(-w) = {g_edge} > g(w) = -{g_edge}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, ini", [
         ("track", "[drift]\nlinear_rate_hz_per_s = 1e300\n\n[tracking]\nn_cycles = 3\n"),
         ("track", "[timeline]\nrep_period_s = 1e300\n\n[tracking]\nn_cycles = 3\n"),

@@ -308,7 +308,12 @@ class TestCertifiedDecisions:
                 margin = 2.0 * table.cubic_bound / total + estimator.DECISION_SLACK
                 values += [g_table + f * margin for f in (-0.98, -0.5, 0.5, 0.98)]
         for g in values:
-            assert g_invert(g, cfg) == plain_invert(g, cfg), g
+            if edges[0] > edges[1]:
+                # g falls across the window (5 pi at kappa 0.8): nothing inverts
+                with pytest.raises(ValueError, match="^g falls across the capture window"):
+                    g_invert(g, cfg)
+            else:
+                assert g_invert(g, cfg) == plain_invert(g, cfg), g
 
     def test_tables_too_short_for_the_cubic_use_the_exact_sum(self):
         # a 1.6e-3 rad pulse: one table interval, nodes -1 .. 1, fewer than
@@ -535,6 +540,7 @@ class TestReplay:
            kappa=st.floats(0.1, 0.9), per_side=st.integers(1, 60),
            seed=st.integers(0, 2 ** 32 - 1))
     @example(area=1.0, nbar=80.0, eta=0.026, kappa=0.9999999, per_side=50, seed=0)
+    @example(area=2.0, nbar=80.0, eta=0.026, kappa=0.8, per_side=50, seed=0)
     @settings(max_examples=10, deadline=None)
     def test_every_read_is_inside_the_table(self, area, nbar, eta, kappa, per_side, seed):
         # each cubic read of a plan and its inversions, at count pairs and
@@ -549,6 +555,12 @@ class TestReplay:
         pairs = zip(rng.integers(0, per_side + 1, 8), rng.integers(1, per_side + 1, 8))
         g_values = [(a - b) / (a + b) for a, b in pairs] + [
             math.nextafter(g_lo, g_hi), math.nextafter(g_hi, g_lo)]
+        if g_lo > g_hi:
+            # g falls across the window, as near 2 pi at kappa 0.8: nothing inverts
+            for g in g_values:
+                with pytest.raises(ValueError, match="^g falls across the capture window"):
+                    g_invert(g, cfg)
+            return
         reads = read_table(cfg, g_values)
         table = plan_of(cfg).table
         if table is not None:

@@ -80,8 +80,9 @@ def test_only_the_run_configs_take_a_shot_count():
 
 def test_the_only_caches_are_the_plan_and_the_kernels():
     # The estimator's plan owns the per-shot table, which the simulator
-    # reads from it; lineshape caches only the Fock-term arrays its kernel
-    # reads.  Every other function of the package computes afresh.
+    # reads from it; lineshape caches only the per-motion arrays and, for
+    # the scalar thermal sum, the Fock-term Rabi frequencies.  Every other
+    # function of the package computes afresh.
     modules = [iontrack] + [importlib.import_module(f"iontrack.{info.name}")
                             for info in pkgutil.iter_modules(iontrack.__path__)]
     cached = {f"{module.__name__}.{name}" for module in modules
@@ -112,6 +113,38 @@ def test_the_only_cross_module_private_imports():
         "estimator <- lineshape._thermal_sums",
         "simulator <- estimator._plan",
         "simulator <- lineshape._tabulated_excitation",
+    }
+
+
+ALL_CAPS = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def test_the_module_constants():
+    # Each module's own ALL_CAPS names, bound at its top level: a tunable
+    # constant added or dropped must be added here or taken out.
+    declared = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            declared.setdefault(path.stem, set()).update(
+                name.id for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name) and ALL_CAPS.fullmatch(name.id))
+    assert declared == {
+        "__init__": set(),
+        "analysis": {"LM_MAX_STEPS", "SPECTRUM_RTOL"},
+        "atomphys": {"CODATA", "_CROSS_TERM", "BREIT_RABI_VARIANTS", "FIELD_BRACKET_MAX_T",
+                     "EQUILIBRIUM_MAX_ITER", "EQUILIBRIUM_GRAD_TOL"},
+        "cli": {"TWO_PI", "_SPECTRUM_HEADER"},
+        "config": {"TWO_PI", "MAX_CYCLES", "MAX_SEEDS", "MAX_SHOTS_PER_SIDE",
+                   "MAX_LINESHAPE_POINTS", "_PARSERS", "_SCHEMA"},
+        "estimator": {"INVERSION_TOLERANCE", "DECISION_SLACK"},
+        "lineshape": {"THERMAL_CUTOFF_FACTOR", "MIN_THERMAL_CUTOFF", "MAX_THERMAL_CUTOFF",
+                      "MAX_PROFILE_ELEMENTS", "TABLE_INTERVALS_PER_PI", "TABLE_MAX_INTERVALS",
+                      "TABLE_CHUNK_ELEMENTS", "TABLE_ROUNDING_SLACK", "FWHM_RESOLUTION",
+                      "FWHM_SCAN_RABI", "LINEWIDTH_CALIBRATED_ETA"},
+        "simulator": {"LINE_FREQUENCY_HZ", "LOSS_OF_LOCK_STREAK", "TWO_PI", "_COLUMNS",
+                      "CSV_HEADER"},
     }
 
 

@@ -329,7 +329,7 @@ def traced(monkeypatch):
 
 
 class TestSharedInversions:
-    """A run estimates each count pair once, up to simulator.ESTIMATE_CACHE_CAP pairs."""
+    """A run estimates every cycle afresh from its counts."""
 
     # ten shots per side, so that count pairs repeat within a run
     CFG = replace(CFG, shots_per_side=10)
@@ -344,31 +344,14 @@ class TestSharedInversions:
                                          self.TIMELINE, NU0))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_records_same_without_the_memo(self, seed, traced, monkeypatch):
-        shared = [traced(run) for run in self.runs(seed)]
-        monkeypatch.setattr(simulator, "ESTIMATE_CACHE_CAP", 0)
-        plain = [traced(run) for run in self.runs(seed)]
-        for (ours, measured, _, ours_inverted), (ref, _, _, ref_inverted) in \
-                zip(shared, plain):
-            assert ours.samples == ref.samples
-            assert ours.lost_lock == ref.lost_lock
-            # kept, each distinct signal pair is inverted once per run, not per cycle
-            signal = [pair for pair in measured if any(pair)]
-            assert len(set(signal)) < len(signal)
-            assert (ours_inverted, ref_inverted) == (len(set(signal)), len(signal))
-
-    def test_capped_memo_stops_growing_and_stays_exact(self, traced, monkeypatch):
-        full = [traced(run)[0] for run in self.runs(1)]
-        monkeypatch.setattr(simulator, "ESTIMATE_CACHE_CAP", 3)
-        for run, ref in zip(self.runs(1), full):
-            record, measured, estimated, _ = traced(run)
-            assert record.samples == ref.samples
-            # the first three distinct pairs are kept; every other pair is
-            # estimated in each cycle that measures it
-            kept = list(dict.fromkeys(measured))[:3]
-            assert estimated == [pair for i, pair in enumerate(measured)
-                                 if pair not in kept or measured.index(pair) == i]
-            assert len(set(estimated)) < len(estimated)
+    def test_every_cycle_reaches_the_estimator(self, seed, traced):
+        for run in self.runs(seed):
+            record, measured, estimated, inverted = traced(run)
+            # a repeated count pair is estimated again in each cycle that
+            # measures it, and each estimate with signal inverts once
+            assert len(set(measured)) < len(measured) == len(record)
+            assert estimated == measured
+            assert inverted == sum(1 for pair in measured if any(pair))
 
     def test_no_signal_cycles_reach_the_estimator(self, traced):
         # an all-dark detector counts (0, 0) in every cycle: the estimator
@@ -385,7 +368,7 @@ class TestSharedInversions:
         working = run_tracking(LOSS_OF_LOCK_STREAK, NU0, drift, CFG, TIMELINE)
         assert np.array_equal(record.true_nu, working.true_nu)
 
-    def test_memo_lasts_one_run(self, g_forward_calls):
+    def test_no_estimator_state_carries_between_runs(self, g_forward_calls):
         drift = DriftModel(linear_rate=TWO_PI * 8.2, seed=7)
         # the inversion plan is cached for the process: fill that cache first
         estimator._plan(CFG.pulse, CFG.motion, CFG.kappa)
