@@ -14,7 +14,8 @@ import io
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .atomphys import CODATA, IonSpecies, TrapEnvironment, transition_frequency
+from .atomphys import (CODATA, IonSpecies, TrapEnvironment, axial_stiffness, length_scale,
+                       transition_frequency)
 from .estimator import TwoPointConfig
 from .lineshape import (FWHM_SCAN_RABI, LINEWIDTH_CALIBRATED_ETA, MAX_PROFILE_ELEMENTS,
                         MotionalModel, PulseSpec, compute_eta)
@@ -113,13 +114,27 @@ class RunConfig:
         )
 
     def trap(self) -> TrapEnvironment:
-        return TrapEnvironment(
+        env = TrapEnvironment(
             omega_z=TWO_PI * self.omega_z_hz,
             omega_r=TWO_PI * self.omega_r_hz,
             offset_field=self.offset_field_t,
             gradient=self.gradient_t_per_m,
             voltage_to_field=self.voltage_to_field,
         )
+        # calibrate's chain length scale divides by the axial stiffness
+        # m omega_z^2, and track's force sensitivity scales with it
+        species = self.species()
+        try:
+            stiffness = axial_stiffness(env, species)
+        except OverflowError:               # omega_z^2
+            stiffness = math.inf
+        if not 0.0 < stiffness < math.inf:
+            raise ConfigError(f"[trap] omega_z_hz = {self.omega_z_hz!r}: the axial stiffness "
+                              f"m omega_z^2 is {stiffness!r} N/m")
+        if length_scale(env, species) == 0.0:
+            raise ConfigError(f"[trap] omega_z_hz = {self.omega_z_hz!r}: the chain's length "
+                              f"scale underflows to 0 at m omega_z^2 = {stiffness!r} N/m")
+        return env
 
     def pulse(self) -> PulseSpec:
         if self.duration_s == "auto":

@@ -60,10 +60,13 @@ S_lo = S~ - 2 eps > 0 and N~ = a~' b~ - a~ b~',
 
 about 1.5e-7 tau / S~ where S~ is not small, against |g'| <= tau / S;
 over the default window the table's slope is within 3.4e-10 of g'.
-Outside the window, without a table and where S~ <= 2 eps, one exact
-kernel pass (`lineshape._thermal_sums`) gives a, b and G at both probe
-points, with dp/ddelta = -delta G.  The slope feeds sigma alone, never
-a decision, so neither path moves an estimate.
+`g_slope` takes g~' only where |g~'| exceeds that bound, as it does by
+a factor of 3.5e6 or more over the default window.  Outside the window,
+without a table, where S~ <= 2 eps and where |g~'| is within its bound
+(where g is flat, as at delta = 0 when kappa -> 0), one exact kernel
+pass (`lineshape._thermal_sums`) gives a, b and G at both probe points,
+with dp/ddelta = -delta G.  The slope feeds sigma alone, never a
+decision, so neither path moves an estimate.
 """
 from __future__ import annotations
 
@@ -136,9 +139,11 @@ def g_slope(delta: float, cfg: TwoPointConfig) -> float:
     """dg/ddelta at a true offset delta (rad/s), 1/(rad/s).
 
     g' = 2 (a' b - a b') / S^2 with a = P+, b = P- and S = a + b.  Inside
-    the capture window the four come from the plan's table, within the
-    bound of the module docstring; elsewhere, without a table, and where
-    the table cannot prove S > 0, from one exact kernel pass.
+    the capture window the four come from the plan's table wherever the
+    table's g~' exceeds the module docstring's bound on |g~' - g'|.
+    Elsewhere (outside the window, without a table, where the table
+    cannot prove S > 0, and where g~' may be rounding alone) they come
+    from one exact kernel pass.
     """
     delta = float(delta)
     if not math.isfinite(delta):
@@ -146,8 +151,18 @@ def g_slope(delta: float, cfg: TwoPointConfig) -> float:
     w, _g_lo, _g_hi, off, _tol, table, _grid = _plan(cfg.pulse, cfg.motion, cfg.kappa)
     if table is not None and abs(delta) <= w:
         (a, slope_a), (b, slope_b) = (_table_probe(x, table) for x in (delta - off, delta + off))
-        if a + b > 2.0 * table.cubic_bound:
-            return 2.0 * (slope_a * b - a * slope_b) / (a + b) ** 2
+        total, eps = a + b, table.cubic_bound
+        low = total - 2.0 * eps
+        if low > 0.0:
+            numerator = slope_a * b - a * slope_b
+            slope = 2.0 * numerator / total ** 2
+            # the module docstring's bound on |slope - g'|, divided by low
+            # twice: low ** 2 may underflow
+            error = (2.0 * (table.slope_bound * (total + 2.0 * eps)
+                            + eps * (abs(slope_a) + abs(slope_b))) / low / low
+                     + 8.0 * eps * abs(numerator) * (total + eps) / total ** 2 / low / low)
+            if abs(slope) > error:
+                return slope
     p, sums = _thermal_sums(np.array([delta - off, delta + off]), cfg.pulse, cfg.motion,
                             slope=True)
     (a, b), (sum_a, sum_b) = p.tolist(), sums.tolist()

@@ -10,11 +10,15 @@ probabilities with geometric weights.
 Detunings are angular (rad/s) and passed beside the pulse, not in it;
 durations are seconds.
 
-Every Fock term comes from one kernel, `_excitation`: with
-r^2 = Omega_n^2 + delta^2, x = r tau / 2, s = sin x and c = cos x it
-gives p_n = Omega_n^2 s^2 / r^2 and, on request from the same pass,
-A_n = 2 Omega_n^2 s (s - x c) / r^4, for which dp_n/d delta =
--delta A_n.  `excitation_profile` and the spectrum fit's pass
+Every Fock term comes from one kernel, `_excitation`, and it takes one
+tangent per term, T = tan x with r^2 = Omega_n^2 + delta^2 and
+x = r tau / 2: numpy 2.4's float64 tan is vectorised, where its sin
+and cos run through scalar libm (1.8 against 17 ns per element on an
+AVX-512 x86-64 host).  It gives
+p_n = Omega_n^2 T^2 / ((1 + T^2) r^2), which is Omega_n^2 sin^2 x / r^2,
+and, on request from the same pass, A_n = 2 Omega_n^2 T (T - x) /
+((1 + T^2) r^4), for which dp_n/d delta = -delta A_n.
+`excitation_profile` and the spectrum fit's pass
 (`_thermal_sums`) run it over their detunings in blocks of rows that
 hold at most TABLE_CHUNK_ELEMENTS elements (or one row), written in
 place into one full matrix of p (and one of A), and take each thermal
@@ -73,7 +77,8 @@ with `_cubic_slope` too.  A node's rounding reaches a slope read through
 the derivatives of the cubic's weights, L_k'(t) / h with
 sum |L_k'(t)| <= 7/3 (at t = 1/2), so a slope read is within
 tau (h tau)^3 / 24 + 3 tau (h tau)^4 / 1280 + (7/3) TABLE_ROUNDING_SLACK / h,
-about 7.7e-8 tau, of dp/d|delta|: the nodes' slack dominates.
+about 7.7e-8 tau, of dp/d|delta| (the table's `slope_bound`): the nodes'
+slack dominates.
 """
 from __future__ import annotations
 
@@ -104,7 +109,7 @@ THERMAL_CUTOFF_FACTOR = 10
 MIN_THERMAL_CUTOFF = 30
 # Largest cutoff, so nbar <= 10^4, that a MotionalModel accepts.  At the
 # cap the cached weights and couplings hold 3.8 MB and a scalar thermal
-# sum peaks 2.3 MB above them (measured).
+# sum peaks 2.5 MB above them (measured with tracemalloc).
 MAX_THERMAL_CUTOFF = 10 ** 5
 # Largest points x Fock terms (cutoff + 1) of a lineshape table or a
 # spectrum fit.  A profile peaks at about 8 B per point and term (its p
@@ -232,39 +237,46 @@ def _omega2(rabi: float, motion: MotionalModel) -> np.ndarray:
 
 
 def _excitation(omega2, delta, duration, out=None, slope=None):
-    """sin^2 Rabi flop written as om^2/(om^2+d^2) * sin^2(sqrt(om^2+d^2) t/2).
+    """Rabi flop of one Fock term, om^2 / r^2 * sin^2 x, from one tangent.
 
-    The one kernel of a Fock term: p_n = om^2 s^2 / r^2, where
-    r^2 = om^2 + d^2, x = r t / 2 and s = sin x.  Regular at om = 0 and at
-    delta = 0; broadcasts over numpy inputs.  In place: p is written into
-    `out` (allocated if None), and no temporaries the size of the grid are
-    made beyond total2 and one boolean mask.  The ufuncs and their order
-    are those of omega2 * sin(phase)^2 / total2, and so are the bits; where
-    total2 overflows, sin(inf) is NaN without a warning.  Where total2 is
-    not positive (0, or NaN from a NaN detuning) p is +0.0.
+    With r^2 = om^2 + d^2, x = r t / 2 and T = tan x, sin^2 x is
+    T^2 / (1 + T^2), so p_n = om^2 T^2 / ((1 + T^2) r^2).  T^2 cannot
+    overflow for a finite x: no double lies closer than 4.69e-19 to an odd
+    multiple of pi / 2 (the closest is x = 6381956970095103 * 2^797, where
+    tan x = -2.13e18), so |T| < 2.2e18 and T^2 < 4.9e36.  Regular at
+    om = 0 and at delta = 0; broadcasts over numpy inputs.  In place: p is
+    written into `out` (allocated if None), and no temporaries the size of
+    the grid are made beyond total2, 1 + T^2 and one boolean mask.  The
+    ufuncs and their order are those of
+    omega2 * (T^2 / (T^2 + 1)) / total2, and so are the bits; where total2
+    overflows, tan(inf) is NaN without a warning.  Where total2 is not
+    positive (0, or NaN from a NaN detuning) p is +0.0.
 
     If `slope` is an array, the same pass also writes into it
-    A_n = 2 om^2 s (s - x c) / r^4 with c = cos x, so that
+    A_n = 2 om^2 T (T - x) / ((1 + T^2) r^4), which is
+    2 om^2 s (s - x c) / r^4 with s = sin x and c = cos x, so that
     dp_n/d delta = -delta A_n for any pulse (one more mask, and p's bits
     are as without it).  A is +0.0 where p is, and is divided by r^2
     twice, since r^4 overflows where r^2 need not.
     """
     total2 = omega2 + delta ** 2
-    p = np.sqrt(total2, out=out)
-    p *= 0.5 * duration
+    x = np.sqrt(total2, out=out if slope is None else slope)
+    x *= 0.5 * duration
     with np.errstate(invalid="ignore"):
-        if slope is not None:
-            np.multiply(np.cos(p, out=slope), p, out=slope)
-        np.sin(p, out=p)
+        p = np.tan(x, out=x if slope is None else out)
+    if slope is not None:
+        np.subtract(p, x, out=slope)
+        slope *= p
+    np.square(p, out=p)
+    sec2 = np.add(p, 1.0)
+    p /= sec2
     positive = total2 > 0.0
     if slope is not None:
-        np.subtract(p, slope, out=slope)
-        slope *= p
+        slope /= sec2
         slope *= 2.0 * omega2
         np.divide(slope, total2, out=slope, where=positive)
         np.divide(slope, total2, out=slope, where=positive)
         np.copyto(slope, 0.0, where=~positive)
-    np.square(p, out=p)
     p *= omega2
     np.divide(p, total2, out=p, where=positive)
     np.copyto(p, 0.0, where=np.logical_not(positive, out=positive))
@@ -319,6 +331,7 @@ class _ShotTable(NamedTuple):
     origin: int           # grid[0] / pitch, -1 or more
     linear_bound: float   # on |linear read - thermal_excitation|
     cubic_bound: float    # on |_cubic_read - thermal_excitation|
+    slope_bound: float    # on |_cubic_slope * scale - dp/d|delta||, 1/(rad/s)
 
 
 def _shot_table(pulse: PulseSpec, motion: MotionalModel, lo: float, hi: float
@@ -351,9 +364,12 @@ def _shot_table(pulse: PulseSpec, motion: MotionalModel, lo: float, hi: float
     # (linear) or 1 + t (1 - t) <= 1.25 (cubic), and the scalar sum it
     # stands for rounds by one slack more.
     h_tau = 2.0 * area / intervals
-    return _ShotTable(grid, values, tuple(values.tolist()), 1.0 / pitch, first,
+    scale = 1.0 / pitch
+    return _ShotTable(grid, values, tuple(values.tolist()), scale, first,
                       h_tau ** 2 / 16.0 + 2.0 * TABLE_ROUNDING_SLACK,
-                      3.0 * h_tau ** 4 / 256.0 + 2.25 * TABLE_ROUNDING_SLACK)
+                      3.0 * h_tau ** 4 / 256.0 + 2.25 * TABLE_ROUNDING_SLACK,
+                      pulse.duration * (h_tau ** 3 / 24.0 + 3.0 * h_tau ** 4 / 1280.0)
+                      + 7.0 / 3.0 * TABLE_ROUNDING_SLACK * scale)
 
 
 def _cubic_read(floats: tuple, u: float) -> float:

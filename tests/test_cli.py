@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from iontrack import atomphys, cli
+from iontrack import atomphys, cli, estimator
 from iontrack.cli import NumericalError, _write_outputs, main
 from iontrack.config import load_config
 from iontrack.lineshape import (MAX_PROFILE_ELEMENTS, MotionalModel, PulseSpec,
@@ -476,6 +476,25 @@ class TestSensitivity:
             assert cells[(t, 0.7)]["sigma_analytic_over_rabi"] > \
                 cells[(t, 0.0)]["sigma_analytic_over_rabi"]
 
+    def test_flat_line_centre_takes_the_exact_slope(self, tmp_path, monkeypatch):
+        # at kappa 1e-300 both probe points sit at the line centre, where the
+        # table's cubic slope, 1.7e-13 s, is rounding within its bound and the
+        # exact dg/ddelta is 4.87e-304 s: sigma is the exact pass's
+        ini = tmp_path / "flat.ini"
+        ini.write_text("[two_point]\nkappa = 1e-300\n\n"
+                       "[sensitivity]\noffsets_rabi = 0\ndurations_s = 2 8\n")
+        out = tmp_path / "out"
+        assert main(["sensitivity", "--config", str(ini), "--out", str(out)]) == 0
+        cells = read_json(out / "sensitivity_summary.json")["cells"]
+        two_point = load_config(str(ini)).two_point()
+        plan = estimator._plan(two_point.pulse, two_point.motion, two_point.kappa)
+        monkeypatch.setattr(estimator, "_plan", lambda *args: plan._replace(table=None))
+        for cell in cells:
+            cell_cfg = replace(two_point, shots_per_side=cell["shots_per_side"])
+            exact = estimator.analytic_sigma(cell_cfg, 0.0) / two_point.pulse.rabi
+            assert cell["sigma_analytic_over_rabi"] == pytest.approx(exact, rel=1e-12)
+        assert cells[0]["sigma_analytic_over_rabi"] == pytest.approx(5.89e297, rel=1e-3)
+
     def test_overflowing_offset_is_usage_error(self, tmp_path, capsys):
         # a cell's farthest probe point, (4e150 + kappa) Rabi widths,
         # overflows when squared: rejected at load, naming the key
@@ -676,6 +695,29 @@ class TestCalibrate:
         assert main(["calibrate", str(path), "--out", str(tmp_path)]) == 1
         assert "two" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ini, message", [
+        ("omega_z_hz = 1e-300\n", "omega_z_hz = 1e-300: the axial stiffness m omega_z^2 is "
+                                   "0.0 N/m"),
+        ("omega_z_hz = 5e-324\n", "omega_z_hz = 5e-324: the axial stiffness m omega_z^2 is "
+                                   "0.0 N/m"),
+        ("omega_z_hz = 1e300\n", "omega_z_hz = 1e+300: the axial stiffness m omega_z^2 is "
+                                  "inf N/m"),
+        ("omega_z_hz = 1e150\n\n[species]\nmass_u = 1e30\n",
+         "omega_z_hz = 1e+150: the chain's length scale underflows to 0 at m omega_z^2 = "
+         "6.55554547195847e+304 N/m"),
+    ], ids=["1e-300", "5e-324", "1e300", "length-scale"])
+    def test_stiffness_out_of_range_is_usage_error(self, tmp_path, capsys, ini, message):
+        # the chain's length scale divides by m omega_z^2: rejected at load,
+        # naming the key, where it used to end in ZeroDivisionError or
+        # OverflowError as a numerical failure
+        freqs, _cfg = self._write_frequencies(tmp_path, 3)
+        cfg = tmp_path / "trap.ini"
+        cfg.write_text(f"[trap]\n{ini}")
+        out = tmp_path / "out"
+        assert main(["calibrate", str(freqs), "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"iontrack: error: [trap] {message}\n"
+        assert not out.exists()
+
     def test_unphysical_frequency_is_numerical_failure(self, tmp_path, capsys):
         path = tmp_path / "freqs.txt"
         path.write_text("12.0e9\n12.1e9\n")
@@ -839,7 +881,7 @@ class TestTopLevel:
 
     @pytest.mark.parametrize("command", ["track", "sensitivity"])
     @pytest.mark.parametrize("duration, area, g_edge", [
-        ("0.0015625", "2", "0.5700138309945268"),
+        ("0.0015625", "2", "0.5700138309945271"),
         ("0.00390625", "5", "0.30776119911995575"),
     ], ids=["2pi", "5pi"])
     def test_falling_window_is_numerical_failure(self, tmp_path, capsys, command,

@@ -133,12 +133,26 @@ CASES.update({f"{branch}-{command}": ([command, "--seed", "777", "--config", "{c
 # 208.77 -> 147.83 Hz rt(s) (reduced chi-square 12.0 -> 13.4) and the
 # single-cross scan's 210.31 -> 164.44 (5.0 -> 6.1).  Every record,
 # displacement file and other command's output is as before.
+# Every case but calibrate and single-cross-calibrate moved when the
+# lineshape kernel took sin^2 x as T^2 / (1 + T^2) from one T = tan x, and
+# its slope term s (s - x c) as T (T - x) / (1 + T^2), in place of sin and
+# cos.  Each Fock term moved in its last bits, so only these moved: 419 of
+# the 1203 lineshape values, by at most 5.1e-16 of themselves (the widths
+# did not move); each record's sigma_nu_hz (111 of the default run's 128
+# rows, by at most 1.2e-13; 3.0e-13 at kappa 0.3), the displacements'
+# sigma columns and the summaries' position and force fields; the analytic
+# column, and the Monte-Carlo column of out-of-window cells, in the
+# sensitivity runs (by at most 4.4e-16 at the default config, 2.1e-13 at
+# kappa 0.3); and every fit-spectrum value and standard error, by at most
+# 2.5e-14 of itself (centre 3.8572350350964077 -> 3.857235035096352 Hz,
+# against a standard error of 7.08 Hz).  Every estimate, true_nu,
+# in_window flag and in-window Monte-Carlo value is as before.
 GOLDENS = {
     "blocked-errors-track": {
         "track_record.csv":
-            "25dbb87768e9bd9fcadf78dc2c9660a068fc6c94374742d0253b5f23820ae1b4",
+            "e701e4a2abd758b8f8aa2bfbcd0ef175f90d78b61cf93b6844e36443e234f0f3",
         "track_summary.json":
-            "431a4b9ac2e7b761bf15af4081f49150d452b34447c07cacf258b5fae230b194",
+            "99115127488b1c226667e75675ac9b49c7f314cc81f9b2d9a10698995bf67f2e",
     },
     "calibrate": {
         "calibrate.csv":
@@ -148,69 +162,69 @@ GOLDENS = {
     },
     "fit-spectrum": {
         "fit_spectrum.csv":
-            "ccf43a8018a570038d05238e16b73d705a37d81c2df7f782960a2c68baccb674",
+            "d68a042baa616553b1ae23a17d56676d0bf41ce499ec238801bb1ed9709334c0",
         "fit_spectrum_summary.json":
-            "fe9af44f49e323f2c5cb93e22b08b84bb5f1de109052379218c63768ab355bd5",
+            "fb7e6a3c3d145dcecf18f9d50195514aea1b87b2f5c156b6348d58686b86abc6",
     },
     "five-pi-sensitivity": {
         "sensitivity.csv":
-            "3439d4f1785574abcba98504ef0806e170117fc865877babba741e720dad7ac7",
+            "2fb70daab7ddbf44126e7fda1098436fb4966f2f91e97979550551a6c8931796",
         "sensitivity_summary.json":
-            "55f9715b5ede1f5bd7fa385fcdc4ad99130ff26afde2ee8434c97adbfe7b8f4c",
+            "66e2c4e53460e7ddf3c2a7780d73aae98bbc964ff297cbbc56bc6603a8491271",
     },
     "five-pi-track": {
         "track_record.csv":
-            "e43bd2d822d8dd00da7fb519740f8aafe200f242858ae84b776db094ab261f2e",
+            "a77be2ff2351bde4945e4b63d0eeeac13528b52510f0348c3d38c8c1a53dafea",
         "track_summary.json":
             "5463da0d0cfc3518384de97cc2c397760c5673199bb455d5105ff498b6637103",
     },
     "kappa-0.3-sensitivity": {
         "sensitivity.csv":
-            "617771f97b5784d457170ca54686aaaf82d39d46fc64ad572cdee43bdaf91691",
+            "e18300d0ff78c8c018243e64670fda592616e124a759e09c0292639528b54a19",
         "sensitivity_summary.json":
-            "11d5c13ae256eecf02344ba15b91572585c987934850089683711de3ac832582",
+            "9dccc95d9beb7a78c0d4a38339ba347d39a48ca0606debe79ba4e3ce014ae6fa",
     },
     "kappa-0.3-track": {
         "track_record.csv":
-            "b55b58cc3adc744afb0cd9f7bc1fce5a88079276e6d1c3ea04558646c8038181",
+            "f053a355142311d88ad7e540cea55206d8cca716851c9e61cc790f52e9111c55",
         "track_summary.json":
-            "840bb170b35645b41729e4f1e8b99aa8045584d3e105ca43e6f3a84e3290155d",
+            "9b1166e9528f122d29db90200cc6e85567470ed97e6295be6c5e707abb6f1607",
     },
     "lineshape-csv": {
         "lineshape.csv":
-            "591b24b9772dada2c1f49a40292978ec330d6b532a14193ed02a7bec1533f4a9",
+            "b17966192705f67db12186901038b2d30f0f5429773f0bfddb1a26b4e2477df9",
         "lineshape_summary.json":
             "ffe83595631421fc5ff3f4d425a3215dd83063d22ec106b4457e488fc545dc65",
     },
     "lineshape-json": {
         "lineshape.json":
-            "f012861ecf44f5999d2070244ba0debf5ff1d5efba84981e085d8a4beb8c41be",
+            "0b370db23f8fa193a3c981a0edea404ec550d660658f2e9c515b37a1fe632852",
         "lineshape_summary.json":
             "cd1636134cde9ecfecce9fbf8367bdeb3e0ac24c2f9b8544d0f861ac674e2ab2",
     },
     "nbar-0-sensitivity": {
         "sensitivity.csv":
-            "6153ae9c7a0118aa066eb89d42c99457e3514622fb96b2599731d33b266ba6f8",
+            "7deab5bf4afdae0858d8cc78c4ab17b6414e359e7acfd4d222499d0759b66ac4",
         "sensitivity_summary.json":
-            "eff6cca857cb22d7060fa38003c86ae559644e435d87954b3bb8cdebf594f269",
+            "ee5bcfc4d631c62c6b5fe79d9de06f062af0df4ea695aa2a6f54138bfbf7e7d3",
     },
     "nbar-0-track": {
         "track_record.csv":
-            "077b733db76e982c3a5f834a07d96990e4eabfd53901aa6b931fbf55ce3416aa",
+            "24bd0d333663899ac40274c058584faa871d3db408c76441630586c8d484bf16",
         "track_summary.json":
-            "8d26980f8ffcaf1c0566942d2cf3d474efe7a3cfd1730d8c6b92289a2acf019f",
+            "9a23634175574a26ee2fa5408bb605f2aec0e324f1a7bbd8d112cc2d3b8c5573",
     },
     "sensitivity-csv": {
         "sensitivity.csv":
-            "e87e5f5c470b05cf311ed168b487da21d055386186f3516aacde58e03923bc16",
+            "f0bf47298e3c6cced242f5317dc8c92147b563ead6b3d0d88f60e5cafdb26afa",
         "sensitivity_summary.json":
-            "c0f8142e10bb5d0edce91e7e7edd794a6b8faa8292671ce1087dba3ca263c26b",
+            "2b0b66b2bb334d2876585dcb36d28a392dd5d7c795b578f1a9aab34e6e0de772",
     },
     "sensitivity-json": {
         "sensitivity.json":
-            "c20c34309b3d2308ba1c7531fb563257dc2e573e3a5b027fdbe34c0a63d404cd",
+            "49d8b9e014e45514b7499238b0d054b623cca1321b965ef80d222f0c3f7f2666",
         "sensitivity_summary.json":
-            "c0f8142e10bb5d0edce91e7e7edd794a6b8faa8292671ce1087dba3ca263c26b",
+            "2b0b66b2bb334d2876585dcb36d28a392dd5d7c795b578f1a9aab34e6e0de772",
     },
     "single-cross-calibrate": {
         "calibrate.csv":
@@ -220,49 +234,49 @@ GOLDENS = {
     },
     "single-cross-scan": {
         "track_displacements.csv":
-            "a0f5ff538aa91be01a5e4ac43d52437229f50ab91b9518e0bd70b06586f1d3ed",
+            "029847cf61cd4b4a76d19dc71228dbb503091403f3b37dfe96cedaf6de5caa46",
         "track_record.csv":
-            "6983a055af14a41ade81ae4b7ee8850516cea5b721c03fd6446523dfdd0abf39",
+            "084aa8c2775efb44bde618f5b2d73fe411bc1f51d830228743ae5154c9cc9ee1",
         "track_summary.json":
-            "bac2d51281270b512fb322065bf2866293c244aa0c894b9bdbce2dae3bd2526c",
+            "848159ecacd3df9f475ebe09ba61306a49f1e403b2c683097470a4ec5cf0cc52",
     },
     "three-pi-sensitivity": {
         "sensitivity.csv":
-            "99ecd5f248a03a6a609706709203f1ce928cff61410a015dfa12066dc59f4dd6",
+            "12d72b801b515e8ca1d6cb4a080a5c3812a9732074c74d7c8cf68599a9049f00",
         "sensitivity_summary.json":
-            "b75c87b6e9025d210fc0f74f5d6dddb09f03dadef88535a0633d5c073e1e2de7",
+            "68f8c92090061de98410cd3f00643aaf6152e47b246500006d584509a0259866",
     },
     "three-pi-track": {
         "track_record.csv":
-            "cf17e95a95b15e49bf061a7c56aa198e29ea14c8a16c514c6d639319c686e00b",
+            "5c96a6408fb18f0ca4ec61d94029f26aa60de6a3a2b4b85f4f4bb2a9424994a6",
         "track_summary.json":
-            "7d2d7302044be955ccd3298aec0472a7a3ce9f58d24c075e9c0c6ad199816994",
+            "5a6904844e92b2479bd03b2c7fb7e39e9a60fbef0ee08b3b1152105c02cb07de",
     },
     "track-csv": {
         "track_record.csv":
-            "afce121404ec87ac603dc41894a8b4453a43bde2a6389011f9c29696b0224ff6",
+            "2ba7fa9988da5c8430e2c21c0df178116521aef305724d0eec0bd25d6211639a",
         "track_summary.json":
-            "2bd4080412a5acfe176699d56a60a40f7c282d25cc517536ec6cba36f087e09d",
+            "5eab39375e735b5e08e3f0b027779691a43693418bf8dbcf1003e90ce4200115",
     },
     "track-json": {
         "track_record.json":
-            "c4714dff4daefbd2edc86864be79dff749f38b33d8bfcd5240754a13de855a9a",
+            "3087de571e55bc0888f6a91cb1ebaa244fad6b32f994ff9cb5086cd4869651c3",
         "track_summary.json":
-            "b551bba62b8d5554ff874e7b9b713fe0054079522f1f4ad6aef7b6fb85a5e98e",
+            "d5425a6a0e59f1f62122aeb33637fa56337ec0698ad03d7ccea656d4f25fc731",
     },
     "voltage-scan": {
         "track_displacements.csv":
-            "2320322849f27954f8e046ee716678145e4bdcd42ae74bb719c392bd2440ba92",
+            "436004bc68a9a557ddcedcc301f0a57b074e3544e3f95fd315174a01ffb0cc52",
         "track_record.csv":
-            "47e4bf91dd4e60a8c74a9959b2146bda17b4f9b94746ea88317f43af8d3eab92",
+            "78e7450721a66e74ee7059228f1449d6cdd43c4913f39ee3e036ce6e5f50d7b8",
         "track_summary.json":
-            "91a18a53e934ff25dd84aff03a6f3642b2362a4bb72eeabde00c2966628f72de",
+            "5bc206458752ce3090cb1c9feea2e8acca68afefc48bc0c03fc9705a275ffbe3",
     },
     "walk-line-track": {
         "track_record.csv":
-            "491bd4db7403d7b4049e91c2afd3cbeddbd614eeb488170a8f675a210ab45169",
+            "6d0ba42fa9a1938d9c3121028a0a135fed850f92d91d1eefbf9781a9e3f69f77",
         "track_summary.json":
-            "3721662df6fa0a95f2dc265aa0a1563f28478fd9d039fca01707c884dadf4a2e",
+            "9a731e5ac544d87c502b9d5ebc0de55bc98c0ea1297a82a0a943b90588116ace",
     },
 }
 

@@ -1,4 +1,5 @@
 """Thermally averaged Rabi excitation profiles and their widths."""
+import decimal
 import math
 import tracemalloc
 import warnings
@@ -129,11 +130,13 @@ class TestExcitation:
 
 
 def _out_of_place_excitation(omega2, delta, duration):
-    """The kernel as one expression: omega2 * sin(phase)^2 / total2, masked."""
+    """The kernel as one expression: omega2 * (T^2 / (T^2 + 1)) / total2, masked,
+    with T = tan(phase)."""
     total2 = omega2 + delta ** 2
     phase = np.sqrt(total2) * (0.5 * duration)
     with np.errstate(invalid="ignore", divide="ignore"):
-        p = omega2 * np.sin(phase) ** 2 / total2
+        t2 = np.tan(phase) ** 2
+        p = omega2 * (t2 / (t2 + 1.0)) / total2
     return np.where(total2 > 0.0, p, 0.0)
 
 
@@ -177,7 +180,8 @@ class TestInPlaceKernel:
 
     def test_profile_peak_below_one_point_three_grids(self):
         # the default lineshape table (401 x 1001): the p matrix, plus one
-        # block's total2 and mask (TABLE_CHUNK_ELEMENTS elements, 144 KB)
+        # block's total2, 1 + T^2 and mask (TABLE_CHUNK_ELEMENTS elements,
+        # 272 KB)
         detunings = np.linspace(-3.0, 3.0, 401) * RABI
         m = motion(100.0)
         excitation_profile(detunings[:1], PI_PULSE, m)      # fill the caches
@@ -214,6 +218,96 @@ class TestInPlaceKernel:
                                            duration)
         assert np.array_equal(p, reference, equal_nan=True)
         assert messages == expected
+
+
+def _sin_cos_excitation(omega2, delta, duration):
+    """(p_n, A_n) in the sin/cos form the kernel replaced, masked as the kernel is:
+    an accuracy reference."""
+    total2 = omega2 + delta ** 2
+    x = np.sqrt(total2) * (0.5 * duration)
+    s, c = np.sin(x), np.cos(x)
+    with np.errstate(invalid="ignore"):
+        p = omega2 * s ** 2 / total2
+        a = 2.0 * omega2 * (s * (s - x * c)) / total2 / total2
+    return np.where(total2 > 0.0, p, 0.0), np.where(total2 > 0.0, a, 0.0)
+
+
+def _nearest_double(odd_halves_of_pi):
+    """The double nearest (k + 1/2) pi, for an odd count of pi / 2, from 60 digits of pi."""
+    with decimal.localcontext() as context:
+        context.prec = 80
+        pi = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+        return float(odd_halves_of_pi * pi / 2)
+
+
+def _tangent_case(x):
+    """(p, A, sin/cos p, sin/cos A) of one Fock term at Omega_n = r = 1, delta = 0, phase x."""
+    omega2, a = np.ones(1), np.empty(1)
+    p = lineshape._excitation(omega2, 0.0, 2.0 * x, slope=a)
+    p_ref, a_ref = _sin_cos_excitation(omega2, 0.0, 2.0 * x)
+    return p[0], a[0], p_ref[0], a_ref[0]
+
+
+class TestTangentKernel:
+    """The kernel's one tangent against the sin/cos form it replaced.
+
+    Over 400,000 random terms (Omega_n up to 2 Omega_0, |delta| up to
+    6 Omega_0, areas 0.01 to 12 pi) the two forms' p_n differed by at most
+    4.4e-16 and their A_n by at most 2.7e-16 tau^2 / 2; against 200-bit
+    arithmetic on 4000 terms both erred alike.  The bounds checked are
+    1e-14 on p_n and, on A_n, TestSlopeKernel's 1e-8 relative with a floor
+    of 1e-10 of Bernstein's tau^2 / 2 on |A_n| (|p_n''| <= tau^2 / 2).
+    """
+
+    @given(omega=st.floats(0.0, 2.0), delta=st.floats(-6.0, 6.0),
+           area=st.floats(0.01, 12 * math.pi))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_sin_cos_form(self, omega, delta, area):
+        omega2, d, duration = np.array([(omega * RABI) ** 2]), delta * RABI, area / RABI
+        a = np.empty(1)
+        p = lineshape._excitation(omega2, d, duration, slope=a)
+        p_ref, a_ref = _sin_cos_excitation(omega2, d, duration)
+        assert abs(p[0] - p_ref[0]) <= 1e-14
+        np.testing.assert_allclose(a, a_ref, rtol=1e-8, atol=1e-10 * 0.5 * duration ** 2)
+
+    @pytest.mark.parametrize("odd", [1, 3, 15, 2001, 2 ** 40 + 1])
+    def test_phase_at_the_double_nearest_an_odd_multiple_of_half_pi(self, odd):
+        # x lies within half an ulp of (k + 1/2) pi, so |tan x| >= 2 / ulp(x)
+        # (1.6e16 at k = 0) and p = 1 - cos^2 x is within (ulp(x) / 2)^2 of 1
+        x = _nearest_double(odd)
+        p, a, p_ref, a_ref = _tangent_case(x)
+        assert 1.99 / math.ulp(x) < abs(math.tan(x)) < 2.2e18
+        assert 0.0 <= p <= 1.0 and abs(p - p_ref) <= 1e-14
+        assert 1.0 - p <= (0.5 * math.ulp(x)) ** 2 + 1e-15
+        assert a == pytest.approx(a_ref, rel=1e-8, abs=1e-10 * 0.5 * (2.0 * x) ** 2)
+
+    @pytest.mark.parametrize("x", [1e-3, 1e-8, 1e-20, 1e-160, 5e-324])
+    def test_phase_near_zero(self, x):
+        # p = sin^2 x and A = 2 s (s - x c) -> 2 x^4 / 3 at r = 1.  Both forms
+        # cancel alike in A (from x = 1e-8 on, tan x and sin x round to x and
+        # A to 0), so A is checked against the series within the floor
+        p, a, p_ref, a_ref = _tangent_case(x)
+        assert p == pytest.approx(p_ref, rel=1e-14, abs=0.0)
+        assert p == pytest.approx(x * x * (1.0 - x * x / 3.0), rel=1e-12, abs=0.0)
+        floor = 1e-10 * 0.5 * (2.0 * x) ** 2
+        assert a == pytest.approx(2.0 * x ** 4 / 3.0, rel=1e-6, abs=floor)
+        assert a == pytest.approx(a_ref, rel=1e-8, abs=floor)
+
+    def test_phase_underflowing_to_zero_is_zero_not_nan(self):
+        # r^2 = 1e-300 > 0 while x = r tau / 2 rounds to 0: p = A = +0.0
+        a = np.empty(1)
+        p = lineshape._excitation(np.array([1e-300]), 0.0, 1e-200, slope=a)
+        assert p.tobytes() == a.tobytes() == np.zeros(1).tobytes()
+
+    def test_worst_case_argument(self):
+        # no double lies closer to an odd multiple of pi / 2 than this one,
+        # where tan x = -2.13e18: T and T^2 stay finite, and 0 <= p <= 1
+        x = 6381956970095103 * 2.0 ** 797
+        tangent = np.tan(np.float64(x))
+        assert -2.2e18 < tangent < -2.1e18 and np.isfinite(tangent ** 2)
+        p, a, p_ref, a_ref = _tangent_case(x)
+        assert 0.0 <= p <= 1.0 and abs(p - p_ref) <= 1e-14
+        assert math.isfinite(a) and a == pytest.approx(a_ref, rel=1e-8)
 
 
 def _richardson(f, h):
