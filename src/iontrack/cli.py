@@ -266,6 +266,13 @@ def cmd_track(cfg: RunConfig, args: argparse.Namespace) -> tuple[list, dict]:
 
     summary = {"table": f"track_record.{args.format}", "n_cycles": len(record),
                "lost_lock": record.lost_lock}
+    tables = [("track_record", CSV_HEADER, record.rows())]
+    if record.lost_lock:
+        # the run's last cycles rest on clamped estimates and no-signal
+        # sentinels, so no figure of merit is drawn from it
+        summary.update(lost_lock_cycle=len(record) - 1, allan=None, position=None,
+                       force=None)
+        return tables, summary
 
     allan: dict | None = None
     if len(record) >= 3:
@@ -297,7 +304,6 @@ def cmd_track(cfg: RunConfig, args: argparse.Namespace) -> tuple[list, dict]:
         distance = charge_detection_distance(force.sigma_force)
     except ValueError as exc:
         raise NumericalError(f"position and force: {exc}") from exc
-    tables = [("track_record", CSV_HEADER, record.rows())]
     if points is not None:
         rows = np.column_stack([points.times, points.voltages,
                                 points.delta_nu / TWO_PI, points.sigma_nu / TWO_PI,

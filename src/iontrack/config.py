@@ -36,9 +36,11 @@ MAX_SEEDS = 10 ** 6
 # A tracking measurement holds about 72 B per shot (tracemalloc): 10^6
 # shots per side, 2 x 10^6 shots, peak near 0.15 GB.
 MAX_SHOTS_PER_SIDE = 10 ** 6
-# A lineshape profile holds about 32 B per point and Fock term: 10^4
-# points would take about 32 GB at nbar = 10^4 (cutoff 10^5), so
-# validation also bounds points x (cutoff + 1) by MAX_PROFILE_ELEMENTS.
+# A lineshape profile holds about 34 B per point and thermal-rule node,
+# or 8 B per point and Fock term where the rule's node cap leaves the
+# whole thermal measure: there 10^4 points would take about 8 GB at
+# nbar = 10^4 (cutoff 10^5), so validation also bounds
+# points x (cutoff + 1) by MAX_PROFILE_ELEMENTS.
 MAX_LINESHAPE_POINTS = 10 ** 4
 
 

@@ -10,22 +10,61 @@ probabilities with geometric weights.
 Detunings are angular (rad/s) and passed beside the pulse, not in it;
 durations are seconds.
 
-Every Fock term comes from one kernel, `_excitation`, and it takes one
-tangent per term, T = tan x with r^2 = Omega_n^2 + delta^2 and
-x = r tau / 2: numpy 2.4's float64 tan is vectorised, where its sin
-and cos run through scalar libm (1.8 against 17 ns per element on an
-AVX-512 x86-64 host).  It gives
-p_n = Omega_n^2 T^2 / ((1 + T^2) r^2), which is Omega_n^2 sin^2 x / r^2,
-and, on request from the same pass, A_n = 2 Omega_n^2 T (T - x) /
-((1 + T^2) r^4), for which dp_n/d delta = -delta A_n.
-`excitation_profile` and the spectrum fit's pass
+Every thermal sum runs on a Gauss rule of K nodes (below) in place of
+its N = cutoff + 1 Fock terms, and every term, a node's or a Fock
+state's, comes from one kernel, `_excitation`.  It takes one tangent
+per term, T = tan x with r^2 = Omega^2 + delta^2 and x = r tau / 2:
+numpy 2.4's float64 tan is vectorised, where its sin and cos run
+through scalar libm (1.8 against 17 ns per element on an AVX-512 x86-64
+host).  It gives p = Omega^2 T^2 / ((1 + T^2) r^2), which is
+Omega^2 sin^2 x / r^2, and, on request from the same pass,
+A = 2 Omega^2 T (T - x) / ((1 + T^2) r^4), for which
+dp/d delta = -delta A.  `excitation_profile` and the spectrum fit's pass
 (`_thermal_sums`) run it over their detunings in blocks of rows that
 hold at most TABLE_CHUNK_ELEMENTS elements (or one row), written in
 place into one full matrix of p (and one of A), and take each thermal
 sum as one matrix-vector product over all rows.  Blocking the
 elementwise pass leaves every bit as one pass over the whole grid gives
 it (splitting the product would not), and bounds the transient memory
-to the matrices themselves.
+to the matrices themselves, points x K elements: 7 nodes at the default
+motion, where the Fock sum took 801 terms.
+
+The thermal rule.  Fock state n's term is one function of its coupling
+ratio s_n = |L_n(eta^2)| (0.53 to 1 at nbar 80 and eta 0.026),
+
+    p(s) = Omega_0^2 s^2 sin^2(r tau / 2) / r^2,  r^2 = Omega_0^2 s^2 + delta^2,
+
+so the thermal sum integrates p against the measure mu of point masses
+w_n at s_n, n <= cutoff, whose mass is beta_0 = sum_n w_n.  The rules
+`_motional_arrays` keeps for each motion come from the Lanczos
+recurrence on mu (with full reorthogonalisation, and on the shifted
+ratios s - 1, so that one point's recurrence ends exactly), its
+coefficients alpha_k and beta_k, and the K-node Gauss rule is the
+eigen-decomposition of the K x K Jacobi matrix (Golub & Welsch,
+"Calculation of Gauss quadrature rules", Math. Comp. 23, 1969; Gautschi,
+Orthogonal Polynomials: Computation and Approximation, 2004): its nodes
+are the eigenvalues, its weights beta_0 times the squared first
+components of the eigenvectors, positive and summing to beta_0.  The
+rule's remainder is f^(2K)(xi) / (2K)! beta_0 beta_1 ... beta_K.
+
+p is entire in s of exponential type theta = Omega_0 tau, the pulse
+area (|Im r| <= Omega_0 |Im s|, the argument made for delta below), and
+|p - 1/2| <= 1/2 on the real line, so Bernstein gives
+|p^(2K)| <= theta^(2K) / 2, and the rule errs by at most
+
+    theta^(2K) beta_0 beta_1 ... beta_K / (2 (2K)!).
+
+The slope term A has the same type in s, with |A| <= (tau^2 / 2)
+sup |sin^2 x - x sin x cos x| / x^2 = 0.2082 tau^2, so G errs by at most
+0.42 tau^2 times p's bound.  K is, for each motion and pulse area, the
+smallest count whose bound on p is below 2^-53, the rounding of one
+term: 7 at the default pi pulse (nbar 80) and at nbar 100, 10 at 4 pi,
+18 at 8 pi with nbar 5000 and eta 0.3.  The recurrence runs only the K
+steps the area needs, and each motion keeps the areas at which K steps
+up, so that picking K is one bisection.  Where the recurrence ends
+(beta_K = 0: a single point, at nbar 0 or eta 0), the rule is exact;
+where K would reach N or RULE_MAX_NODES, the measure's own N points are
+the rule.
 
 The shot-by-shot simulator asks for the thermal excitation at a new
 detuning on every shot, the estimator's bisection at each probe point.
@@ -34,23 +73,25 @@ the estimator's plan names (see `estimator`): p is even in delta, and
 the table's nodes are those of a grid over [-h, 2 Omega_0] with pitch
 h = 2 pi / (2048 tau) (about 3.07e-3 / tau, 2049 nodes from 0 for a pi
 pulse) that cover the span and the cubic's neighbour nodes.  Node -1
-holds p(-h), whose Fock terms are p(h)'s bit for bit: the kernel squares
+holds p(-h), whose terms are p(h)'s bit for bit: the kernel squares
 delta.  Each node's p rounds like any thermal sum, within
 TABLE_ROUNDING_SLACK, and every read's bound carries that slack, so no
 node's last bits reach an output.
 
 Its error bounds come from Bernstein's inequality for entire functions
 of exponential type (Boas, Entire Functions, 1954, Thm 11.1.2): if f is
-entire of exponential type s and |f| <= M on the real line, then
-|f'| <= s M there.  Each Fock term
+entire of exponential type sigma and |f| <= M on the real line, then
+|f'| <= sigma M there.  Each Fock term
 
     p_n(delta) = Omega_n^2 (1 - cos(tau r)) / (2 r^2),
     r = sqrt(Omega_n^2 + delta^2),
 
 is entire in delta (the cosine is even in r and the zero of r^2 is
 removable), and |Im r| <= |Im delta| makes it of exponential type tau.
-So is the thermal average p, whose weights sum to at most 1, and
-p - 1/2 is bounded by 1/2 on the real line.  Applied k times,
+So is the thermal average p, and so is the rule's sum that stands for
+it (above), whose positive weights sum to beta_0 <= 1; either way
+p - 1/2 is bounded by 1/2 on the real line, and the bounds below hold
+for the rule's sum unchanged.  Applied k times,
 |p^(k)| <= tau^k / 2 at every pulse area, nbar and eta.  With
 h tau = 2 area / intervals, about 2 pi / 2048 at every tabulated area:
 
@@ -82,6 +123,7 @@ slack dominates.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -108,29 +150,48 @@ __all__ = [
 THERMAL_CUTOFF_FACTOR = 10
 MIN_THERMAL_CUTOFF = 30
 # Largest cutoff, so nbar <= 10^4, that a MotionalModel accepts.  At the
-# cap the cached weights and couplings hold 3.8 MB and a scalar thermal
-# sum peaks 2.5 MB above them (measured with tracemalloc).
+# cap the cached weights and ratios hold 1.6 MB; building a rule there
+# commits one row of N doubles per node (7.2 MB for the 9 of a pi pulse,
+# 51 MB at RULE_MAX_NODES), dropped when the build ends, and a warm
+# scalar thermal sum peaks 2.8 KB above them (measured with tracemalloc
+# and the process's resident set).
 MAX_THERMAL_CUTOFF = 10 ** 5
 # Largest points x Fock terms (cutoff + 1) of a lineshape table or a
-# spectrum fit.  A profile peaks at about 8 B per point and term (its p
-# matrix; 32 MB for 401 points at cutoff 10^4), a fit's pass at about
-# 16 B (p and A), so 2^24 elements peak near 134 MB, or 268 MB in a fit
-# (measured with tracemalloc).
+# spectrum fit.  A profile holds points x K elements, K the rule's nodes:
+# about 34 B per point and node (p, and total2, 1 + T^2 and the mask of a
+# block that now holds every row; 121 KB for 401 points at cutoff 10^4,
+# K = 9), a fit's pass about 42 B.  Only where the measure's own points
+# serve (past RULE_MAX_NODES) does a profile hold points x (cutoff + 1),
+# at about 8 B per point and term, 16 B in a fit's pass, so that 2^24
+# elements peak near 134 MB, or 268 MB in a fit (measured with
+# tracemalloc).
 MAX_PROFILE_ELEMENTS = 1 << 24
+# Most nodes of a thermal rule (module docstring).  Its build costs
+# O(K^2 N) and commits K rows of N doubles: 0.3 ms for the default
+# 7 nodes (N = 801), 24 ms for 9 nodes and 0.43 s for 64 at
+# MAX_THERMAL_CUTOFF.  64 nodes certify pulse areas up to 100 pi at
+# nbar 80 and 46 pi at the widest measure allowed (nbar 10^4, eta
+# 0.026); past that the measure's own N points serve.
+RULE_MAX_NODES = 64
 
 # Per-shot table (see the module docstring).  Building a table of N
-# points costs as much as 0.5 N to 1.7 N exact per-shot sums (measured
-# at pulse areas pi, 4 pi and 8 pi with nbar 80, and pi and 4 pi with
-# nbar 5000: Fock cutoffs 800 and 50,000).  Capped at 2^13 intervals
-# (pulse area 4 pi), a table pays for itself within about 14,000 shots,
-# about one default track run of 12,800; longer pulses use the exact
-# sum for every shot.
+# points costs as much as 0.08 N to 1.4 N scalar thermal sums (measured
+# at pulse areas pi and 4 pi with nbar 80, 7 and 10 nodes, and with nbar
+# 5000, whose table blocks still hold one row each: its rows are sized
+# by the Fock cutoff, 50,000).  Capped at 2^13 intervals (pulse area
+# 4 pi), a table pays for itself within 190 to 11,400 shots, within one
+# default track run of 12,800; longer pulses use the scalar sum for
+# every shot.
 TABLE_INTERVALS_PER_PI = 2048      # table intervals per pi of pulse area
 TABLE_MAX_INTERVALS = 1 << 13
-TABLE_CHUNK_ELEMENTS = 1 << 14     # rows x Fock terms per kernel block
+TABLE_CHUNK_ELEMENTS = 1 << 14     # rows x terms per kernel block
 # Each thermal sum, tabulated or scalar, is within TABLE_ROUNDING_SLACK
-# of its exact value: a sum of n terms in [0, 1] with weights summing to
-# at most 1 rounds by at most about n 2^-53, 1.1e-11 at MAX_THERMAL_CUTOFF.
+# of the Fock sum it stands for.  The rule's sum of K terms in [0, 1]
+# with weights summing to at most 1 rounds by at most about K 2^-53
+# (7.1e-15 at RULE_MAX_NODES; 1.1e-11 where the measure's own
+# MAX_THERMAL_CUTOFF + 1 points serve), the rule errs by less than 2^-53,
+# and its nodes and weights round by a few 2^-53 more: over 300 random
+# lines up to 8 pi the rule's sum was within 1.9e-15 of the Fock sum.
 # The reads' own rounding (node positions, read position, interpolation
 # arithmetic) stays below 1e-14.
 TABLE_ROUNDING_SLACK = 1e-10
@@ -216,28 +277,115 @@ def _laguerre_sequence(n_max: int, x: float) -> np.ndarray:
     return out
 
 
+class _GaussRules:
+    """The thermal rules of one motion, built as pulse areas ask for them.
+
+    `areas[k]` is the pulse area below which a rule of at most k + 1
+    nodes is certified (module docstring): a running maximum, so that
+    the rule for an area is one bisection away.  Past its end the
+    Lanczos recurrence runs afresh to the nodes the area needs; it is
+    `complete` where it ended or reached its node cap, and beyond the
+    last area there the measure's own points serve.
+    """
+
+    def __init__(self, weights: np.ndarray, ratios: np.ndarray) -> None:
+        self.weights, self.ratios = weights, ratios
+        self.mass = float(np.sum(weights))          # beta_0
+        self.alphas: list[float] = []
+        self.betas = [self.mass]                     # beta_0 .. beta_K
+        self.areas: list[float] = []
+        self.complete = False
+        self.built: dict[int, tuple[np.ndarray, np.ndarray]] = {}   # by K - 1
+
+    def at(self, area: float) -> tuple[np.ndarray, np.ndarray]:
+        """(coupling ratios, weights) of the rule for this pulse area."""
+        k = bisect.bisect_right(self.areas, area)
+        if k == len(self.areas) and not self.complete:
+            self._build(area)
+            k = bisect.bisect_right(self.areas, area)
+        rule = self.built.get(k)
+        if rule is None:
+            rule = self.built[k] = self._rule(k + 1)
+        return rule
+
+    def _build(self, area: float) -> None:
+        """Lanczos on diag(s - 1) from sqrt(w / beta_0), to the first
+        certified rule for `area`; each step's residual is
+        reorthogonalised twice against the whole basis (classical
+        Gram-Schmidt).  The basis reserves `cap` rows and fills one a
+        step: memory is committed only as rows are written."""
+        shifted = self.ratios - 1.0
+        cap = min(RULE_MAX_NODES, shifted.size - 1)
+        basis = np.empty((cap, shifted.size))
+        basis[0] = np.sqrt(self.weights / self.mass)
+        alphas, betas, areas = [], [self.mass], []
+        log_norm, bound = math.log(self.mass), math.log(2.0 ** -52)  # 2 * 2^-53
+        for k in range(cap):
+            v = basis[k]
+            r = shifted * v
+            alpha = float(v @ r)
+            r -= alpha * v
+            if k:
+                r -= math.sqrt(betas[-1]) * basis[k - 1]
+            for _ in range(2):
+                r -= (basis[:k + 1] @ r) @ basis[:k + 1]
+            beta = float(r @ r)
+            alphas.append(alpha)
+            betas.append(beta)
+            if beta == 0.0:
+                areas.append(math.inf)
+                break
+            log_norm += math.log(beta)
+            areas.append(max(math.exp((math.lgamma(2 * k + 3) + bound - log_norm) / (2 * k + 2)),
+                             areas[-1] if areas else 0.0))
+            if areas[-1] > area or k + 1 == cap:
+                break
+            np.divide(r, math.sqrt(beta), out=basis[k + 1])
+        self.alphas, self.betas, self.areas = alphas, betas, areas
+        self.complete = areas[-1] == math.inf or len(alphas) == cap
+
+    def _rule(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        """Golub-Welsch: the nodes-point rule from the Jacobi matrix, or
+        the measure itself past the recurrence's end."""
+        if nodes > len(self.alphas):
+            return self.ratios, self.weights
+        off = np.sqrt(self.betas[1:nodes])
+        jacobi = np.diag(self.alphas[:nodes]) + np.diag(off, 1) + np.diag(off, -1)
+        shifted, vectors = np.linalg.eigh(jacobi)
+        ratios, weights = shifted + 1.0, self.mass * vectors[0] ** 2
+        ratios.flags.writeable = False
+        weights.flags.writeable = False
+        return ratios, weights
+
+
+class _Measure(NamedTuple):
+    """The thermal measure on the coupling ratios, and its rules."""
+
+    weights: np.ndarray     # w_n, n <= cutoff
+    ratios: np.ndarray      # |L_n(eta^2)|
+    rules: _GaussRules
+
+
 @lru_cache(maxsize=128)
-def _motional_arrays(motion: MotionalModel) -> tuple[np.ndarray, np.ndarray]:
-    """(thermal weights, |L_n(eta^2)| coupling ratios) up to the cutoff."""
+def _motional_arrays(motion: MotionalModel) -> _Measure:
+    """The thermal weights and |L_n(eta^2)| coupling ratios up to the cutoff,
+    with the Gauss rules on them."""
     n = np.arange(motion.n_cutoff + 1)
     q = motion.nbar / (motion.nbar + 1.0)
     weights = np.power(q, n) / (motion.nbar + 1.0)
     ratios = np.abs(_laguerre_sequence(motion.n_cutoff, motion.eta ** 2))
     weights.flags.writeable = False
     ratios.flags.writeable = False
-    return weights, ratios
+    return _Measure(weights, ratios, _GaussRules(weights, ratios))
 
 
-@lru_cache(maxsize=128)
-def _omega2(rabi: float, motion: MotionalModel) -> np.ndarray:
-    """Squared Fock-state Rabi frequencies (rabi * |L_n(eta^2)|)^2, for the scalar sum."""
-    omega2 = (rabi * _motional_arrays(motion)[1]) ** 2
-    omega2.flags.writeable = False
-    return omega2
+def _thermal_rule(pulse: PulseSpec, motion: MotionalModel) -> tuple[np.ndarray, np.ndarray]:
+    """(coupling ratios, weights) of the thermal rule for this pulse and motion."""
+    return _motional_arrays(motion).rules.at(pulse.rabi * pulse.duration)
 
 
 def _excitation(omega2, delta, duration, out=None, slope=None):
-    """Rabi flop of one Fock term, om^2 / r^2 * sin^2 x, from one tangent.
+    """Rabi flop of one term, om^2 / r^2 * sin^2 x, from one tangent.
 
     With r^2 = om^2 + d^2, x = r t / 2 and T = tan x, sin^2 x is
     T^2 / (1 + T^2), so p_n = om^2 T^2 / ((1 + T^2) r^2).  T^2 cannot
@@ -287,8 +435,8 @@ def thermal_excitation(detuning: float, pulse: PulseSpec, motion: MotionalModel)
     """Thermal excitation probability after the pulse at a finite detuning (rad/s)."""
     if not math.isfinite(detuning):
         raise ValueError("pulse detuning must be finite")
-    weights = _motional_arrays(motion)[0]
-    p = _excitation(_omega2(pulse.rabi, motion), detuning, pulse.duration)
+    ratios, weights = _thermal_rule(pulse, motion)
+    p = _excitation((pulse.rabi * ratios) ** 2, detuning, pulse.duration)
     return float(np.dot(weights, p))
 
 
@@ -300,17 +448,17 @@ def excitation_profile(detunings, pulse: PulseSpec, motion: MotionalModel) -> np
 
 def _thermal_sums(detunings: np.ndarray, pulse: PulseSpec, motion: MotionalModel,
                   slope: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """(p, G) at each detuning of a 1-d array: p = sum w_n p_n, G = sum w_n A_n.
+    """(p, G) at each detuning of a 1-d array: p = sum W_k p_k, G = sum W_k A_k
+    over the thermal rule's nodes.
 
     G is None unless `slope`.  dp/d delta = -delta G for any pulse; for a
     pi pulse (duration pi/Omega_0) p depends on delta/Omega_0 alone, so
     dp/d Omega_0 = delta^2 G / Omega_0.  The kernel runs in blocks of
-    TABLE_CHUNK_ELEMENTS // (cutoff + 1) rows (at least one), and each sum
-    is one product over all rows (module docstring).
+    TABLE_CHUNK_ELEMENTS // K rows (at least one), and each sum is one
+    product over all rows (module docstring).
     """
     d = detunings.reshape(-1, 1)
-    weights, ratios = _motional_arrays(motion)
-    # formed afresh: each step of a fit has its own Rabi frequency
+    ratios, weights = _thermal_rule(pulse, motion)
     omega2 = (pulse.rabi * ratios) ** 2
     rows = max(1, TABLE_CHUNK_ELEMENTS // omega2.size)
     p = np.empty((d.shape[0], omega2.size))

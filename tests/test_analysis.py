@@ -299,14 +299,18 @@ class TestFitProfileReuse:
             fit_spectrum(x, y, shots, self.MOTION)
             assert len(set(calls)) == len(calls) <= most
 
-    def test_fit_leaves_the_omega2_cache_unchanged(self):
-        # each step's Rabi frequency is new, so a cached Fock-term array
-        # per step would never be read again
+    def test_fit_builds_at_most_one_rule(self):
+        # each step's Rabi frequency is new, but each step is a pi pulse on
+        # the fit's one motion: every step reads that motion's rule for
+        # area pi, so the cached rules grow by one at most
         spectra = self._criterion_10_spectra(2) + [self._noise_spectrum()]
-        before = lineshape._omega2.cache_info().currsize
+        motions = lineshape._motional_arrays.cache_info().currsize
+        rules = lineshape._motional_arrays(self.MOTION).rules
+        before = len(rules.built)
         for x, y in spectra:
             fit_spectrum(x, y, 20, self.MOTION)
-        assert lineshape._omega2.cache_info().currsize == before
+        assert len(rules.built) <= before + 1
+        assert lineshape._motional_arrays.cache_info().currsize <= motions + 1
 
 
 def _scipy_allan(result):

@@ -147,12 +147,27 @@ CASES.update({f"{branch}-{command}": ([command, "--seed", "777", "--config", "{c
 # 2.5e-14 of itself (centre 3.8572350350964077 -> 3.857235035096352 Hz,
 # against a standard error of 7.08 Hz).  Every estimate, true_nu,
 # in_window flag and in-window Monte-Carlo value is as before.
+# Every case but calibrate, single-cross-calibrate, nbar-0-track and
+# nbar-0-sensitivity moved when each thermal sum became a Gauss rule of a
+# few nodes (7 at the default pi pulse and nbar 80) in place of its
+# cutoff + 1 Fock terms: the rule is within 2^-53 of the Fock sum, and the
+# two round differently.  At nbar 0 the rule is the single Fock term n = 0,
+# bit for bit.  Only these moved: 708 of the 1203 lineshape values, by at
+# most 3.8e-14 of themselves (the widths did not move); each record's
+# sigma_nu_hz (128 of the default run's 128 rows, by at most 4.7e-13; 1.1e-12
+# at kappa 0.3), the displacements' sigma columns and the summaries'
+# position and force fields; the analytic column, and the Monte-Carlo
+# column of out-of-window cells, in the sensitivity runs (by at most
+# 1.1e-13 at the default config, 3.3e-13 at kappa 0.3); and every
+# fit-spectrum value and standard error, by at most 5.5e-14 of itself.
+# Every estimate, true_nu, in_window flag and in-window Monte-Carlo value
+# is as before.
 GOLDENS = {
     "blocked-errors-track": {
         "track_record.csv":
-            "e701e4a2abd758b8f8aa2bfbcd0ef175f90d78b61cf93b6844e36443e234f0f3",
+            "7d301b41a7886e06d4f0148f5f61d29983da547a9383c1e347c0d9ee960a6710",
         "track_summary.json":
-            "99115127488b1c226667e75675ac9b49c7f314cc81f9b2d9a10698995bf67f2e",
+            "12ba377adf0e3f131d6a9e4dc76a5f2083509fd481f46e91348959c0d9e9ac17",
     },
     "calibrate": {
         "calibrate.csv":
@@ -162,43 +177,43 @@ GOLDENS = {
     },
     "fit-spectrum": {
         "fit_spectrum.csv":
-            "d68a042baa616553b1ae23a17d56676d0bf41ce499ec238801bb1ed9709334c0",
+            "f171e3b2a89b787d461309c8b188bad436fc46084addce06300ed67cf59f3f29",
         "fit_spectrum_summary.json":
-            "fb7e6a3c3d145dcecf18f9d50195514aea1b87b2f5c156b6348d58686b86abc6",
+            "675a982261e290d639dc6388858973ae18b6be7fece9d312a231d64972704885",
     },
     "five-pi-sensitivity": {
         "sensitivity.csv":
-            "2fb70daab7ddbf44126e7fda1098436fb4966f2f91e97979550551a6c8931796",
+            "51cc368cd1c2ce1b2e9605e80f77a2f9b79f561a0f15cd822138138d7ffbd82a",
         "sensitivity_summary.json":
-            "66e2c4e53460e7ddf3c2a7780d73aae98bbc964ff297cbbc56bc6603a8491271",
+            "cb3e1ea3a3b25b576f8b302ccf0451b281053f01961dfc0dac9afd4eb9c87468",
     },
     "five-pi-track": {
         "track_record.csv":
-            "a77be2ff2351bde4945e4b63d0eeeac13528b52510f0348c3d38c8c1a53dafea",
+            "85ffca9f978e8f8b6469018323473afa20eafe2fae275fc1d3460fc0ec3bc113",
         "track_summary.json":
-            "5463da0d0cfc3518384de97cc2c397760c5673199bb455d5105ff498b6637103",
+            "7819c58996c66aa7f2067408485d254e0d6b3d1136281d212f03e1732b029cf0",
     },
     "kappa-0.3-sensitivity": {
         "sensitivity.csv":
-            "e18300d0ff78c8c018243e64670fda592616e124a759e09c0292639528b54a19",
+            "569d5a7471dad86eea98bd47d55def637499f6200c346ecf4599f890fcf9a53d",
         "sensitivity_summary.json":
-            "9dccc95d9beb7a78c0d4a38339ba347d39a48ca0606debe79ba4e3ce014ae6fa",
+            "4a9b98341f09616e279fecd7786cee2fc479d5951439514c2676cd6066631bda",
     },
     "kappa-0.3-track": {
         "track_record.csv":
-            "f053a355142311d88ad7e540cea55206d8cca716851c9e61cc790f52e9111c55",
+            "be47a998653fb1ed42b0e0c138de2a91fe73e5a1674acc92ecab06a60999ba94",
         "track_summary.json":
-            "9b1166e9528f122d29db90200cc6e85567470ed97e6295be6c5e707abb6f1607",
+            "db2fc4393402cbac960d5f5c823840d25d8165f8567e7b945caacc3ca379d9ad",
     },
     "lineshape-csv": {
         "lineshape.csv":
-            "b17966192705f67db12186901038b2d30f0f5429773f0bfddb1a26b4e2477df9",
+            "a7971873dae63dd8ec2ccecff6820e16f34f0fe8b4d40c4cfb1e58abe5a9ed61",
         "lineshape_summary.json":
             "ffe83595631421fc5ff3f4d425a3215dd83063d22ec106b4457e488fc545dc65",
     },
     "lineshape-json": {
         "lineshape.json":
-            "0b370db23f8fa193a3c981a0edea404ec550d660658f2e9c515b37a1fe632852",
+            "3a20b824ba09cb8a30847dd5b95fd23f2e379d4723bb90aacc951660eb8f2d2c",
         "lineshape_summary.json":
             "cd1636134cde9ecfecce9fbf8367bdeb3e0ac24c2f9b8544d0f861ac674e2ab2",
     },
@@ -216,15 +231,15 @@ GOLDENS = {
     },
     "sensitivity-csv": {
         "sensitivity.csv":
-            "f0bf47298e3c6cced242f5317dc8c92147b563ead6b3d0d88f60e5cafdb26afa",
+            "2f2340e31cae35f96e6d0048d49952e7fdd5a014822c3be3c891518d8af081c3",
         "sensitivity_summary.json":
-            "2b0b66b2bb334d2876585dcb36d28a392dd5d7c795b578f1a9aab34e6e0de772",
+            "eae25b4f8e4b6359d191b37f8d9c46edabe2e394c88678eeed74fe9884160e00",
     },
     "sensitivity-json": {
         "sensitivity.json":
-            "49d8b9e014e45514b7499238b0d054b623cca1321b965ef80d222f0c3f7f2666",
+            "f9417148c3911a88c86fb58546856b709be6092e52343cb307c74fdd1cc09ba8",
         "sensitivity_summary.json":
-            "2b0b66b2bb334d2876585dcb36d28a392dd5d7c795b578f1a9aab34e6e0de772",
+            "eae25b4f8e4b6359d191b37f8d9c46edabe2e394c88678eeed74fe9884160e00",
     },
     "single-cross-calibrate": {
         "calibrate.csv":
@@ -234,49 +249,49 @@ GOLDENS = {
     },
     "single-cross-scan": {
         "track_displacements.csv":
-            "029847cf61cd4b4a76d19dc71228dbb503091403f3b37dfe96cedaf6de5caa46",
+            "89edaacc029da8af0a670c431b82ece2415e7b1a33e302cad0ca085ccc5c9238",
         "track_record.csv":
-            "084aa8c2775efb44bde618f5b2d73fe411bc1f51d830228743ae5154c9cc9ee1",
+            "ca8763370580f2a02c6c03e6f3216228b40e859f2016bee2f8d47bbf3031e6bb",
         "track_summary.json":
-            "848159ecacd3df9f475ebe09ba61306a49f1e403b2c683097470a4ec5cf0cc52",
+            "fe7115ca1cbdf377f28745584afd4fe257c7de58a6823b81f8b549484080383c",
     },
     "three-pi-sensitivity": {
         "sensitivity.csv":
-            "12d72b801b515e8ca1d6cb4a080a5c3812a9732074c74d7c8cf68599a9049f00",
+            "51227323356e3a4ee3d904738927a66059665d1306b976f560a36e00077bf7d3",
         "sensitivity_summary.json":
-            "68f8c92090061de98410cd3f00643aaf6152e47b246500006d584509a0259866",
+            "f71354941af64937c68a21d59646d8ae9f9b31c6177de552bb9fc8f0ae38bdf1",
     },
     "three-pi-track": {
         "track_record.csv":
-            "5c96a6408fb18f0ca4ec61d94029f26aa60de6a3a2b4b85f4f4bb2a9424994a6",
+            "c776e8a57e0edc3d0540af808da2b794b33a0130b700b809eef7cb8e102c4b6c",
         "track_summary.json":
-            "5a6904844e92b2479bd03b2c7fb7e39e9a60fbef0ee08b3b1152105c02cb07de",
+            "ac3640a966edd1f8cc7a43765725a87d579c6d8ce423d6545267dae1f26cb249",
     },
     "track-csv": {
         "track_record.csv":
-            "2ba7fa9988da5c8430e2c21c0df178116521aef305724d0eec0bd25d6211639a",
+            "0ae5afc58084913aed467c3c2f11fef527714b22baad2459f7994b87ef69754c",
         "track_summary.json":
-            "5eab39375e735b5e08e3f0b027779691a43693418bf8dbcf1003e90ce4200115",
+            "b3c653ad0a630d71b2d1c2b3e2979da35edb2e324dd3b6047f324b2021f0aa72",
     },
     "track-json": {
         "track_record.json":
-            "3087de571e55bc0888f6a91cb1ebaa244fad6b32f994ff9cb5086cd4869651c3",
+            "1edc48670551040d62cd2595086158bf83b83182ab54ecf48504c8d1ec9ef314",
         "track_summary.json":
-            "d5425a6a0e59f1f62122aeb33637fa56337ec0698ad03d7ccea656d4f25fc731",
+            "668288cb0d792d92f2590e70bec5200091f6aa3d448a9f0e6fe711cd8bd6be68",
     },
     "voltage-scan": {
         "track_displacements.csv":
-            "436004bc68a9a557ddcedcc301f0a57b074e3544e3f95fd315174a01ffb0cc52",
+            "e98c0dde506de841ece19b40689baecd3e8445cd8747151d239844cdd7576150",
         "track_record.csv":
-            "78e7450721a66e74ee7059228f1449d6cdd43c4913f39ee3e036ce6e5f50d7b8",
+            "8d787fe1532428abdec71070c4c27d8f0b669aa81e1c26b4b9bd4db762b91889",
         "track_summary.json":
-            "5bc206458752ce3090cb1c9feea2e8acca68afefc48bc0c03fc9705a275ffbe3",
+            "85c7b82b15c124a56206d0e01950935b27a8ae0d04b6c41dabf668a2ba91d189",
     },
     "walk-line-track": {
         "track_record.csv":
-            "6d0ba42fa9a1938d9c3121028a0a135fed850f92d91d1eefbf9781a9e3f69f77",
+            "2ef1ebf7aef46b2e957599f38c3d9888e36522ecfa559f8bf7522b0c9313642c",
         "track_summary.json":
-            "9a731e5ac544d87c502b9d5ebc0de55bc98c0ea1297a82a0a943b90588116ace",
+            "2e0cf206ee6ab33194dc7ecf55fd9c32c44915fa58f5cbb557b42e4214362be7",
     },
 }
 

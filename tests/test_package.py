@@ -80,16 +80,15 @@ def test_only_the_run_configs_take_a_shot_count():
 
 def test_the_only_caches_are_the_plan_and_the_kernels():
     # The estimator's plan owns the per-shot table, which the simulator
-    # reads from it; lineshape caches only the per-motion arrays and, for
-    # the scalar thermal sum, the Fock-term Rabi frequencies.  Every other
-    # function of the package computes afresh.
+    # reads from it; lineshape caches only the per-motion arrays, which
+    # hold that motion's thermal rules.  Every other function of the
+    # package computes afresh.
     modules = [iontrack] + [importlib.import_module(f"iontrack.{info.name}")
                             for info in pkgutil.iter_modules(iontrack.__path__)]
     cached = {f"{module.__name__}.{name}" for module in modules
               for name, value in vars(module).items()
               if hasattr(value, "cache_info") and value.__module__ == module.__name__}
-    assert cached == {"iontrack.estimator._plan", "iontrack.lineshape._motional_arrays",
-                      "iontrack.lineshape._omega2"}
+    assert cached == {"iontrack.estimator._plan", "iontrack.lineshape._motional_arrays"}
 
 
 def test_the_only_cross_module_private_imports():
@@ -139,8 +138,10 @@ def test_the_module_constants():
         "config": {"TWO_PI", "MAX_CYCLES", "MAX_SEEDS", "MAX_SHOTS_PER_SIDE",
                    "MAX_LINESHAPE_POINTS", "_PARSERS", "_SCHEMA"},
         "estimator": {"INVERSION_TOLERANCE", "DECISION_SLACK"},
+        # RULE_MAX_NODES caps the thermal rule's build, whose cost grows as
+        # K^2 N with the nodes K the pulse area needs
         "lineshape": {"THERMAL_CUTOFF_FACTOR", "MIN_THERMAL_CUTOFF", "MAX_THERMAL_CUTOFF",
-                      "MAX_PROFILE_ELEMENTS", "TABLE_INTERVALS_PER_PI", "TABLE_MAX_INTERVALS",
+                      "MAX_PROFILE_ELEMENTS", "RULE_MAX_NODES", "TABLE_INTERVALS_PER_PI", "TABLE_MAX_INTERVALS",
                       "TABLE_CHUNK_ELEMENTS", "TABLE_ROUNDING_SLACK", "FWHM_RESOLUTION",
                       "FWHM_SCAN_RABI", "LINEWIDTH_CALIBRATED_ETA"},
         "simulator": {"LINE_FREQUENCY_HZ", "LOSS_OF_LOCK_STREAK", "TWO_PI", "_COLUMNS",
